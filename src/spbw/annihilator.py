@@ -88,6 +88,9 @@ def ann_in_a_bounded(Ms, d: int,
     presentation (the zero polynomial is fine and makes every candidate
     match).  Candidates are enumerated in lexicographic coefficient order
     over the ascending monomial basis, so the result order is deterministic.
+
+    Kept on purpose beside `BoundedContext.kernel`: it goes through
+    `polymodule.act`, so tests use it as an independent reference.
     """
     Ms = list(Ms)
     if not Ms:

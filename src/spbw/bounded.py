@@ -10,14 +10,16 @@ exactly this order, so do not change it casually.
 
 The expensive artifact is the kernel map m -> {f : act(m, f) = 0}.  It is
 computed once per (module, presentation, degree) triple and shared by every
-check that needs annihilators, via the `context` factory below.
+check that needs annihilators, via the `context` factory below.  The module
+owns its contexts: they are cached on the RightModule and live exactly as
+long as it does, so there is no process-wide cache.
 """
 
 from __future__ import annotations
 
 from itertools import product
 
-from .errors import EngineInvariantError, SearchSpaceTooLarge
+from .errors import EngineInvariantError, SearchSpaceTooLarge, ValidationError
 from .monomial import enumerate_upto
 from .polymodule import ModulePoly, RightModule, module_poly
 from .skewpbw import SkewPbwPresentation, SkewPoly
@@ -32,7 +34,8 @@ class BoundedContext:
     def __init__(self, module: RightModule, presentation: SkewPbwPresentation,
                  degree: int):
         if degree < 0:
-            raise ValueError("degree bound must be >= 0")
+            raise ValidationError("bad_input",
+                                  message="degree bound must be >= 0")
         self.module = module
         self.presentation = presentation
         self.degree = degree
@@ -240,21 +243,17 @@ class BoundedContext:
         return result
 
 
-_CONTEXTS: dict = {}
-
-
 def context(module: RightModule, presentation: SkewPbwPresentation,
             degree: int) -> BoundedContext:
-    """Shared BoundedContext per (module, presentation, degree) identity.
+    """Shared BoundedContext per (module, presentation, degree).
 
-    Keyed by object identity: the kernel map is the dominant cost of the
-    theorem suite and must be computed once, not once per decider.
+    The kernel map is the dominant cost of the theorem suite and must be
+    computed once, not once per decider, so the context is cached on the
+    module under (presentation, degree) and dies with the module.
     """
-    key = (id(module), id(presentation), degree)
-    ctx = _CONTEXTS.get(key)
-    if ctx is None or ctx.module is not module or ctx.presentation is not presentation:
-        ctx = BoundedContext(module, presentation, degree)
-        if len(_CONTEXTS) >= 64:
-            _CONTEXTS.clear()
-        _CONTEXTS[key] = ctx
+    key = (presentation, degree)
+    ctx = module._contexts.get(key)
+    if ctx is None:
+        ctx = module._contexts[key] = BoundedContext(module, presentation,
+                                                     degree)
     return ctx

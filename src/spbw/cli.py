@@ -33,12 +33,8 @@ from .monomial import MonomialOrder, default_order
 from .polymodule import (ModulePoly, RightModule, act, embedding_from_generator,
                          module_poly, quotient_module, regular_module,
                          validate_embedding, validate_module)
-from .properties import (DEFAULT_DEGREE, FAILS, VIOLATION, idempotent_stability,
-                         is_abelian, is_baer, is_delta_compatible,
-                         is_linearly_skew_armendariz, is_pp, is_pq_baer,
-                         is_quasi_baer, is_reduced, is_sigma_compatible,
-                         is_skew_armendariz_bounded,
-                         is_skew_quasi_armendariz_bounded, theorem_suite)
+from .properties import (DECIDERS, DEFAULT_DEGREE, FAILS, VIOLATION,
+                         theorem_suite)
 from .skewpbw import SkewPbwPresentation, SkewPoly, add as poly_add, mul, \
     validate_presentation
 
@@ -356,42 +352,6 @@ def _mpoly_json(mp: ModulePoly) -> dict:
             "terms": [[list(a), M.safe_name(v)] for a, v in items]}
 
 
-_PROPERTY_NAMES = ("reduced", "sigma_compatible", "delta_compatible",
-                   "abelian", "idempotent_stability", "pp", "pq_baer",
-                   "quasi_baer", "baer", "skew_armendariz",
-                   "linearly_skew_armendariz", "skew_quasi_armendariz")
-
-
-def _run_property(prop: str, inst: InstanceFile, degree: int, max_space: int):
-    M, P = inst.module, inst.presentation
-    if prop == "reduced":
-        return is_reduced(M)
-    if prop == "sigma_compatible":
-        return is_sigma_compatible(M, P)
-    if prop == "delta_compatible":
-        return is_delta_compatible(M, P)
-    if prop == "abelian":
-        return is_abelian(M)
-    if prop == "idempotent_stability":
-        return idempotent_stability(P)
-    if prop == "pp":
-        return is_pp(M)
-    if prop == "pq_baer":
-        return is_pq_baer(M)
-    if prop == "quasi_baer":
-        return is_quasi_baer(M)
-    if prop == "baer":
-        return is_baer(M)
-    if prop == "skew_armendariz":
-        return is_skew_armendariz_bounded(M, P, degree, max_space)
-    if prop == "linearly_skew_armendariz":
-        return is_linearly_skew_armendariz(M, P, max_space)
-    if prop == "skew_quasi_armendariz":
-        return is_skew_quasi_armendariz_bounded(M, P, degree, max_space)
-    raise UnknownProperty(
-        f"unknown property {prop!r}; choose from {', '.join(_PROPERTY_NAMES)}")
-
-
 def run_command(inst: InstanceFile, command: str, args: list,
                 options: dict) -> tuple[dict, int]:
     """Execute one command; returns (report, exit_code)."""
@@ -445,7 +405,11 @@ def run_command(inst: InstanceFile, command: str, args: list,
     elif command == "check":
         if len(args) != 1:
             raise _bad("check needs exactly one property name")
-        verdict = _run_property(args[0], inst, degree, max_space)
+        decide = DECIDERS.get(args[0])
+        if decide is None:
+            raise UnknownProperty(f"unknown property {args[0]!r}; "
+                                  f"choose from {', '.join(DECIDERS)}")
+        verdict = decide(M, P, degree, max_space)
         report["result"] = verdict.to_json()
         if verdict.status == FAILS:
             code = 1

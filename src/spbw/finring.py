@@ -120,6 +120,12 @@ def _check_tables_shape(order, table, what):
                 raise ValidationError("bad_table", witness=(what, v))
 
 
+def _check_order_cap(order: int) -> None:
+    if order > HARD_ORDER_CAP:
+        raise ValidationError("bad_table", witness=order,
+                              message=f"ring order {order} exceeds cap {HARD_ORDER_CAP}")
+
+
 def validate_ring(add_table, mul_table, label="", names=None) -> FiniteRing:
     """Check the full unital ring axiom set and return the validated ring.
 
@@ -129,9 +135,7 @@ def validate_ring(add_table, mul_table, label="", names=None) -> FiniteRing:
     order = len(add_table)
     if order == 0:
         raise ValidationError("bad_table", message="empty ring")
-    if order > HARD_ORDER_CAP:
-        raise ValidationError("bad_table", witness=order,
-                              message=f"ring order {order} exceeds cap {HARD_ORDER_CAP}")
+    _check_order_cap(order)
     if order > WARN_ORDER:
         warnings.warn(f"ring of order {order}: bounded deciders will be slow",
                       stacklevel=2)
@@ -384,6 +388,7 @@ def closure_monoid(ring: FiniteRing, maps, labels=None) -> MapMonoid:
 
 def zmod(n: int) -> FiniteRing:
     """The ring of integers modulo n."""
+    _check_order_cap(n)
     rng = range(n)
     add = [[(a + b) % n for b in rng] for a in rng]
     mul = [[(a * b) % n for b in rng] for a in rng]
@@ -396,6 +401,7 @@ def zmod_product(a: int, b: int) -> FiniteRing:
     Element (x, y) has index x*b + y.
     """
     q = a * b
+    _check_order_cap(q)
     def idx(x, y):
         return x * b + y
     add = [[0] * q for _ in range(q)]
@@ -455,12 +461,12 @@ def upper_triangular(n: int, p: int) -> FiniteRing:
     Elements are indexed by the row-major tuple of the n(n+1)/2 entries on
     and above the diagonal, most significant first.
     """
-    positions = [(i, j) for i in range(n) for j in range(i, n)]
-    k = len(positions)
+    k = n * (n + 1) // 2
     q = p ** k
     if q > HARD_ORDER_CAP:
         raise ValidationError("bad_table", witness=q,
                               message=f"UT({n},Z{p}) has order {q} > {HARD_ORDER_CAP}")
+    positions = [(i, j) for i in range(n) for j in range(i, n)]
 
     def unpack(idx):
         entries = {}

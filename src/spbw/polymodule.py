@@ -43,6 +43,7 @@ class RightModule:
                     neg[a] = b
                     break
         self._neg = tuple(neg)
+        self._contexts = {}  # (presentation, degree) -> bounded.BoundedContext
 
     def add(self, a, b):
         return self.add_table[a][b]

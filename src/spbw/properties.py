@@ -27,7 +27,9 @@ Each proved implication becomes a report with one of four statuses:
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from itertools import product
 
 from .annihilator import ann_in_r, idempotent_generator, principal_right_ideal
 from .bounded import DEFAULT_MAX_SPACE, BoundedContext, context
@@ -224,74 +226,82 @@ def idempotent_stability(P: SkewPbwPresentation) -> PropertyVerdict:
     return PropertyVerdict("idempotent_stability", HOLDS)
 
 
-def is_pp(M: RightModule) -> PropertyVerdict:
+def _idempotent_family(prop: str, M: RightModule, family,
+                       witness) -> PropertyVerdict:
+    """Decide `prop`: every annihilator in `family`, an iterable of
+    (key, annihilator frozenset) pairs, must be eR for an idempotent e.
+    Fails at the first that is not, with witness(key) plus the annihilator."""
     R = M.ring
-    for m in M.elements():
-        ideal = ann_in_r(M, (m,))
-        if idempotent_generator(R, ideal.elements) is None:
-            witness = {"m": M.name(m),
-                       "annihilator": [R.name(r) for r in ideal.sorted_elements()]}
-            return PropertyVerdict("pp", FAILS, witness)
-    return PropertyVerdict("pp", HOLDS)
+    for key, ideal in family:
+        if idempotent_generator(R, ideal) is None:
+            return PropertyVerdict(prop, FAILS, {
+                **witness(key),
+                "annihilator": [R.name(r) for r in sorted(ideal)]})
+    return PropertyVerdict(prop, HOLDS)
+
+
+def is_pp(M: RightModule) -> PropertyVerdict:
+    return _idempotent_family(
+        "pp", M, ((m, ann_in_r(M, (m,)).elements) for m in M.elements()),
+        lambda m: {"m": M.name(m)})
 
 
 def is_pq_baer(M: RightModule) -> PropertyVerdict:
-    R = M.ring
-    for m in M.elements():
-        ideal = ann_in_r(M, cyclic_submodule(M, m).elements)
-        if idempotent_generator(R, ideal.elements) is None:
-            witness = {"m": M.name(m),
-                       "annihilator": [R.name(r) for r in ideal.sorted_elements()]}
-            return PropertyVerdict("pq_baer", FAILS, witness)
-    return PropertyVerdict("pq_baer", HOLDS)
+    return _idempotent_family(
+        "pq_baer", M,
+        ((m, ann_in_r(M, cyclic_submodule(M, m).elements).elements)
+         for m in M.elements()),
+        lambda m: {"m": M.name(m)})
 
 
 def is_quasi_baer(M: RightModule,
                   max_order: int = DEFAULT_MAX_SUBMODULE_ORDER) -> PropertyVerdict:
-    R = M.ring
-    for sub in all_submodules(M, max_order):
-        ideal = ann_in_r(M, sub.elements)
-        if idempotent_generator(R, ideal.elements) is None:
-            witness = {"submodule": sorted(M.name(x) for x in sub.elements),
-                       "annihilator": [R.name(r) for r in ideal.sorted_elements()]}
-            return PropertyVerdict("quasi_baer", FAILS, witness)
-    return PropertyVerdict("quasi_baer", HOLDS)
+    return _idempotent_family(
+        "quasi_baer", M,
+        ((sub, ann_in_r(M, sub.elements).elements)
+         for sub in all_submodules(M, max_order)),
+        lambda sub: {"submodule": sorted(M.name(x) for x in sub.elements)})
 
 
-def _subset_annihilators(M: RightModule) -> dict:
-    """Intersection closure of the single-element annihilators.
+def _meet_closure(seeds: dict, meet, join, limit: int | None = None) -> dict:
+    """Close `seeds` (annihilator -> witness) under pairwise meets.
 
-    Every ann(X) with X a subset of M is an intersection of ann({m}) over
-    m in X, so the closure enumerates the full annihilator lattice.  Maps
-    each distinct annihilator (frozenset) to a witness subset of M.
+    Each round meets every pair of known annihilators in insertion order and
+    records a new meet with the join of the two witnesses; rounds repeat
+    until nothing new appears.  With a `limit` (only the bounded lattice has
+    one), a round that would grow the lattice past it raises
+    SearchSpaceTooLarge before the growth is kept.
     """
-    cands: dict = {}
-    for m in M.elements():
-        ideal = frozenset(ann_in_r(M, (m,)).elements)
-        cands.setdefault(ideal, frozenset({m}))
+    cands = dict(seeds)
     while True:
         fresh = {}
         items = list(cands.items())
-        for ideal1, x1 in items:
-            for ideal2, x2 in items:
-                meet = ideal1 & ideal2
-                if meet not in cands and meet not in fresh:
-                    fresh[meet] = x1 | x2
+        for key1, w1 in items:
+            for key2, w2 in items:
+                key = meet(key1, key2)
+                if key not in cands and key not in fresh:
+                    fresh[key] = join(w1, w2)
         if not fresh:
             return cands
+        if limit is not None and len(cands) + len(fresh) > limit:
+            raise SearchSpaceTooLarge(len(cands) + len(fresh), limit,
+                                      "bounded annihilator lattice")
         cands.update(fresh)
 
 
 def is_baer(M: RightModule) -> PropertyVerdict:
-    R = M.ring
-    cands = _subset_annihilators(M)
-    for ideal in sorted(cands, key=lambda s: (len(s), sorted(s))):
-        if idempotent_generator(R, ideal) is None:
-            subset = cands[ideal]
-            witness = {"subset": sorted(M.name(x) for x in subset),
-                       "annihilator": [R.name(r) for r in sorted(ideal)]}
-            return PropertyVerdict("baer", FAILS, witness)
-    return PropertyVerdict("baer", HOLDS)
+    """Every ann(X) with X a subset of M is an intersection of ann({m}) over
+    m in X, so the meet closure of the single-element annihilators is the
+    full annihilator lattice, each with a witness subset of M."""
+    seeds: dict = {}
+    for m in M.elements():
+        seeds.setdefault(frozenset(ann_in_r(M, (m,)).elements), frozenset({m}))
+    cands = _meet_closure(seeds, operator.and_, operator.or_)
+    return _idempotent_family(
+        "baer", M,
+        ((cands[ideal], ideal)
+         for ideal in sorted(cands, key=lambda s: (len(s), sorted(s)))),
+        lambda subset: {"subset": sorted(M.name(x) for x in subset)})
 
 
 # ---------------------------------------------------------------------------
@@ -373,6 +383,28 @@ def is_skew_quasi_armendariz_bounded(M: RightModule, P: SkewPbwPresentation,
                            bound=ctx.degree)
 
 
+# Every property the CLI can check, in the order it lists them, mapped to a
+# decider taking (M, P, degree, max_space).  The lambdas look the deciders up
+# at call time, so a rebound module attribute is what runs.
+DECIDERS = {
+    "reduced": lambda M, P, d, space: is_reduced(M),
+    "sigma_compatible": lambda M, P, d, space: is_sigma_compatible(M, P),
+    "delta_compatible": lambda M, P, d, space: is_delta_compatible(M, P),
+    "abelian": lambda M, P, d, space: is_abelian(M),
+    "idempotent_stability": lambda M, P, d, space: idempotent_stability(P),
+    "pp": lambda M, P, d, space: is_pp(M),
+    "pq_baer": lambda M, P, d, space: is_pq_baer(M),
+    "quasi_baer": lambda M, P, d, space: is_quasi_baer(M),
+    "baer": lambda M, P, d, space: is_baer(M),
+    "skew_armendariz":
+        lambda M, P, d, space: is_skew_armendariz_bounded(M, P, d, space),
+    "linearly_skew_armendariz":
+        lambda M, P, d, space: is_linearly_skew_armendariz(M, P, space),
+    "skew_quasi_armendariz":
+        lambda M, P, d, space: is_skew_quasi_armendariz_bounded(M, P, d, space),
+}
+
+
 def torsion_witness(mp: ModulePoly, h: SkewPoly) -> int:
     """For a bounded torsion pair (act(mp, h) = 0, h != 0) over a reduced
     compatible module, return the constant annihilator lc(h).
@@ -414,66 +446,68 @@ def _idempotent_sets(ctx: BoundedContext, max_space: int) -> dict:
     return inv
 
 
+def _bounded_idempotent_family(ctx: BoundedContext, max_space: int, family,
+                               witness):
+    """(True, None) when every bounded annihilator in `family`, an iterable of
+    (key, frozenset of f_idx) pairs, is e A_{<=d} for an idempotent e; else
+    (False, witness(key)) for the first that is not.  The family is consumed
+    after the idempotent sets are built, so its own guards (lattice size,
+    submodule cap) refuse only after theirs."""
+    inv = _idempotent_sets(ctx, max_space)
+    for key, row in family:
+        if row not in inv:
+            return False, witness(key)
+    return True, None
+
+
 def _pp_bounded(ctx: BoundedContext, max_space: int):
     kern = ctx.kernel(max_space)
-    inv = _idempotent_sets(ctx, max_space)
-    for m_idx in range(ctx.m_space):
-        if frozenset(kern[m_idx]) not in inv:
-            return False, {"m": _mpoly_struct(ctx.m_poly(m_idx))}
-    return True, None
+    return _bounded_idempotent_family(
+        ctx, max_space,
+        ((m_idx, frozenset(kern[m_idx])) for m_idx in range(ctx.m_space)),
+        lambda m_idx: {"m": _mpoly_struct(ctx.m_poly(m_idx))})
 
 
 def _baer_bounded(ctx: BoundedContext, max_space: int):
     kern = ctx.kernel(max_space)
-    inv = _idempotent_sets(ctx, max_space)
-    cands: dict = {}
-    for m_idx in range(ctx.m_space):
-        cands.setdefault(frozenset(kern[m_idx]), (m_idx,))
-    while True:
-        fresh = {}
-        items = list(cands.items())
-        for s1, w1 in items:
-            for s2, w2 in items:
-                meet = s1 & s2
-                if meet not in cands and meet not in fresh:
-                    fresh[meet] = w1 + w2
-        if not fresh:
-            break
-        if len(cands) + len(fresh) > 4096:
-            raise SearchSpaceTooLarge(len(cands) + len(fresh), 4096,
-                                      "bounded annihilator lattice")
-        cands.update(fresh)
-    for s in sorted(cands, key=lambda x: (len(x), sorted(x))):
-        if s not in inv:
-            gens = cands[s][:8]
-            return False, {"subset": [ctx.m_poly(i).to_string() for i in gens],
-                           "subset_size": len(cands[s])}
-    return True, None
+
+    def family():
+        seeds: dict = {}
+        for m_idx in range(ctx.m_space):
+            seeds.setdefault(frozenset(kern[m_idx]), (m_idx,))
+        cands = _meet_closure(seeds, operator.and_, operator.add, limit=4096)
+        for s in sorted(cands, key=lambda x: (len(x), sorted(x))):
+            yield cands[s], s
+
+    return _bounded_idempotent_family(
+        ctx, max_space, family(),
+        lambda gens: {"subset": [ctx.m_poly(i).to_string() for i in gens[:8]],
+                      "subset_size": len(gens)})
 
 
 def _quasi_baer_bounded(ctx: BoundedContext, max_space: int, max_order: int):
-    from itertools import product as iproduct
     kern = ctx.kernel(max_space)
-    inv = _idempotent_sets(ctx, max_space)
     M = ctx.module
-    for sub in all_submodules(M, max_order):
-        members = sorted(sub.elements)
-        meet = None
-        for vec in iproduct(members, repeat=ctx.k):
-            row = frozenset(kern[ctx.m_index(vec)])
-            meet = row if meet is None else (meet & row)
-        if meet not in inv:
-            return False, {"submodule": sorted(M.name(x) for x in sub.elements)}
-    return True, None
+
+    def family():
+        for sub in all_submodules(M, max_order):
+            meet = None
+            for vec in product(sorted(sub.elements), repeat=ctx.k):
+                row = frozenset(kern[ctx.m_index(vec)])
+                meet = row if meet is None else (meet & row)
+            yield sub, meet
+
+    return _bounded_idempotent_family(
+        ctx, max_space, family(),
+        lambda sub: {"submodule": sorted(M.name(x) for x in sub.elements)})
 
 
 def _pq_baer_bounded(ctx: BoundedContext, max_space: int):
     rows = ctx.ann_am_rows(max_space)
-    inv = _idempotent_sets(ctx, max_space)
-    for m_idx in range(ctx.m_space):
-        if frozenset(rows[m_idx]) not in inv:
-            return False, {"m": _mpoly_struct(ctx.m_poly(m_idx))}
-    return True, None
+    return _bounded_idempotent_family(
+        ctx, max_space,
+        ((m_idx, frozenset(rows[m_idx])) for m_idx in range(ctx.m_space)),
+        lambda m_idx: {"m": _mpoly_struct(ctx.m_poly(m_idx))})
 
 
 # ---------------------------------------------------------------------------
@@ -642,22 +676,13 @@ def _annihilator_correspondence(ctx: BoundedContext, max_space: int):
         if frozenset(kern[m_idx]) != pred:
             return False, {"m": _mpoly_struct(ctx.m_poly(m_idx)),
                            "side": "single"}
-    cands: dict = {}
+    seeds: dict = {}
     for u in M.elements():
         ideal = frozenset(ann_in_r(M, (u,)).elements)
         row = frozenset(kern[ctx.constant_m_index(u)])
-        cands.setdefault((ideal, row), frozenset({u}))
-    while True:
-        fresh = {}
-        items = list(cands.items())
-        for (i1, r1), u1 in items:
-            for (i2, r2), u2 in items:
-                key = (i1 & i2, r1 & r2)
-                if key not in cands and key not in fresh:
-                    fresh[key] = u1 | u2
-        if not fresh:
-            break
-        cands.update(fresh)
+        seeds.setdefault((ideal, row), frozenset({u}))
+    cands = _meet_closure(seeds, lambda a, b: (a[0] & b[0], a[1] & b[1]),
+                          operator.or_)
     for (ideal, row), subset in cands.items():
         if ctx.coeff_set(ideal, max_space) != row:
             return False, {"subset": sorted(M.name(x) for x in subset),
@@ -897,13 +922,18 @@ def theorem_suite(M: RightModule, P: SkewPbwPresentation,
             return lv == rv, desc, wit
         return run
 
+    def transfer_concl(exact, side_fn, lname, rname, *args):
+        def run():
+            side, wit = side_fn(ctx, max_space, *args)
+            return equal_concl(exact, side, lname, rname, wit)()
+        return run
+
     reports = [reduced_compatible_equivalence(M, P)]
 
     reports.append(_implication(
         "compatible_map_annihilation",
         [("sigma_compatible", sig), ("delta_compatible", dlt)],
-        lambda: _wrap(_map_annihilation, M, P,
-                      "twist maps preserve annihilation")))
+        _wrapper(_map_annihilation, M, P, "twist maps preserve annihilation")))
 
     reports.append(_implication(
         "coefficientwise_scalar_annihilation",
@@ -965,27 +995,21 @@ def theorem_suite(M: RightModule, P: SkewPbwPresentation,
         [("reduced", red)],
         equal_concl(pp, pqb, "is_pp", "is_pq_baer")))
 
-    def concl_pp_transfer():
-        side, wit = _pp_bounded(ctx, max_space)
-        return equal_concl(pp, side, "is_pp",
-                           "bounded polynomial-module pp", wit)()
-
     reports.append(_implication(
         "pp_polynomial_transfer",
         [("sigma_compatible", sig), ("delta_compatible", dlt),
          ("skew_armendariz", arm), ("ring_embeds_in_module", emb)],
-        concl_pp_transfer, bound=degree))
-
-    def concl_baer_transfer():
-        side, wit = _baer_bounded(ctx, max_space)
-        return equal_concl(baer, side, "is_baer",
-                           "bounded polynomial-module baer", wit)()
+        transfer_concl(pp, _pp_bounded, "is_pp",
+                       "bounded polynomial-module pp"),
+        bound=degree))
 
     reports.append(_implication(
         "baer_polynomial_transfer",
         [("sigma_compatible", sig), ("delta_compatible", dlt),
          ("skew_armendariz", arm), ("ring_embeds_in_module", emb)],
-        concl_baer_transfer, bound=degree))
+        transfer_concl(baer, _baer_bounded, "is_baer",
+                       "bounded polynomial-module baer"),
+        bound=degree))
 
     reports.append(_implication(
         "compatible_torsion_constant",
@@ -1004,25 +1028,19 @@ def theorem_suite(M: RightModule, P: SkewPbwPresentation,
                  "bounded ann(mA) is generated by its constants"),
         bound=degree))
 
-    def concl_quasi_baer_transfer():
-        side, wit = _quasi_baer_bounded(ctx, max_space, max_order)
-        return equal_concl(qb, side, "is_quasi_baer",
-                           "bounded polynomial-module quasi-baer", wit)()
-
     reports.append(_implication(
         "quasi_baer_polynomial_transfer",
         [("sigma_compatible", sig), ("delta_compatible", dlt)],
-        concl_quasi_baer_transfer, bound=degree))
-
-    def concl_pq_baer_transfer():
-        side, wit = _pq_baer_bounded(ctx, max_space)
-        return equal_concl(pqb, side, "is_pq_baer",
-                           "bounded polynomial-module pq-baer", wit)()
+        transfer_concl(qb, _quasi_baer_bounded, "is_quasi_baer",
+                       "bounded polynomial-module quasi-baer", max_order),
+        bound=degree))
 
     reports.append(_implication(
         "pq_baer_polynomial_transfer",
         [("sigma_compatible", sig), ("delta_compatible", dlt)],
-        concl_pq_baer_transfer, bound=degree))
+        transfer_concl(pqb, _pq_baer_bounded, "is_pq_baer",
+                       "bounded polynomial-module pq-baer"),
+        bound=degree))
 
     reports.append(_implication(
         "quasi_baer_quasi_armendariz",
@@ -1031,11 +1049,6 @@ def theorem_suite(M: RightModule, P: SkewPbwPresentation,
         verdict_concl(quasi, "skew_quasi_armendariz"), bound=degree))
 
     return reports
-
-
-def _wrap(fn, M, P, ok_desc):
-    ok, wit = fn(M, P)
-    return ok, ok_desc if ok else ok_desc + " refuted", wit
 
 
 def _wrapper(fn, *args):

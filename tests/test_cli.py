@@ -303,3 +303,13 @@ def test_main_search_space_error(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["error"]["type"] == "SearchSpaceTooLarge"
     assert payload["error"]["limit"] == 10
+
+
+@pytest.mark.parametrize("argv", [
+    ["z3-trivial", "theorems", "--degree", "-1"],
+    ["z3-trivial", "check", "skew_armendariz", "--degree", "-1"],
+])
+def test_main_negative_degree_exit_two(argv, capsys):
+    assert main(argv + ["--json-only"]) == 2
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["error"]["type"] == "ValidationError"

@@ -1,5 +1,7 @@
 """Ring layer: builders, axiom validation, twist maps, element scans."""
 
+import time
+
 import pytest
 
 from spbw.errors import ValidationError
@@ -225,3 +227,14 @@ def test_safe_name_fallback():
     assert d.element_index("1+y") == 3
     with pytest.raises(ValidationError):
         d.element_index("nope")
+
+
+@pytest.mark.parametrize("build", [lambda: zmod(2000),
+                                   lambda: zmod_product(40, 40)],
+                         ids=["zmod-2000", "zmod_product-40x40"])
+def test_oversized_shorthand_refused_before_building_tables(build):
+    t0 = time.monotonic()
+    with pytest.raises(ValidationError) as exc:
+        build()
+    assert exc.value.kind == "bad_table"
+    assert time.monotonic() - t0 < 0.1

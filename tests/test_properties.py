@@ -1,7 +1,13 @@
 """Property deciders, theorem reports, and witness replay."""
 
+import gc
+import weakref
+
 import pytest
 
+from spbw import corpus
+from spbw.bounded import context
+from spbw.cli import parse_instance
 from spbw.errors import TooLarge, ValidationError
 from spbw.finring import upper_triangular, zmod
 from spbw.polymodule import module_constant, module_poly, regular_module
@@ -357,3 +363,14 @@ def test_replay_detects_mismatched_witness(z4):
     fake = PropertyVerdict("reduced", FAILS,
                            {"m": "1", "a": "1", "common": "1"})
     assert replay(z4.module, z4.presentation, fake) is False
+
+
+def test_context_lives_exactly_as_long_as_its_module():
+    inst = parse_instance(corpus.load("z4-regular"))
+    M, P = inst.module, inst.presentation
+    ctx = context(M, P, 1)
+    assert context(M, P, 1) is ctx
+    ref = weakref.ref(ctx)
+    del inst, M, P, ctx
+    gc.collect()
+    assert ref() is None
