@@ -69,12 +69,6 @@ class BoundedContext:
     def mvec(self, m_idx: int):
         return self._vec(m_idx, self.mod_size)
 
-    def f_index(self, vec) -> int:
-        idx = 0
-        for v in vec:
-            idx = idx * self.ring_size + v
-        return idx
-
     def m_index(self, vec) -> int:
         idx = 0
         for v in vec:

@@ -107,7 +107,7 @@ def _parse_delta(ring: FiniteRing, sigma: RingMap, spec) -> RingMap:
     raise _bad(f"unknown delta spec {spec!r}")
 
 
-def _canon_map(ring: FiniteRing, m: RingMap, shorthand) -> object:
+def _canon_map(m: RingMap, shorthand) -> object:
     if isinstance(shorthand, str):
         return shorthand
     return list(m.table)
@@ -250,8 +250,8 @@ def parse_instance(text: str, order_override: str | None = None,
             "mul": [list(r) for r in ring.mul_table],
             "names": list(ring.names), "label": ring.label},
         "variables": n,
-        "sigma": [_canon_map(ring, m, s) for m, s in zip(sigmas, sig_spec)],
-        "delta": [_canon_map(ring, m, s) for m, s in zip(deltas, del_spec)],
+        "sigma": [_canon_map(m, s) for m, s in zip(sigmas, sig_spec)],
+        "delta": [_canon_map(m, s) for m, s in zip(deltas, del_spec)],
         "relations": canon_rel,
         "module": canon_mod,
         "order": {"kind": order.kind, "precedence": list(order.precedence)},

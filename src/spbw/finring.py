@@ -228,9 +228,6 @@ class RingMap:
     def __call__(self, a: int) -> int:
         return self.table[a]
 
-    def is_identity(self) -> bool:
-        return all(self.table[a] == a for a in range(self.ring.order))
-
     def is_zero(self) -> bool:
         z = self.ring.zero
         return all(v == z for v in self.table)

@@ -54,10 +54,6 @@ class RightModule:
     def sub(self, a, b):
         return self.add_table[a][self._neg[b]]
 
-    def times(self, m, r):
-        """The action m * r."""
-        return self.action_table[m][r]
-
     def elements(self):
         return range(self.order)
 
@@ -351,7 +347,7 @@ class ModulePoly:
         return self.terms.get(tuple(alpha), self.module.zero)
 
     def coefficients(self):
-        """The set of nonzero coefficients, plus zero for missing slots."""
+        """The set of nonzero coefficients."""
         return set(self.terms.values())
 
     def __add__(self, other):

@@ -23,6 +23,13 @@ Each proved implication becomes a report with one of four statuses:
                        consistency-certified instance this always means an
                        engine bug, never new mathematics;
 * skipped_search_space - a bounded side exceeded the search budget.
+
+`theorem_suite` holds the implications in one ordered table of (theorem,
+hypotheses, conclusion, bound) rows.  A conclusion is built by one of three
+builders: `_verdict` (a decider verdict), `_claim` (an (ok, witness) check of
+a fixed statement) or `_agreement` (a verdict compared with a bounded side).
+A decider that a budget or size cap refuses yields None; a conclusion that
+needs it reads "<name> not evaluated", and its side is not run.
 """
 
 from __future__ import annotations
@@ -856,6 +863,53 @@ def reduced_compatible_equivalence(M: RightModule,
                          desc, witness)
 
 
+def _verdict(v, name: str):
+    """Conclusion: the decider verdict `v` itself (None when refused)."""
+    def run():
+        if v is None:
+            return None, f"{name} not evaluated", None
+        return v.holds, f"{name} {v.status}", v.witness
+    return run
+
+
+def _claim(desc: str, check, *args):
+    """Conclusion: the claim `desc`, decided by check(*args) -> (ok,
+    witness) with ok None when the check could not decide it."""
+    def run():
+        ok, wit = check(*args)
+        if ok is None:
+            return None, desc + " not fully evaluated", None
+        return ok, desc if ok else desc + " refuted", wit
+    return run
+
+
+def _agreement(left, lname: str, rname: str, side, *args):
+    """Conclusion: `left` (a verdict or a bool, None when refused) agrees
+    with side(*args) -> (verdict or bool, witness).  The side runs only when
+    `left` was evaluated; a disagreement carries the side's witness, else the
+    left verdict's."""
+    def run():
+        if left is None:
+            return None, f"{lname} not evaluated", None
+        right, wit = side(*args)
+        lv = left.holds if isinstance(left, PropertyVerdict) else left
+        rv = right.holds if isinstance(right, PropertyVerdict) else right
+        desc = (f"{lname} {'holds' if lv else 'fails'}; "
+                f"{rname} {'holds' if rv else 'fails'}")
+        if not wit and isinstance(left, PropertyVerdict):
+            wit = left.witness
+        return lv == rv, desc, wit
+    return run
+
+
+def _unless_refused(decide, *args):
+    """decide(*args), or None when a search budget or size cap refuses it."""
+    try:
+        return decide(*args)
+    except (SearchSpaceTooLarge, TooLarge):
+        return None
+
+
 def theorem_suite(M: RightModule, P: SkewPbwPresentation,
                   degree: int = DEFAULT_DEGREE, embedding=None,
                   max_space: int = DEFAULT_MAX_SPACE,
@@ -877,190 +931,86 @@ def theorem_suite(M: RightModule, P: SkewPbwPresentation,
     pp = is_pp(M)
     pqb = is_pq_baer(M)
     baer = is_baer(M)
-    try:
-        qb = is_quasi_baer(M, max_order)
-    except TooLarge:
-        qb = None
+    qb = _unless_refused(is_quasi_baer, M, max_order)
+    arm = _unless_refused(is_skew_armendariz_bounded, M, P, degree, max_space)
+    lin = _unless_refused(is_linearly_skew_armendariz, M, P, max_space)
+    quasi = _unless_refused(is_skew_quasi_armendariz_bounded, M, P, degree,
+                            max_space)
 
-    def guarded(fn, *args):
-        try:
-            return fn(*args)
-        except (SearchSpaceTooLarge, TooLarge):
-            return None
-
-    arm = guarded(is_skew_armendariz_bounded, M, P, degree, max_space)
-    lin = guarded(is_linearly_skew_armendariz, M, P, max_space)
-    quasi = guarded(is_skew_quasi_armendariz_bounded, M, P, degree, max_space)
-
-    bij = P.bijective
     central = all(is_central(R, cv) for cv in P.c.values())
     emb = "present" if embedding is not None else "absent"
+    compatible = [("sigma_compatible", sig), ("delta_compatible", dlt)]
+    reduced_central = compatible + [
+        ("reduced", red), ("presentation_bijective", P.bijective),
+        ("constants_central", central)]
+    armendariz_embeds = compatible + [
+        ("skew_armendariz", arm), ("ring_embeds_in_module", emb)]
+    linear_embeds = [("linearly_skew_armendariz", lin),
+                     ("ring_embeds_in_module", emb)]
 
-    def verdict_concl(v, name):
-        def run():
-            if v is None:
-                return None, f"{name} not evaluated", None
-            return v.holds, f"{name} {v.status}", v.witness
-        return run
-
-    def equal_concl(left, right, lname, rname, right_witness=None):
-        def run():
-            if left is None or right is None:
-                return None, f"{lname} vs {rname} not fully evaluated", None
-            lv = left.holds if isinstance(left, PropertyVerdict) else left
-            rv = right.holds if isinstance(right, PropertyVerdict) else right
-            desc = (f"{lname} {'holds' if lv else 'fails'}; "
-                    f"{rname} {'holds' if rv else 'fails'}")
-            wit = None
-            if lv != rv:
-                if isinstance(right, PropertyVerdict) and right.witness:
-                    wit = right.witness
-                elif right_witness:
-                    wit = right_witness
-                elif isinstance(left, PropertyVerdict) and left.witness:
-                    wit = left.witness
-            return lv == rv, desc, wit
-        return run
-
-    def transfer_concl(exact, side_fn, lname, rname, *args):
-        def run():
-            side, wit = side_fn(ctx, max_space, *args)
-            return equal_concl(exact, side, lname, rname, wit)()
-        return run
-
-    reports = [reduced_compatible_equivalence(M, P)]
-
-    reports.append(_implication(
-        "compatible_map_annihilation",
-        [("sigma_compatible", sig), ("delta_compatible", dlt)],
-        _wrapper(_map_annihilation, M, P, "twist maps preserve annihilation")))
-
-    reports.append(_implication(
-        "coefficientwise_scalar_annihilation",
-        [("sigma_compatible", sig), ("delta_compatible", dlt)],
-        _wrapper(_coefficientwise_scalar, ctx, max_space,
-                 "scalar annihilation is coefficientwise"),
-        bound=degree))
-
-    def concl_reduced_transfer():
-        left = red.holds and sig.holds
-        ok, wit = _bounded_sigma_reduced(ctx, max_space)
-        desc = (f"module sigma-reduced {'holds' if left else 'fails'}; "
-                f"bounded polynomial module sigma-reduced "
-                f"{'holds' if ok else 'fails'}")
-        return left == ok, desc, wit
-
-    reports.append(_implication(
-        "reduced_module_polynomial_transfer",
-        [("sigma_compatible", sig), ("delta_compatible", dlt)],
-        concl_reduced_transfer, bound=degree))
-
-    reports.append(_implication(
-        "reduced_compatible_armendariz",
-        [("sigma_compatible", sig), ("delta_compatible", dlt),
-         ("reduced", red), ("presentation_bijective", bij),
-         ("constants_central", central)],
-        verdict_concl(arm, "skew_armendariz"), bound=degree))
-
-    def concl_ann_extension():
-        if arm is None:
-            return None, "skew_armendariz not evaluated", None
-        corr, wit = _annihilator_correspondence(ctx, max_space)
-        desc = (f"skew_armendariz {'holds' if arm.holds else 'fails'}; "
-                f"annihilator correspondence {'holds' if corr else 'fails'}")
-        return arm.holds == corr, desc, wit or arm.witness
-
-    reports.append(_implication(
-        "armendariz_annihilator_extension",
-        [("sigma_compatible", sig), ("delta_compatible", dlt)],
-        concl_ann_extension, bound=degree))
-
-    reports.append(_implication(
-        "linear_armendariz_idempotent_stability",
-        [("linearly_skew_armendariz", lin), ("ring_embeds_in_module", emb)],
-        verdict_concl(stab, "idempotent_stability")))
-
-    reports.append(_implication(
-        "linear_armendariz_abelian",
-        [("linearly_skew_armendariz", lin), ("ring_embeds_in_module", emb)],
-        verdict_concl(abel, "abelian")))
-
-    reports.append(_implication(
-        "armendariz_abelian",
-        [("skew_armendariz", arm), ("ring_embeds_in_module", emb)],
-        verdict_concl(abel, "abelian"), bound=degree))
-
-    reports.append(_implication(
-        "reduced_pp_iff_pq_baer",
-        [("reduced", red)],
-        equal_concl(pp, pqb, "is_pp", "is_pq_baer")))
-
-    reports.append(_implication(
-        "pp_polynomial_transfer",
-        [("sigma_compatible", sig), ("delta_compatible", dlt),
-         ("skew_armendariz", arm), ("ring_embeds_in_module", emb)],
-        transfer_concl(pp, _pp_bounded, "is_pp",
-                       "bounded polynomial-module pp"),
-        bound=degree))
-
-    reports.append(_implication(
-        "baer_polynomial_transfer",
-        [("sigma_compatible", sig), ("delta_compatible", dlt),
-         ("skew_armendariz", arm), ("ring_embeds_in_module", emb)],
-        transfer_concl(baer, _baer_bounded, "is_baer",
-                       "bounded polynomial-module baer"),
-        bound=degree))
-
-    reports.append(_implication(
-        "compatible_torsion_constant",
-        [("sigma_compatible", sig), ("delta_compatible", dlt),
-         ("reduced", red), ("presentation_bijective", bij),
-         ("constants_central", central)],
-        _wrapper(_torsion_constant, ctx, max_space,
-                 "torsion pairs admit a constant annihilator"),
-        bound=degree))
-
-    reports.append(_implication(
-        "quasi_commutative_annihilator_structure",
-        [("quasi_commutative", P.quasi_commutative),
-         ("sigma_compatible", sig)],
-        _wrapper(_quasi_commutative_annihilator, ctx, max_space, quasi,
-                 "bounded ann(mA) is generated by its constants"),
-        bound=degree))
-
-    reports.append(_implication(
-        "quasi_baer_polynomial_transfer",
-        [("sigma_compatible", sig), ("delta_compatible", dlt)],
-        transfer_concl(qb, _quasi_baer_bounded, "is_quasi_baer",
-                       "bounded polynomial-module quasi-baer", max_order),
-        bound=degree))
-
-    reports.append(_implication(
-        "pq_baer_polynomial_transfer",
-        [("sigma_compatible", sig), ("delta_compatible", dlt)],
-        transfer_concl(pqb, _pq_baer_bounded, "is_pq_baer",
-                       "bounded polynomial-module pq-baer"),
-        bound=degree))
-
-    reports.append(_implication(
-        "quasi_baer_quasi_armendariz",
-        [("sigma_compatible", sig), ("delta_compatible", dlt),
-         ("quasi_baer", qb)],
-        verdict_concl(quasi, "skew_quasi_armendariz"), bound=degree))
-
-    return reports
-
-
-def _wrapper(fn, *args):
-    ok_desc = args[-1]
-    rest = args[:-1]
-
-    def run():
-        ok, wit = fn(*rest)
-        if ok is None:
-            return None, ok_desc + " not fully evaluated", None
-        return ok, ok_desc if ok else ok_desc + " refuted", wit
-    return run
+    # (theorem, hypotheses, conclusion, bound), in report order
+    table = [
+        ("compatible_map_annihilation", compatible,
+         _claim("twist maps preserve annihilation", _map_annihilation, M, P),
+         None),
+        ("coefficientwise_scalar_annihilation", compatible,
+         _claim("scalar annihilation is coefficientwise",
+                _coefficientwise_scalar, ctx, max_space),
+         degree),
+        ("reduced_module_polynomial_transfer", compatible,
+         _agreement(red.holds and sig.holds, "module sigma-reduced",
+                    "bounded polynomial module sigma-reduced",
+                    _bounded_sigma_reduced, ctx, max_space),
+         degree),
+        ("reduced_compatible_armendariz", reduced_central,
+         _verdict(arm, "skew_armendariz"), degree),
+        ("armendariz_annihilator_extension", compatible,
+         _agreement(arm, "skew_armendariz", "annihilator correspondence",
+                    _annihilator_correspondence, ctx, max_space),
+         degree),
+        ("linear_armendariz_idempotent_stability", linear_embeds,
+         _verdict(stab, "idempotent_stability"), None),
+        ("linear_armendariz_abelian", linear_embeds,
+         _verdict(abel, "abelian"), None),
+        ("armendariz_abelian",
+         [("skew_armendariz", arm), ("ring_embeds_in_module", emb)],
+         _verdict(abel, "abelian"), degree),
+        ("reduced_pp_iff_pq_baer", [("reduced", red)],
+         _agreement(pp, "is_pp", "is_pq_baer", lambda: (pqb, pqb.witness)),
+         None),
+        ("pp_polynomial_transfer", armendariz_embeds,
+         _agreement(pp, "is_pp", "bounded polynomial-module pp",
+                    _pp_bounded, ctx, max_space),
+         degree),
+        ("baer_polynomial_transfer", armendariz_embeds,
+         _agreement(baer, "is_baer", "bounded polynomial-module baer",
+                    _baer_bounded, ctx, max_space),
+         degree),
+        ("compatible_torsion_constant", reduced_central,
+         _claim("torsion pairs admit a constant annihilator",
+                _torsion_constant, ctx, max_space),
+         degree),
+        ("quasi_commutative_annihilator_structure",
+         [("quasi_commutative", P.quasi_commutative),
+          ("sigma_compatible", sig)],
+         _claim("bounded ann(mA) is generated by its constants",
+                _quasi_commutative_annihilator, ctx, max_space, quasi),
+         degree),
+        ("quasi_baer_polynomial_transfer", compatible,
+         _agreement(qb, "is_quasi_baer",
+                    "bounded polynomial-module quasi-baer",
+                    _quasi_baer_bounded, ctx, max_space, max_order),
+         degree),
+        ("pq_baer_polynomial_transfer", compatible,
+         _agreement(pqb, "is_pq_baer", "bounded polynomial-module pq-baer",
+                    _pq_baer_bounded, ctx, max_space),
+         degree),
+        ("quasi_baer_quasi_armendariz", compatible + [("quasi_baer", qb)],
+         _verdict(quasi, "skew_quasi_armendariz"), degree),
+    ]
+    return [reduced_compatible_equivalence(M, P)] + [
+        _implication(theorem, hyps, conclude, bound)
+        for theorem, hyps, conclude, bound in table]
 
 
 # ---------------------------------------------------------------------------
@@ -1136,20 +1086,16 @@ def replay(M: RightModule, P: SkewPbwPresentation, verdict: PropertyVerdict) -> 
         single = module_poly(M, P, [(alpha_i, mi)])
         mid = P.monomial_poly(t, r) * P.monomial_poly(beta_j, bj)
         return not act(single, mid).is_zero()
-    if prop == "pp":
-        m = M.element_index(w["m"])
-        return idempotent_generator(R, ann_in_r(M, (m,)).elements) is None
-    if prop == "pq_baer":
-        m = M.element_index(w["m"])
-        ideal = ann_in_r(M, cyclic_submodule(M, m).elements)
-        return idempotent_generator(R, ideal.elements) is None
-    if prop == "quasi_baer":
-        elems = frozenset(M.element_index(x) for x in w["submodule"])
-        if submodule_closure(M, elems) != elems:
-            return False
-        return idempotent_generator(R, ann_in_r(M, elems).elements) is None
-    if prop == "baer":
-        subset = [M.element_index(x) for x in w["subset"]]
-        return idempotent_generator(R, ann_in_r(M, subset).elements) is None
+    if prop in ("pp", "pq_baer", "quasi_baer", "baer"):
+        # ann(X) must not be eR, for the module subset X the witness names
+        if prop in ("pp", "pq_baer"):
+            m = M.element_index(w["m"])
+            X = (m,) if prop == "pp" else cyclic_submodule(M, m).elements
+        else:
+            X = frozenset(M.element_index(x) for x in
+                          w["submodule" if prop == "quasi_baer" else "subset"])
+            if prop == "quasi_baer" and submodule_closure(M, X) != X:
+                return False
+        return idempotent_generator(R, ann_in_r(M, X).elements) is None
     raise ValidationError("bad_witness", prop,
                           f"no replay rule for property {prop!r}")

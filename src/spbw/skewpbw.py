@@ -39,14 +39,6 @@ from .finring import FiniteRing, RingMap, is_two_sided_invertible
 from .monomial import MonomialOrder, default_order
 
 
-def coeff_token(r: int):
-    return ("c", r)
-
-
-def var_token(i: int):
-    return ("v", i)
-
-
 def word_of_term(coefficient: int, alpha) -> list:
     """Generator word for the term coefficient * x^alpha."""
     w = [("c", coefficient)]
@@ -348,12 +340,6 @@ class SkewPoly:
         if not self.terms:
             return self.presentation.ring.zero
         return self.terms[self.lm()]
-
-    def lt(self) -> "SkewPoly":
-        if not self.terms:
-            return self
-        m = self.lm()
-        return SkewPoly(self.presentation, {m: self.terms[m]})
 
     def exp(self):
         return self.lm()

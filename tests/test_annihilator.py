@@ -14,7 +14,8 @@ from spbw.annihilator import (
 from spbw.bounded import context
 from spbw.errors import SearchSpaceTooLarge, ValidationError
 from spbw.finring import dual_z2, dual_z2_derivation, identity_map, zero_map, zmod
-from spbw.polymodule import module_constant, module_poly, quotient_module, regular_module
+from spbw.polymodule import (module_constant, module_poly, quotient_module,
+                             regular_module, validate_module)
 from spbw.skewpbw import validate_presentation
 
 import oracles
@@ -151,3 +152,25 @@ def test_ann_in_a_bounded_intersection():
     au = {tuple(sorted(f.terms.items())) for f in ann_in_a_bounded([u], 1)}
     av = {tuple(sorted(f.terms.items())) for f in ann_in_a_bounded([v], 1)}
     assert both == au & av
+
+
+def test_kernel_rows_when_the_module_outgrows_the_ring():
+    # M = Z2^2 over Z2 has more bounded module polynomials than the ring has
+    # bounded polynomials (16 against 4 at d = 1), so kernel() takes its
+    # branch that caches the polynomial side; every row must still match
+    # the independent reference
+    ring = zmod(2)
+    add = [[a ^ b for b in range(4)] for a in range(4)]
+    action = [[0, m] for m in range(4)]
+    M = validate_module(ring, add, action, label="Z2^2")
+    P = validate_presentation(ring, [identity_map(ring)], [zero_map(ring)],
+                              {}, label="Z2[x]")
+    ctx = context(M, P, 1)
+    assert ctx.m_space > ctx.f_space
+    kern = ctx.kernel()
+    for m_idx in range(ctx.m_space):
+        got = {tuple(sorted(ctx.f_poly(f).terms.items()))
+               for f in kern[m_idx]}
+        want = {tuple(sorted(f.terms.items()))
+                for f in ann_in_a_bounded([ctx.m_poly(m_idx)], 1)}
+        assert got == want, ctx.m_poly(m_idx).to_string()

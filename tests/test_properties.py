@@ -6,13 +6,14 @@ import weakref
 import pytest
 
 from spbw import corpus
-from spbw.bounded import context
+from spbw.bounded import DEFAULT_MAX_SPACE, context
 from spbw.cli import parse_instance
 from spbw.errors import TooLarge, ValidationError
 from spbw.finring import upper_triangular, zmod
 from spbw.polymodule import module_constant, module_poly, regular_module
 from spbw.properties import (
     CONFIRMED,
+    DECIDERS,
     FAILS,
     HOLDS,
     HOLDS_UP_TO_BOUND,
@@ -326,6 +327,20 @@ def test_theorem_suite_absent_embedding(weyl):
     assert rep.status in (CONFIRMED, HYPOTHESIS_NOT_MET)
 
 
+@pytest.mark.filterwarnings("ignore:ring of order 17")
+def test_theorem_suite_refused_decider_is_not_evaluated():
+    # Z17 has 17 elements, above the submodule cap of 16: is_quasi_baer is
+    # refused, so the quasi-Baer transfer reports it unevaluated and does
+    # not run its bounded side
+    inst = parse_instance('{"ring":"Z17","variables":1}')
+    reports = {r.theorem: r
+               for r in theorem_suite(inst.module, inst.presentation,
+                                      degree=0, embedding=inst.embedding)}
+    rep = reports["quasi_baer_polynomial_transfer"]
+    assert rep.status == SKIPPED
+    assert rep.conclusion == "is_quasi_baer not evaluated"
+
+
 def test_theorem_suite_no_violations_across_corpus(instances):
     # the whole corpus at degree 1 (cheap); degree 2 is the acceptance run
     for name, inst in instances.items():
@@ -363,6 +378,33 @@ def test_replay_detects_mismatched_witness(z4):
     fake = PropertyVerdict("reduced", FAILS,
                            {"m": "1", "a": "1", "common": "1"})
     assert replay(z4.module, z4.presentation, fake) is False
+
+
+def test_every_property_replays_a_fails_witness(instances):
+    # one Fails witness per DECIDERS name, so a property added without a
+    # replay rule fails here; UT(2,Z2) supplies the non-abelian module the
+    # corpus lacks
+    sources = list(instances.values()) + [
+        parse_instance('{"ring":"UT(2,Z2)","variables":1}')]
+    for prop, decide in DECIDERS.items():
+        if prop == "skew_quasi_armendariz":
+            continue
+        for inst in sources:
+            M, P = inst.module, inst.presentation
+            v = decide(M, P, 1, DEFAULT_MAX_SPACE)
+            if v.status == FAILS:
+                break
+        else:
+            pytest.fail(f"no source instance fails {prop}")
+        assert replay(M, P, v) is True, prop
+    # no instance tried fails skew_quasi_armendariz, so its rule gets a
+    # forged witness: m = f = 1 over Z4 has m*1*f = 1 != 0
+    M, P = instances["z4-regular"].module, instances["z4-regular"].presentation
+    one = {"text": "1", "terms": [[[0], "1"]]}
+    forged = PropertyVerdict("skew_quasi_armendariz", FAILS,
+                             {"m": one, "f": one, "i_exp": [0], "j_exp": [0],
+                              "r": "1", "t": [0]}, bound=1)
+    assert replay(M, P, forged) is False
 
 
 def test_context_lives_exactly_as_long_as_its_module():
