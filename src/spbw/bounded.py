@@ -147,24 +147,15 @@ class BoundedContext:
             return self._kernel
         self.guard(self.pair_space, max_space, "module-poly/poly pair space")
         rows = {m_idx: [] for m_idx in range(self.m_space)}
-        # Stream the larger side, cache term lists for the smaller one.
-        if self.m_space <= self.f_space:
-            mts = [self.mterms(m_idx) for m_idx in range(self.m_space)]
-            f_idx = 0
-            for fv in product(range(self.ring_size), repeat=self.k):
-                ft = tuple((self.basis[s], b) for s, b in enumerate(fv) if b)
-                for m_idx, mt in enumerate(mts):
-                    if self.act_is_zero(mt, ft):
-                        rows[m_idx].append(f_idx)
-                f_idx += 1
-        else:
-            fts = [self.fterms(f_idx) for f_idx in range(self.f_space)]
-            for m_idx in range(self.m_space):
-                mt = self.mterms(m_idx)
-                row = rows[m_idx]
-                for f_idx, ft in enumerate(fts):
-                    if self.act_is_zero(mt, ft):
-                        row.append(f_idx)
+        # Stream the polynomials, cache the module-polynomial term lists.
+        mts = [self.mterms(m_idx) for m_idx in range(self.m_space)]
+        f_idx = 0
+        for fv in product(range(self.ring_size), repeat=self.k):
+            ft = tuple((self.basis[s], b) for s, b in enumerate(fv) if b)
+            for m_idx, mt in enumerate(mts):
+                if self.act_is_zero(mt, ft):
+                    rows[m_idx].append(f_idx)
+            f_idx += 1
         self._kernel = {m_idx: tuple(r) for m_idx, r in rows.items()}
         return self._kernel
 

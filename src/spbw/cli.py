@@ -2,10 +2,10 @@
 
 Instance files are JSON with shorthand strings expanding to tables; the only
 custom grammar is the polynomial literal (term := factor (* factor)*,
-factor := coefficient name | x<i>[^<k>]).  Reports go to standard output as
-deterministic JSON (schema 1, sorted keys); the human-readable table and all
-timing information go to standard error so reports stay byte-identical
-across runs.
+factor := coefficient name | x<i>[^<k>]; the literal 0 alone is the zero
+polynomial).  Reports go to standard output as deterministic JSON (schema 1,
+sorted keys); the human-readable table and all timing information go to
+standard error so reports stay byte-identical across runs.
 
 Exit codes: 0 everything holds/confirmed, 1 some property Fails, 2 parse or
 validation error (including refused search spaces), 3 theorem violation,
@@ -35,8 +35,7 @@ from .polymodule import (ModulePoly, RightModule, act, embedding_from_generator,
                          validate_embedding, validate_module)
 from .properties import (DECIDERS, DEFAULT_DEGREE, FAILS, VIOLATION,
                          theorem_suite)
-from .skewpbw import SkewPbwPresentation, SkewPoly, add as poly_add, mul, \
-    validate_presentation
+from .skewpbw import SkewPbwPresentation, SkewPoly, mul, validate_presentation
 
 _ZMOD_RE = re.compile(r"Z(\d+)$")
 _ZPROD_RE = re.compile(r"Z(\d+)xZ(\d+)$")
@@ -273,6 +272,18 @@ def serialize_instance(inst: InstanceFile) -> str:
 # polynomial literals
 
 
+def _variable(P: SkewPbwPresentation, factor: str) -> SkewPoly | None:
+    """The monomial a factor x<i>[^<k>] stands for; None for any other
+    factor."""
+    mv = _VAR_RE.fullmatch(factor)
+    if not mv:
+        return None
+    i, k = int(mv.group(1)), int(mv.group(2) or "1")
+    if not 1 <= i <= P.n:
+        raise ParseError(f"unknown variable x{i} (n={P.n})")
+    return P.monomial_poly(tuple(k if j == i - 1 else 0 for j in range(P.n)))
+
+
 def parse_poly(P: SkewPbwPresentation, text: str) -> SkewPoly:
     """term (+ term)*, term = factor (* factor)*; factors multiply in the
     skew ring in their written order, so 'x1*2' and '2*x1' may differ."""
@@ -280,21 +291,18 @@ def parse_poly(P: SkewPbwPresentation, text: str) -> SkewPoly:
     if not s:
         raise ParseError("empty polynomial literal")
     total = P.zero_poly()
+    if s == "0":  # the zero polynomial, spelled as to_string prints it
+        return total
     for term_txt in s.split("+"):
         if not term_txt:
             raise ParseError(f"empty term in {text!r}")
         acc = P.one_poly()
         for factor in term_txt.split("*"):
-            mv = _VAR_RE.fullmatch(factor)
-            if mv:
-                i, k = int(mv.group(1)), int(mv.group(2) or "1")
-                if not 1 <= i <= P.n:
-                    raise ParseError(f"unknown variable x{i} (n={P.n})")
-                exp = tuple(k if j == i - 1 else 0 for j in range(P.n))
-                acc = mul(acc, P.monomial_poly(exp))
-            else:
-                acc = mul(acc, P.constant(P.ring.element_index(factor)))
-        total = poly_add(total, acc)
+            var = _variable(P, factor)
+            if var is None:
+                var = P.constant(P.ring.element_index(factor))
+            acc = mul(acc, var)
+        total = total + acc
     return total
 
 
@@ -304,8 +312,9 @@ def parse_mpoly(M: RightModule, P: SkewPbwPresentation, text: str) -> ModulePoly
     s = "".join(text.split())
     if not s:
         raise ParseError("empty module polynomial literal")
-    n = P.n
-    total: dict = {}
+    total = module_poly(M, P, ())
+    if s == "0":  # the zero polynomial, spelled as to_string prints it
+        return total
     for term_txt in s.split("+"):
         factors = term_txt.split("*")
         if not factors or not factors[0]:
@@ -314,42 +323,20 @@ def parse_mpoly(M: RightModule, P: SkewPbwPresentation, text: str) -> ModulePoly
             raise ParseError(
                 f"module term {term_txt!r} must start with a module element")
         m = M.element_index(factors[0])
-        mp = module_poly(M, P, [((0,) * n, m)])
+        mp = module_poly(M, P, [((0,) * P.n, m)])
         for factor in factors[1:]:
-            mv = _VAR_RE.fullmatch(factor)
-            if not mv:
+            var = _variable(P, factor)
+            if var is None:
                 raise ParseError(
                     f"module term {term_txt!r}: only variables may follow "
                     f"the module element")
-            i, k = int(mv.group(1)), int(mv.group(2) or "1")
-            if not 1 <= i <= n:
-                raise ParseError(f"unknown variable x{i} (n={n})")
-            exp = tuple(k if j == i - 1 else 0 for j in range(n))
-            mp = act(mp, P.monomial_poly(exp))
-        for alpha, v in mp.terms.items():
-            cur = total.get(alpha, M.zero)
-            total[alpha] = M.add_table[cur][v]
-    return module_poly(M, P, [(a, v) for a, v in total.items()])
+            mp = act(mp, var)
+        total = total + mp
+    return total
 
 
 # ---------------------------------------------------------------------------
 # commands
-
-
-def _poly_json(f: SkewPoly) -> dict:
-    ring = f.presentation.ring
-    return {"text": f.to_string(),
-            "terms": [[list(a), ring.safe_name(c)]
-                      for a, c in f.items_descending()]}
-
-
-def _mpoly_json(mp: ModulePoly) -> dict:
-    from .monomial import sort_key
-    M = mp.module
-    key = sort_key(mp.presentation.order)
-    items = sorted(mp.terms.items(), key=lambda kv: key(kv[0]), reverse=True)
-    return {"text": mp.to_string(),
-            "terms": [[list(a), M.safe_name(v)] for a, v in items]}
 
 
 def run_command(inst: InstanceFile, command: str, args: list,
@@ -385,13 +372,13 @@ def run_command(inst: InstanceFile, command: str, args: list,
             raise _bad("mul needs exactly two polynomial literals")
         f, g = parse_poly(P, args[0]), parse_poly(P, args[1])
         report["result"] = {"factors": [f.to_string(), g.to_string()],
-                            "product": _poly_json(mul(f, g))}
+                            "product": mul(f, g).to_json(P.ring.safe_name)}
     elif command == "act":
         if len(args) != 2:
             raise _bad("act needs a module polynomial and a polynomial")
         mp, f = parse_mpoly(M, P, args[0]), parse_poly(P, args[1])
         report["result"] = {"m": mp.to_string(), "f": f.to_string(),
-                            "value": _mpoly_json(act(mp, f))}
+                            "value": act(mp, f).to_json(M.safe_name)}
     elif command == "ann":
         if not args:
             raise _bad("ann needs at least one module element name")

@@ -1,7 +1,9 @@
 """Finite unital rings given by dense Cayley tables, plus maps between them.
 
 Elements of a ring of order q are the integers 0..q-1; the additive and
-multiplicative structure is read off two q by q tables.  Every constructor in
+multiplicative structure is read off two q by q tables.  The additive half
+(add table, negation, element names) lives in :class:`AdditiveCarrier`, the
+base that rings and right modules (:mod:`spbw.polymodule`) share.  Every constructor in
 this module validates the full axiom set by exhaustive scan before returning,
 so downstream code never re-checks ring laws.  The intended scale is desk
 sized: orders up to 64 are accepted, with a warning above 16 because the
@@ -27,35 +29,36 @@ HARD_ORDER_CAP = 64
 WARN_ORDER = 16
 
 
-class FiniteRing:
-    """A finite unital (possibly noncommutative) ring on {0, .., order-1}.
+class AdditiveCarrier:
+    """A finite abelian group on {0, .., order-1} with named elements.
 
-    Do not call the constructor directly unless the tables are already known
-    to satisfy the ring axioms; use :func:`validate_ring`.
+    The part that :class:`FiniteRing` and :class:`spbw.polymodule.RightModule`
+    share: the add table, its negation table, and the element names.  The
+    canonical spelling of element i is `<prefix>i` (e<i> for rings, m<i>
+    for modules); it is what `safe_name` falls back to and what
+    `element_index` accepts besides the display names.
     """
 
-    def __init__(self, order, add_table, mul_table, zero, one, names, label=""):
+    _prefix = "e"
+    _kind = "ring"
+
+    def __init__(self, order, add_table, zero, names, label=""):
         self.order = order
         self.add_table = add_table
-        self.mul_table = mul_table
         self.zero = zero
-        self.one = one
         self.names = names
         self.label = label
-        self.product_factors = None  # set by zmod_product, consumed by swap_endomorphism
-        neg = [0] * order
-        for a in range(order):
-            for b in range(order):
+        neg = [0] * self.order
+        for a in range(self.order):
+            for b in range(self.order):
                 if add_table[a][b] == zero:
                     neg[a] = b
                     break
         self._neg = tuple(neg)
+        self._name_index = {n: i for i, n in enumerate(names)}
 
     def add(self, a, b):
         return self.add_table[a][b]
-
-    def mul(self, a, b):
-        return self.mul_table[a][b]
 
     def neg(self, a):
         return self._neg[a]
@@ -72,40 +75,49 @@ class FiniteRing:
     def safe_name(self, a):
         """Display name usable inside polynomial literals.
 
-        Falls back to the canonical e<i> spelling when the friendly name
+        Falls back to the canonical spelling when the friendly name
         contains grammar characters or looks like a variable token.
         """
         n = self.names[a]
         if any(ch in n for ch in "+*^ \t") or _VAR_SHAPE.fullmatch(n):
-            return f"e{a}"
+            return f"{self._prefix}{a}"
         return n
 
     def element_index(self, name):
-        """Resolve an element from its display name or canonical e<i> form."""
+        """Resolve an element from its display name or canonical spelling."""
         if name in self._name_index:
             return self._name_index[name]
-        if name.startswith("e") and name[1:].isdigit():
+        if name.startswith(self._prefix) and name[1:].isdigit():
             i = int(name[1:])
             if 0 <= i < self.order:
                 return i
         raise ValidationError("unknown_element", witness=name,
-                              message=f"unknown ring element name {name!r}")
+                              message=f"unknown {self._kind} element name {name!r}")
 
-    @property
-    def _name_index(self):
-        cached = getattr(self, "_name_index_cache", None)
-        if cached is None:
-            cached = {n: i for i, n in enumerate(self.names)}
-            self._name_index_cache = cached
-        return cached
+    def __repr__(self):
+        return f"{type(self).__name__}({self.label or 'order ' + str(self.order)})"
+
+
+class FiniteRing(AdditiveCarrier):
+    """A finite unital (possibly noncommutative) ring on {0, .., order-1}.
+
+    Do not call the constructor directly unless the tables are already known
+    to satisfy the ring axioms; use :func:`validate_ring`.
+    """
+
+    def __init__(self, order, add_table, mul_table, zero, one, names, label=""):
+        super().__init__(order, add_table, zero, names, label)
+        self.mul_table = mul_table
+        self.one = one
+        self.product_factors = None  # set by zmod_product, consumed by swap_endomorphism
+
+    def mul(self, a, b):
+        return self.mul_table[a][b]
 
     def is_commutative(self):
         q = self.order
         return all(self.mul_table[a][b] == self.mul_table[b][a]
                    for a in range(q) for b in range(q))
-
-    def __repr__(self):
-        return f"FiniteRing({self.label or 'order ' + str(self.order)})"
 
 
 def _check_tables_shape(order, table, what):

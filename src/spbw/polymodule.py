@@ -2,8 +2,11 @@
 
 A right module M is given by dense tables, exactly like the rings in
 :mod:`spbw.finring`: an abelian group table on {0, .., order-1} and an action
-table M x R -> M.  The polynomial module M<X> over a skew PBW extension A has
-elements sum m_i x^alpha_i with module coefficients on the left; A acts on
+table M x R -> M.  `RightModule` extends the carrier base
+`finring.AdditiveCarrier` that `FiniteRing` extends too.  The polynomial
+module M<X> over a skew PBW extension A has elements sum m_i x^alpha_i with
+module coefficients on the left; `ModulePoly` extends the term-dict base
+`skewpbw.TermPoly` that `SkewPoly` extends too.  A acts on
 the right through the same rewriting tables the ring product uses.  For a
 term m x^a acted on by b x^b, the ring-level normal form of x^a * b * x^b is
 computed first and m is then applied to each of its coefficients, which is
@@ -15,70 +18,26 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from . import monomial
 from .errors import (PresentationMismatch, TooLarge, ValidationError)
-from .finring import FiniteRing
-from .skewpbw import SkewPbwPresentation, SkewPoly, _poly_string
+from .finring import AdditiveCarrier, FiniteRing
+from .skewpbw import SkewPbwPresentation, SkewPoly, TermPoly, collect_terms
 
 
-class RightModule:
+class RightModule(AdditiveCarrier):
     """A finite right R-module given by add and action tables.
 
     Use :func:`validate_module` (or the shorthand constructors) so the
     module axioms are certified before anything downstream trusts them.
     """
 
+    _prefix = "m"
+    _kind = "module"
+
     def __init__(self, ring, add_table, action_table, zero, names, label=""):
+        super().__init__(len(add_table), add_table, zero, names, label)
         self.ring = ring
-        self.order = len(add_table)
-        self.add_table = add_table
         self.action_table = action_table
-        self.zero = zero
-        self.names = names
-        self.label = label
-        neg = [0] * self.order
-        for a in range(self.order):
-            for b in range(self.order):
-                if add_table[a][b] == zero:
-                    neg[a] = b
-                    break
-        self._neg = tuple(neg)
         self._contexts = {}  # (presentation, degree) -> bounded.BoundedContext
-
-    def add(self, a, b):
-        return self.add_table[a][b]
-
-    def neg(self, a):
-        return self._neg[a]
-
-    def sub(self, a, b):
-        return self.add_table[a][self._neg[b]]
-
-    def elements(self):
-        return range(self.order)
-
-    def name(self, m):
-        return self.names[m]
-
-    def safe_name(self, m):
-        n = self.names[m]
-        if any(ch in n for ch in "+*^ \t"):
-            return f"m{m}"
-        return n
-
-    def element_index(self, name):
-        for i, n in enumerate(self.names):
-            if n == name:
-                return i
-        if name.startswith("m") and name[1:].isdigit():
-            i = int(name[1:])
-            if 0 <= i < self.order:
-                return i
-        raise ValidationError("unknown_element", witness=name,
-                              message=f"unknown module element name {name!r}")
-
-    def __repr__(self):
-        return f"RightModule({self.label or 'order ' + str(self.order)})"
 
 
 def validate_module(ring: FiniteRing, add_table, action_table,
@@ -311,10 +270,10 @@ def all_submodules(M: RightModule, max_order: int = 16):
 # polynomial modules
 
 
-class ModulePoly:
+class ModulePoly(TermPoly):
     """An element of M<X>: module coefficients on sorted monomials."""
 
-    __slots__ = ("module", "presentation", "terms")
+    __slots__ = ("module",)
 
     def __init__(self, module: RightModule, presentation: SkewPbwPresentation,
                  terms: dict):
@@ -322,89 +281,20 @@ class ModulePoly:
         self.presentation = presentation
         self.terms = terms
 
-    def is_zero(self) -> bool:
-        return not self.terms
+    @property
+    def carrier(self) -> RightModule:
+        return self.module
 
-    def deg(self):
-        if not self.terms:
-            return None
-        return max(sum(a) for a in self.terms)
-
-    def lm(self):
-        if not self.terms:
-            return None
-        return max(self.terms, key=monomial.sort_key(self.presentation.order))
-
-    def lc(self):
-        if not self.terms:
-            return self.module.zero
-        return self.terms[self.lm()]
-
-    def constant_coefficient(self):
-        return self.terms.get((0,) * self.presentation.n, self.module.zero)
-
-    def coefficient(self, alpha):
-        return self.terms.get(tuple(alpha), self.module.zero)
+    def _with(self, terms: dict) -> "ModulePoly":
+        return ModulePoly(self.module, self.presentation, terms)
 
     def coefficients(self):
         """The set of nonzero coefficients."""
         return set(self.terms.values())
 
-    def __add__(self, other):
-        _same_module(self, other)
-        M = self.module
-        out = dict(self.terms)
-        for a, v in other.terms.items():
-            s = M.add_table[out.get(a, M.zero)][v]
-            if s == M.zero:
-                out.pop(a, None)
-            else:
-                out[a] = s
-        return ModulePoly(M, self.presentation, out)
-
-    def __neg__(self):
-        M = self.module
-        return ModulePoly(M, self.presentation,
-                          {a: M.neg(v) for a, v in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __eq__(self, other):
-        return (isinstance(other, ModulePoly)
-                and self.module is other.module
-                and self.presentation is other.presentation
-                and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash((id(self.module), id(self.presentation),
-                     tuple(sorted(self.terms.items()))))
-
-    def to_string(self) -> str:
-        return _poly_string(self.module.ring, self.presentation.order,
-                            self.terms, coeff_name=self.module.safe_name)
-
-    def __repr__(self):
-        return f"ModulePoly({self.to_string()})"
-
-
-def _same_module(a: ModulePoly, b: ModulePoly):
-    if a.module is not b.module or a.presentation is not b.presentation:
-        raise PresentationMismatch("operands come from different modules")
-
 
 def module_poly(M: RightModule, P: SkewPbwPresentation, terms) -> ModulePoly:
-    out = {}
-    items = terms.items() if hasattr(terms, "items") else terms
-    for alpha, m in items:
-        alpha = tuple(alpha)
-        if len(alpha) != P.n or any(e < 0 for e in alpha):
-            raise ValidationError("bad_exponent", witness=alpha)
-        if not 0 <= m < M.order:
-            raise ValidationError("bad_coefficient", witness=m)
-        cur = out.get(alpha, M.zero)
-        out[alpha] = M.add_table[cur][m]
-    return ModulePoly(M, P, {a: v for a, v in out.items() if v != M.zero})
+    return ModulePoly(M, P, collect_terms(M, P.n, terms))
 
 
 def module_constant(M: RightModule, P: SkewPbwPresentation, m: int) -> ModulePoly:

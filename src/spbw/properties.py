@@ -43,7 +43,6 @@ from .bounded import DEFAULT_MAX_SPACE, BoundedContext, context
 from .errors import (EngineInvariantError, SearchSpaceTooLarge, TooLarge,
                      ValidationError)
 from .finring import closure_monoid, idempotents, is_central
-from .monomial import sort_key
 from .polymodule import (ModulePoly, RightModule, act, act_scalar,
                          all_submodules, cyclic_submodule, module_poly,
                          submodule_closure)
@@ -97,21 +96,6 @@ class TheoremReport:
 
 # ---------------------------------------------------------------------------
 # witness plumbing
-
-
-def _poly_struct(f: SkewPoly) -> dict:
-    ring = f.presentation.ring
-    return {"text": f.to_string(),
-            "terms": [[list(a), ring.name(c)] for a, c in f.items_descending()]}
-
-
-def _mpoly_struct(mp: ModulePoly) -> dict:
-    M = mp.module
-    order = mp.presentation.order
-    items = sorted(mp.terms.items(), key=lambda kv: sort_key(order)(kv[0]),
-                   reverse=True)
-    return {"text": mp.to_string(),
-            "terms": [[list(a), M.name(c)] for a, c in items]}
 
 
 def _poly_from_struct(P: SkewPbwPresentation, struct: dict) -> SkewPoly:
@@ -318,6 +302,7 @@ def is_baer(M: RightModule) -> PropertyVerdict:
 def _armendariz_scan(ctx: BoundedContext, prop: str, exact: bool,
                      max_space: int) -> PropertyVerdict:
     M = ctx.module
+    R = ctx.presentation.ring
     kern = ctx.kernel(max_space)
     mz = M.zero
     for m_idx in range(ctx.m_space):
@@ -328,10 +313,10 @@ def _armendariz_scan(ctx: BoundedContext, prop: str, exact: bool,
         for f_idx in kern[m_idx]:
             for beta, b in ctx.fterms(f_idx):
                 if row[b] != mz:
-                    witness = {"m": _mpoly_struct(ctx.m_poly(m_idx)),
-                               "f": _poly_struct(ctx.f_poly(f_idx)),
+                    witness = {"m": ctx.m_poly(m_idx).to_json(M.name),
+                               "f": ctx.f_poly(f_idx).to_json(R.name),
                                "exp": list(beta), "m0": M.name(m0),
-                               "coeff": ctx.presentation.ring.name(b)}
+                               "coeff": R.name(b)}
                     return PropertyVerdict(prop, FAILS, witness,
                                            bound=ctx.degree)
     status = HOLDS if exact else HOLDS_UP_TO_BOUND
@@ -378,8 +363,8 @@ def is_skew_quasi_armendariz_bounded(M: RightModule, P: SkewPbwPresentation,
                             mid = ctx.scaled_triple(r, t, bj, beta_j)
                             if not ctx.act_is_zero(single, mid):
                                 witness = {
-                                    "m": _mpoly_struct(ctx.m_poly(m_idx)),
-                                    "f": _poly_struct(ctx.f_poly(f_idx)),
+                                    "m": ctx.m_poly(m_idx).to_json(M.name),
+                                    "f": ctx.f_poly(f_idx).to_json(R.name),
                                     "i_exp": list(alpha_i),
                                     "j_exp": list(beta_j),
                                     "r": R.name(r), "t": list(t)}
@@ -472,7 +457,7 @@ def _pp_bounded(ctx: BoundedContext, max_space: int):
     return _bounded_idempotent_family(
         ctx, max_space,
         ((m_idx, frozenset(kern[m_idx])) for m_idx in range(ctx.m_space)),
-        lambda m_idx: {"m": _mpoly_struct(ctx.m_poly(m_idx))})
+        lambda m_idx: {"m": ctx.m_poly(m_idx).to_json(ctx.module.name)})
 
 
 def _baer_bounded(ctx: BoundedContext, max_space: int):
@@ -492,12 +477,12 @@ def _baer_bounded(ctx: BoundedContext, max_space: int):
                       "subset_size": len(gens)})
 
 
-def _quasi_baer_bounded(ctx: BoundedContext, max_space: int, max_order: int):
+def _quasi_baer_bounded(ctx: BoundedContext, max_space: int):
     kern = ctx.kernel(max_space)
     M = ctx.module
 
     def family():
-        for sub in all_submodules(M, max_order):
+        for sub in all_submodules(M, DEFAULT_MAX_SUBMODULE_ORDER):
             meet = None
             for vec in product(sorted(sub.elements), repeat=ctx.k):
                 row = frozenset(kern[ctx.m_index(vec)])
@@ -514,7 +499,7 @@ def _pq_baer_bounded(ctx: BoundedContext, max_space: int):
     return _bounded_idempotent_family(
         ctx, max_space,
         ((m_idx, frozenset(rows[m_idx])) for m_idx in range(ctx.m_space)),
-        lambda m_idx: {"m": _mpoly_struct(ctx.m_poly(m_idx))})
+        lambda m_idx: {"m": ctx.m_poly(m_idx).to_json(ctx.module.name)})
 
 
 # ---------------------------------------------------------------------------
@@ -588,7 +573,7 @@ def _coefficientwise_scalar(ctx: BoundedContext, max_space: int):
             whole = ctx.act_is_zero(mts, ((const[0], r),))
             slotwise = all(M.action_table[mc][r] == mz for _, mc in mts)
             if whole != slotwise:
-                return False, {"m": _mpoly_struct(ctx.m_poly(m_idx)),
+                return False, {"m": ctx.m_poly(m_idx).to_json(M.name),
                                "r": R.name(r),
                                "direction": "whole" if whole else "slotwise"}
     return True, None
@@ -637,7 +622,7 @@ def _bounded_sigma_reduced(ctx: BoundedContext, max_space: int):
             for g in monoid.elements:
                 if ctx.act_is_zero(mts, ((ctx.basis[0], g.table[r]),)) != base:
                     return False, {"side": "sigma_compatible",
-                                   "m": _mpoly_struct(ctx.m_poly(m_idx)),
+                                   "m": ctx.m_poly(m_idx).to_json(M.name),
                                    "r": R.name(r), "map": monoid.describe(g)}
     image = {}
     for a in R.elements():
@@ -661,12 +646,10 @@ def _bounded_sigma_reduced(ctx: BoundedContext, max_space: int):
             if hit:
                 common = min(hit)
                 return False, {"side": "reduced",
-                               "m": _mpoly_struct(ctx.m_poly(m_idx)),
+                               "m": ctx.m_poly(m_idx).to_json(M.name),
                                "a": R.name(a),
-                               "common": _mpoly_struct(module_poly(
-                                   M, ctx.presentation,
-                                   [(ctx.basis[s], c) for s, c
-                                    in enumerate(common) if c != mz]))}
+                               "common": ctx.m_poly(
+                                   ctx.m_index(common)).to_json(M.name)}
     return True, None
 
 
@@ -681,7 +664,7 @@ def _annihilator_correspondence(ctx: BoundedContext, max_space: int):
         ideal = ann_in_r(M, coeffs)
         pred = ctx.coeff_set(ideal.elements, max_space)
         if frozenset(kern[m_idx]) != pred:
-            return False, {"m": _mpoly_struct(ctx.m_poly(m_idx)),
+            return False, {"m": ctx.m_poly(m_idx).to_json(M.name),
                            "side": "single"}
     seeds: dict = {}
     for u in M.elements():
@@ -701,6 +684,7 @@ def _torsion_constant(ctx: BoundedContext, max_space: int):
     """Every bounded torsion pair act(m, f) = 0 with f != 0 already has the
     constant annihilator lc(f)."""
     M = ctx.module
+    R = ctx.presentation.ring
     kern = ctx.kernel(max_space)
     const = ctx.basis[0]
     for m_idx in range(ctx.m_space):
@@ -717,9 +701,9 @@ def _torsion_constant(ctx: BoundedContext, max_space: int):
                     lead = vec[s]
                     break
             if not ctx.act_is_zero(mts, ((const, lead),)):
-                return False, {"m": _mpoly_struct(ctx.m_poly(m_idx)),
-                               "f": _poly_struct(ctx.f_poly(f_idx)),
-                               "c": ctx.presentation.ring.name(lead)}
+                return False, {"m": ctx.m_poly(m_idx).to_json(M.name),
+                               "f": ctx.f_poly(f_idx).to_json(R.name),
+                               "c": R.name(lead)}
     return True, None
 
 
@@ -742,7 +726,7 @@ def _quasi_commutative_annihilator(ctx: BoundedContext, max_space: int,
         if a_all and rowset != ctx.coeff_set(consts, max_space):
             a_all = False
             a_wit = {"part": "constants-generate",
-                     "m": _mpoly_struct(ctx.m_poly(m_idx))}
+                     "m": ctx.m_poly(m_idx).to_json(M.name)}
         mts = ctx.mterms(m_idx)
         if b_all and mts:
             for f_idx in rows[m_idx]:
@@ -753,8 +737,8 @@ def _quasi_commutative_annihilator(ctx: BoundedContext, max_space: int,
                             if M.action_table[rowm[r]][aj] != mz:
                                 b_all = False
                                 b_wit = {"part": "mixed-products",
-                                         "m": _mpoly_struct(ctx.m_poly(m_idx)),
-                                         "f": _poly_struct(ctx.f_poly(f_idx)),
+                                         "m": ctx.m_poly(m_idx).to_json(M.name),
+                                         "f": ctx.f_poly(f_idx).to_json(R.name),
                                          "r": R.name(r)}
                                 break
                         if not b_all:
@@ -765,7 +749,7 @@ def _quasi_commutative_annihilator(ctx: BoundedContext, max_space: int,
                     break
         if constant_gap is None and len(rowset) > 1 and consts == {R.zero}:
             constant_gap = {"part": "nonzero-constant",
-                            "m": _mpoly_struct(ctx.m_poly(m_idx))}
+                            "m": ctx.m_poly(m_idx).to_json(M.name)}
     if a_all != b_all:
         return False, (a_wit or b_wit)
     if quasi_verdict is None:
@@ -818,12 +802,16 @@ def reduced_compatible_equivalence(M: RightModule,
     """The four elementwise annihilation conditions hold together exactly
     when the module is reduced and compatible; evaluated on both sides and
     compared, so the report is always confirmed or violation."""
+    return _equivalence(M, P, is_reduced(M), is_sigma_compatible(M, P),
+                        is_delta_compatible(M, P))
+
+
+def _equivalence(M: RightModule, P: SkewPbwPresentation, red: PropertyVerdict,
+                 sig: PropertyVerdict, dlt: PropertyVerdict) -> TheoremReport:
+    """reduced_compatible_equivalence on the three verdicts already decided."""
     R = P.ring
     mz = M.zero
     act_t = M.action_table
-    red = is_reduced(M)
-    sig = is_sigma_compatible(M, P)
-    dlt = is_delta_compatible(M, P)
     lhs = red.holds and sig.holds and dlt.holds
 
     def cond_a():
@@ -912,8 +900,7 @@ def _unless_refused(decide, *args):
 
 def theorem_suite(M: RightModule, P: SkewPbwPresentation,
                   degree: int = DEFAULT_DEGREE, embedding=None,
-                  max_space: int = DEFAULT_MAX_SPACE,
-                  max_order: int = DEFAULT_MAX_SUBMODULE_ORDER) -> list:
+                  max_space: int = DEFAULT_MAX_SPACE) -> list:
     """Run every transfer theorem as an executable check.
 
     `embedding` is the designated R -> M table witnessing that M contains
@@ -931,7 +918,7 @@ def theorem_suite(M: RightModule, P: SkewPbwPresentation,
     pp = is_pp(M)
     pqb = is_pq_baer(M)
     baer = is_baer(M)
-    qb = _unless_refused(is_quasi_baer, M, max_order)
+    qb = _unless_refused(is_quasi_baer, M)
     arm = _unless_refused(is_skew_armendariz_bounded, M, P, degree, max_space)
     lin = _unless_refused(is_linearly_skew_armendariz, M, P, max_space)
     quasi = _unless_refused(is_skew_quasi_armendariz_bounded, M, P, degree,
@@ -999,7 +986,7 @@ def theorem_suite(M: RightModule, P: SkewPbwPresentation,
         ("quasi_baer_polynomial_transfer", compatible,
          _agreement(qb, "is_quasi_baer",
                     "bounded polynomial-module quasi-baer",
-                    _quasi_baer_bounded, ctx, max_space, max_order),
+                    _quasi_baer_bounded, ctx, max_space),
          degree),
         ("pq_baer_polynomial_transfer", compatible,
          _agreement(pqb, "is_pq_baer", "bounded polynomial-module pq-baer",
@@ -1008,7 +995,7 @@ def theorem_suite(M: RightModule, P: SkewPbwPresentation,
         ("quasi_baer_quasi_armendariz", compatible + [("quasi_baer", qb)],
          _verdict(quasi, "skew_quasi_armendariz"), degree),
     ]
-    return [reduced_compatible_equivalence(M, P)] + [
+    return [_equivalence(M, P, red, sig, dlt)] + [
         _implication(theorem, hyps, conclude, bound)
         for theorem, hyps, conclude, bound in table]
 

@@ -22,6 +22,10 @@ the pass terminates; validated presentations are checked for confluence by
 :func:`check_consistency`, so the result is independent of strategy.  The
 strategy itself is fixed (leftmost redex first) and deterministic.
 
+Polynomials are term dicts on sorted monomials; :class:`TermPoly` holds
+what ring and module polynomials share (comparison, addition, degree and
+leading data, printing), and :class:`SkewPoly` adds the product.
+
 Variables are 0-based in this API; the textual syntax x1..xn used by the
 command line layer is 1-based.
 """
@@ -104,17 +108,7 @@ class SkewPbwPresentation:
         return SkewPoly(self, {alpha: coefficient})
 
     def from_terms(self, terms) -> "SkewPoly":
-        out = {}
-        items = terms.items() if hasattr(terms, "items") else terms
-        for alpha, r in items:
-            alpha = tuple(alpha)
-            if len(alpha) != self.n or any(e < 0 for e in alpha):
-                raise ValidationError("bad_exponent", witness=alpha)
-            if not 0 <= r < self.ring.order:
-                raise ValidationError("bad_coefficient", witness=r)
-            cur = out.get(alpha, self.ring.zero)
-            out[alpha] = self.ring.add_table[cur][r]
-        return SkewPoly(self, {a: v for a, v in out.items() if v != self.ring.zero})
+        return SkewPoly(self, collect_terms(self.ring, self.n, terms))
 
     # -- memoized normal form tables --------------------------------------
 
@@ -311,17 +305,22 @@ def _rewrite_once(P: SkewPbwPresentation, word, pos: int) -> list:
 # polynomials
 
 
-class SkewPoly:
-    """A normal-form element: a left R-combination of sorted monomials.
+class TermPoly:
+    """A term dict {exponent: nonzero coefficient} on sorted monomials.
 
-    Instances are immutable by convention; arithmetic returns new objects.
+    The part that :class:`SkewPoly` (coefficients in the ring R) and
+    :class:`spbw.polymodule.ModulePoly` (coefficients in a module M) share.
+    A subclass names its coefficient carrier (an
+    :class:`spbw.finring.AdditiveCarrier`) and how to rebuild itself from a
+    term dict.  Instances are immutable by convention; arithmetic returns
+    new objects.
     """
 
     __slots__ = ("presentation", "terms")
-
-    def __init__(self, presentation: SkewPbwPresentation, terms: dict):
-        self.presentation = presentation
-        self.terms = terms
+    # The coefficient a printed term may leave out: the ring's 1 for ring
+    # coefficients; none for module coefficients, whose terms must start
+    # with a module element.
+    _implicit_coefficient = None
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -338,11 +337,8 @@ class SkewPoly:
 
     def lc(self) -> int:
         if not self.terms:
-            return self.presentation.ring.zero
+            return self.carrier.zero
         return self.terms[self.lm()]
-
-    def exp(self):
-        return self.lm()
 
     def deg(self):
         """Total degree, or None for the zero polynomial."""
@@ -351,55 +347,111 @@ class SkewPoly:
         return max(sum(a) for a in self.terms)
 
     def constant_coefficient(self) -> int:
-        return self.terms.get((0,) * self.presentation.n, self.presentation.ring.zero)
+        return self.terms.get((0,) * self.presentation.n, self.carrier.zero)
 
     def coefficient(self, alpha) -> int:
-        return self.terms.get(tuple(alpha), self.presentation.ring.zero)
+        return self.terms.get(tuple(alpha), self.carrier.zero)
 
     def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return add(self, neg(other))
+        if (self.presentation is not other.presentation
+                or self.carrier is not other.carrier):
+            raise PresentationMismatch(
+                "operands come from different presentations or modules")
+        C = self.carrier
+        out = dict(self.terms)
+        for a, v in other.terms.items():
+            s = C.add_table[out.get(a, C.zero)][v]
+            if s == C.zero:
+                out.pop(a, None)
+            else:
+                out[a] = s
+        return self._with(out)
 
     def __neg__(self):
-        return neg(self)
+        C = self.carrier
+        return self._with({a: C.neg(v) for a, v in self.terms.items()})
 
-    def __mul__(self, other):
-        return mul(self, other)
+    def __sub__(self, other):
+        return self + (-other)
 
     def __eq__(self, other):
-        return (isinstance(other, SkewPoly)
+        return (isinstance(other, TermPoly)
                 and self.presentation is other.presentation
+                and self.carrier is other.carrier
                 and self.terms == other.terms)
 
     def __hash__(self):
-        return hash((id(self.presentation), tuple(sorted(self.terms.items()))))
+        return hash((id(self.carrier), id(self.presentation),
+                     tuple(sorted(self.terms.items()))))
 
     def to_string(self) -> str:
-        return _poly_string(self.presentation.ring, self.presentation.order,
-                            self.terms, coeff_name=self.presentation.ring.safe_name)
+        """Polynomial-literal text, coefficients spelled by `safe_name`."""
+        if not self.terms:
+            return "0"
+        coeff_name = self.carrier.safe_name
+        parts = []
+        for alpha, c in self.items_descending():
+            vs = "*".join(f"x{i + 1}" if e == 1 else f"x{i + 1}^{e}"
+                          for i, e in enumerate(alpha) if e)
+            if not vs:
+                parts.append(coeff_name(c))
+            elif c == self._implicit_coefficient:
+                parts.append(vs)
+            else:
+                parts.append(f"{coeff_name(c)}*{vs}")
+        return " + ".join(parts)
+
+    def to_json(self, coeff_name) -> dict:
+        """{"text": to_string(), "terms": [[exponent, coeff_name(c)], ...]},
+        terms in descending monomial order."""
+        return {"text": self.to_string(),
+                "terms": [[list(a), coeff_name(c)]
+                          for a, c in self.items_descending()]}
 
     def __repr__(self):
-        return f"SkewPoly({self.to_string()})"
+        return f"{type(self).__name__}({self.to_string()})"
 
 
-def _poly_string(ring, order, terms, coeff_name) -> str:
-    if not terms:
-        return "0"
-    key = monomial.sort_key(order)
-    parts = []
-    for alpha in sorted(terms, key=key, reverse=True):
-        c = terms[alpha]
-        vs = "*".join(f"x{i + 1}" if e == 1 else f"x{i + 1}^{e}"
-                      for i, e in enumerate(alpha) if e)
-        if not vs:
-            parts.append(coeff_name(c))
-        elif c == ring.one:
-            parts.append(vs)
-        else:
-            parts.append(f"{coeff_name(c)}*{vs}")
-    return " + ".join(parts)
+def collect_terms(carrier, n: int, terms) -> dict:
+    """Validate (exponent, coefficient) pairs, given as a dict or a pair
+    list, into a term dict: repeated exponents are summed, zeros dropped."""
+    out = {}
+    items = terms.items() if hasattr(terms, "items") else terms
+    for alpha, c in items:
+        alpha = tuple(alpha)
+        if len(alpha) != n or any(e < 0 for e in alpha):
+            raise ValidationError("bad_exponent", witness=alpha)
+        if not 0 <= c < carrier.order:
+            raise ValidationError("bad_coefficient", witness=c)
+        out[alpha] = carrier.add_table[out.get(alpha, carrier.zero)][c]
+    return {a: v for a, v in out.items() if v != carrier.zero}
+
+
+class SkewPoly(TermPoly):
+    """A normal-form element: a left R-combination of sorted monomials."""
+
+    __slots__ = ()
+
+    def __init__(self, presentation: SkewPbwPresentation, terms: dict):
+        self.presentation = presentation
+        self.terms = terms
+
+    @property
+    def carrier(self) -> FiniteRing:
+        return self.presentation.ring
+
+    @property
+    def _implicit_coefficient(self) -> int:
+        return self.presentation.ring.one
+
+    def _with(self, terms: dict) -> "SkewPoly":
+        return SkewPoly(self.presentation, terms)
+
+    def exp(self):
+        return self.lm()
+
+    def __mul__(self, other):
+        return mul(self, other)
 
 
 def _same_presentation(f: SkewPoly, g: SkewPoly):
@@ -408,21 +460,11 @@ def _same_presentation(f: SkewPoly, g: SkewPoly):
 
 
 def add(f: SkewPoly, g: SkewPoly) -> SkewPoly:
-    _same_presentation(f, g)
-    R = f.presentation.ring
-    out = dict(f.terms)
-    for a, v in g.terms.items():
-        s = R.add_table[out.get(a, R.zero)][v]
-        if s == R.zero:
-            out.pop(a, None)
-        else:
-            out[a] = s
-    return SkewPoly(f.presentation, out)
+    return f + g
 
 
 def neg(f: SkewPoly) -> SkewPoly:
-    R = f.presentation.ring
-    return SkewPoly(f.presentation, {a: R.neg(v) for a, v in f.terms.items()})
+    return -f
 
 
 def scalar_mul_left(r: int, f: SkewPoly) -> SkewPoly:

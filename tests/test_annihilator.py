@@ -156,9 +156,9 @@ def test_ann_in_a_bounded_intersection():
 
 def test_kernel_rows_when_the_module_outgrows_the_ring():
     # M = Z2^2 over Z2 has more bounded module polynomials than the ring has
-    # bounded polynomials (16 against 4 at d = 1), so kernel() takes its
-    # branch that caches the polynomial side; every row must still match
-    # the independent reference
+    # bounded polynomials (16 against 4 at d = 1), so kernel() caches more
+    # module-polynomial term lists than it streams polynomials; every row
+    # must still match the independent reference
     ring = zmod(2)
     add = [[a ^ b for b in range(4)] for a in range(4)]
     action = [[0, m] for m in range(4)]

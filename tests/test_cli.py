@@ -5,6 +5,7 @@ import json
 import pytest
 
 from spbw import corpus
+from spbw.bounded import BoundedContext
 from spbw.errors import ParseError, ValidationError
 from spbw.cli import (
     main,
@@ -170,6 +171,26 @@ def test_parse_mpoly(weyl):
         parse_mpoly(M, P, "[1]*y")
     with pytest.raises((ParseError, ValidationError)):
         parse_mpoly(M, P, "nope*x1")
+
+
+def test_printed_polynomials_parse_back(instances):
+    # every polynomial and module polynomial of degree <= 1 parses back from
+    # its printed text, also when a module element is named like a variable
+    named_x1 = parse_instance(json.dumps({
+        "ring": "Z2", "variables": 1,
+        "module": {"add": [[0, 1], [1, 0]], "action": [[0, 0], [0, 1]],
+                   "names": ["0", "x1"]}}))
+    for inst in [*instances.values(), named_x1]:
+        M, P = inst.module, inst.presentation
+        ctx = BoundedContext(M, P, 1)
+        for f_idx in range(ctx.f_space):
+            f = ctx.f_poly(f_idx)
+            assert parse_poly(P, f.to_string()) == f, f.to_string()
+        for m_idx in range(ctx.m_space):
+            mp = ctx.m_poly(m_idx)
+            assert parse_mpoly(M, P, mp.to_string()) == mp, mp.to_string()
+    report, _ = run_command(named_x1, "act", ["m1*x1", "1"], {})
+    assert report["result"]["m"] == "m1*x1"
 
 
 # -- commands through run_command ---------------------------------------------

@@ -5,7 +5,7 @@ import weakref
 
 import pytest
 
-from spbw import corpus
+from spbw import corpus, properties
 from spbw.bounded import DEFAULT_MAX_SPACE, context
 from spbw.cli import parse_instance
 from spbw.errors import TooLarge, ValidationError
@@ -325,6 +325,19 @@ def test_theorem_suite_absent_embedding(weyl):
     states = dict(rep.hypotheses)
     assert states["ring_embeds_in_module"] == "absent"
     assert rep.status in (CONFIRMED, HYPOTHESIS_NOT_MET)
+
+
+def test_theorem_suite_decides_reduced_and_compatibility_once(weyl,
+                                                               monkeypatch):
+    calls = {}
+    for name in ("is_reduced", "is_sigma_compatible", "is_delta_compatible"):
+        def counted(*args, decide=getattr(properties, name), name=name):
+            calls[name] = calls.get(name, 0) + 1
+            return decide(*args)
+        monkeypatch.setattr(properties, name, counted)
+    theorem_suite(weyl.module, weyl.presentation, degree=1)
+    assert calls == {"is_reduced": 1, "is_sigma_compatible": 1,
+                     "is_delta_compatible": 1}
 
 
 @pytest.mark.filterwarnings("ignore:ring of order 17")
