@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from .errors import SearchSpaceTooLarge, ValidationError
 from .finring import FiniteRing, idempotents
 from .monomial import enumerate_upto
-from .polymodule import ModulePoly, RightModule, act
+from .polymodule import ModulePoly, RightModule, act, check_closed
 from .skewpbw import SkewPoly
 
 ANN_BOUNDED_CANDIDATE_LIMIT = 10 ** 6
@@ -28,17 +28,8 @@ class RightIdeal:
     elements: frozenset
 
     def __post_init__(self):
-        R = self.ring
-        els = self.elements
-        if R.zero not in els:
-            raise ValidationError("not_right_ideal", witness=R.zero)
-        for a in els:
-            for b in els:
-                if R.add_table[a][b] not in els:
-                    raise ValidationError("not_right_ideal", witness=(a, b))
-            for r in R.elements():
-                if R.mul_table[a][r] not in els:
-                    raise ValidationError("not_right_ideal", witness=(a, r))
+        check_closed(self.ring, self.ring.mul_table, self.elements,
+                     "not_right_ideal")
 
     def __contains__(self, r):
         return r in self.elements

@@ -22,7 +22,7 @@ from itertools import product
 from .errors import EngineInvariantError, SearchSpaceTooLarge, ValidationError
 from .monomial import enumerate_upto
 from .polymodule import ModulePoly, RightModule, module_poly
-from .skewpbw import SkewPbwPresentation, SkewPoly
+from .skewpbw import SkewPbwPresentation, SkewPoly, term_products
 
 # Shared ceiling on |M|^k * |R|^k enumerations; the CLI can lower or raise it.
 DEFAULT_MAX_SPACE = 10 ** 7
@@ -97,23 +97,17 @@ class BoundedContext:
     # raw action on term lists (exponents need not lie in the basis)
 
     def act_terms(self, mterms, fterms) -> dict:
-        out = {}
-        if not mterms or not fterms:
-            return out
-        madd = self.module.add_table
-        mact = self.module.action_table
-        mzero = self.module.zero
-        triple = self.presentation.triple
-        for alpha, mc in mterms:
-            row = mact[mc]
-            for beta, b in fterms:
-                for gamma, w in triple(alpha, b, beta):
-                    out[gamma] = madd[out.get(gamma, mzero)][row[w]]
-        return out
+        M = self.module
+        return term_products(self.presentation, mterms, fterms,
+                             M.action_table, M.add_table, M.zero)
 
     def act_is_zero(self, mterms, fterms) -> bool:
-        mzero = self.module.zero
-        for v in self.act_terms(mterms, fterms).values():
+        # The kernel's innermost call: the loop is called directly, not
+        # through act_terms, to keep one call per (m, f) pair.
+        M = self.module
+        mzero = M.zero
+        for v in term_products(self.presentation, mterms, fterms,
+                               M.action_table, M.add_table, mzero).values():
             if v != mzero:
                 return False
         return True
@@ -172,9 +166,8 @@ class BoundedContext:
     def scaled_triple(self, r: int, t, b: int, beta):
         """Terms of (r x^t) * (b x^beta); exponents may leave the basis."""
         ring = self.presentation.ring
-        acc = {}
-        for gamma, w in self.presentation.triple(t, b, beta):
-            acc[gamma] = ring.add(acc.get(gamma, ring.zero), ring.mul(r, w))
+        acc = term_products(self.presentation, ((t, r),), ((beta, b),),
+                            ring.mul_table, ring.add_table, ring.zero)
         return tuple((g, w) for g, w in acc.items() if w != ring.zero)
 
     def ann_am_rows(self, max_space: int = DEFAULT_MAX_SPACE) -> dict:
@@ -185,6 +178,7 @@ class BoundedContext:
             return self._ann_am
         kern = self.kernel(max_space)
         middles = self.middle_factors()[1:]
+        P, ring = self.presentation, self.presentation.ring
         rows = {}
         for m_idx in range(self.m_space):
             mt = self.mterms(m_idx)
@@ -196,10 +190,11 @@ class BoundedContext:
                 ft = self.fterms(f_idx)
                 ok = True
                 for r, gamma in middles:
-                    h = []
-                    for beta, b in ft:
-                        h.extend(self.scaled_triple(r, gamma, b, beta))
-                    if not self.act_is_zero(mt, tuple(h)):
+                    # (r x^gamma) * f, summed before acting: act is additive
+                    h = term_products(P, ((gamma, r),), ft, ring.mul_table,
+                                      ring.add_table, ring.zero)
+                    if not self.act_is_zero(mt, tuple(
+                            (g, w) for g, w in h.items() if w != ring.zero)):
                         ok = False
                         break
                 if ok:

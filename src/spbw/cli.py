@@ -25,10 +25,10 @@ from dataclasses import dataclass
 from .annihilator import ann_in_r, idempotent_generator
 from .bounded import DEFAULT_MAX_SPACE
 from .errors import (ParseError, SpbwError, UnknownProperty, ValidationError)
-from .finring import (FiniteRing, RingMap, dual_z2, identity_map,
-                      swap_endomorphism, upper_triangular, validate_endomorphism,
-                      validate_ring, validate_sigma_derivation, zero_map, zmod,
-                      zmod_product)
+from .finring import (HARD_ORDER_CAP, FiniteRing, RingMap, dual_z2,
+                      identity_map, swap_endomorphism, upper_triangular,
+                      validate_endomorphism, validate_ring,
+                      validate_sigma_derivation, zero_map, zmod, zmod_product)
 from .monomial import MonomialOrder, default_order
 from .polymodule import (ModulePoly, RightModule, act, embedding_from_generator,
                          module_poly, quotient_module, regular_module,
@@ -62,19 +62,29 @@ def _bad(message: str) -> ParseError:
     return ParseError(message)
 
 
+def _number(digits: str) -> int:
+    """A shorthand's number; over nine digits it is refused unread, as int()
+    refuses 4,300 digits and more and any such order is past the cap."""
+    if len(digits.lstrip("0")) > 9:
+        raise ValidationError("bad_table", witness=len(digits), message=(
+            f"a {len(digits)}-digit number in a ring shorthand exceeds the "
+            f"order cap {HARD_ORDER_CAP}"))
+    return int(digits)
+
+
 def _parse_ring(spec) -> FiniteRing:
     if isinstance(spec, str):
         if spec == "Z2[y]/(y^2)":
             return dual_z2()
         m = _ZPROD_RE.fullmatch(spec)
         if m:
-            return zmod_product(int(m.group(1)), int(m.group(2)))
+            return zmod_product(_number(m.group(1)), _number(m.group(2)))
         m = _UT_RE.fullmatch(spec)
         if m:
-            return upper_triangular(int(m.group(1)), int(m.group(2)))
+            return upper_triangular(_number(m.group(1)), _number(m.group(2)))
         m = _ZMOD_RE.fullmatch(spec)
         if m:
-            return zmod(int(m.group(1)))
+            return zmod(_number(m.group(1)))
         raise _bad(f"unknown ring shorthand {spec!r}")
     if isinstance(spec, dict):
         extra = set(spec) - {"add", "mul", "names", "label"}
@@ -136,7 +146,7 @@ def _parse_relations(ring: FiniteRing, n: int, spec) -> tuple[dict, dict]:
         c = ring.element_index(val["c"])
         const = ring.element_index(val.get("const", ring.name(ring.zero)))
         linear_names = val.get("linear", [ring.name(ring.zero)] * n)
-        if len(linear_names) != n:
+        if not isinstance(linear_names, list) or len(linear_names) != n:
             raise _bad(f"relation {key!r} linear part needs {n} entries")
         linear = tuple(ring.element_index(x) for x in linear_names)
         relations[(i - 1, j - 1)] = (c, const, linear)
@@ -150,7 +160,7 @@ def _parse_module(ring: FiniteRing, spec) -> tuple[RightModule, object]:
     if spec == "regular" or spec is None:
         return regular_module(ring), "regular"
     if isinstance(spec, dict) and "quotient" in spec:
-        if set(spec) != {"quotient"}:
+        if set(spec) != {"quotient"} or not isinstance(spec["quotient"], list):
             raise _bad("quotient module spec takes only the generator list")
         gens = [ring.element_index(g) for g in spec["quotient"]]
         canonical = {"quotient": sorted(ring.name(g) for g in set(gens))}

@@ -5,7 +5,10 @@ multiplicative structure is read off two q by q tables.  The additive half
 (add table, negation, element names) lives in :class:`AdditiveCarrier`, the
 base that rings and right modules (:mod:`spbw.polymodule`) share.  Every constructor in
 this module validates the full axiom set by exhaustive scan before returning,
-so downstream code never re-checks ring laws.  The intended scale is desk
+so downstream code never re-checks ring laws.  The checks rings, modules,
+maps and embeddings share are here too: `check_table` (shape, int entries
+in range), `abelian_group_zero` (the group laws of an add table) and
+`check_names` (display names).  The intended scale is desk
 sized: orders up to 64 are accepted, with a warning above 16 because the
 bounded property deciders grow very quickly in |R|.
 
@@ -24,6 +27,9 @@ from dataclasses import dataclass, field
 from .errors import ValidationError
 
 _VAR_SHAPE = re.compile(r"x\d+(\^\d+)?")
+# A canonical spelling e<j> (rings) or m<j> (modules); group 2 is j's
+# digits without leading zeros.
+_CANONICAL = re.compile(r"([em])0*([0-9]+)")
 
 HARD_ORDER_CAP = 64
 WARN_ORDER = 16
@@ -85,12 +91,14 @@ class AdditiveCarrier:
 
     def element_index(self, name):
         """Resolve an element from its display name or canonical spelling."""
-        if name in self._name_index:
-            return self._name_index[name]
-        if name.startswith(self._prefix) and name[1:].isdigit():
-            i = int(name[1:])
-            if 0 <= i < self.order:
-                return i
+        if isinstance(name, str):
+            if name in self._name_index:
+                return self._name_index[name]
+            m = _CANONICAL.fullmatch(name)
+            if (m and m.group(1) == self._prefix
+                    and len(m.group(2)) <= len(str(self.order))
+                    and int(m.group(2)) < self.order):
+                return int(m.group(2))
         raise ValidationError("unknown_element", witness=name,
                               message=f"unknown {self._kind} element name {name!r}")
 
@@ -120,44 +128,28 @@ class FiniteRing(AdditiveCarrier):
                    for a in range(q) for b in range(q))
 
 
-def _check_tables_shape(order, table, what):
-    if len(table) != order:
-        raise ValidationError("bad_table", witness=what,
-                              message=f"{what} table must have {order} rows")
-    for row in table:
-        if len(row) != order:
-            raise ValidationError("bad_table", witness=what)
-        for v in row:
-            if not isinstance(v, int) or not 0 <= v < order:
-                raise ValidationError("bad_table", witness=(what, v))
-
-
-def _check_order_cap(order: int) -> None:
-    if order > HARD_ORDER_CAP:
-        raise ValidationError("bad_table", witness=order,
-                              message=f"ring order {order} exceeds cap {HARD_ORDER_CAP}")
-
-
-def validate_ring(add_table, mul_table, label="", names=None) -> FiniteRing:
-    """Check the full unital ring axiom set and return the validated ring.
-
-    Raises ValidationError with kinds: bad_table, bad_group, non_associative,
-    non_distributive, no_identity.
+def check_table(table, bound: int, what: str, *shape):
+    """`table` as nested tuples, refused as bad_table unless it is a list of
+    shape[0] entries (each a list of shape[1] entries, if given) holding ints
+    in range(bound): the one check of ring, module, map and embedding tables.
     """
-    order = len(add_table)
-    if order == 0:
-        raise ValidationError("bad_table", message="empty ring")
-    _check_order_cap(order)
-    if order > WARN_ORDER:
-        warnings.warn(f"ring of order {order}: bounded deciders will be slow",
-                      stacklevel=2)
-    add_table = tuple(tuple(row) for row in add_table)
-    mul_table = tuple(tuple(row) for row in mul_table)
-    _check_tables_shape(order, add_table, "add")
-    _check_tables_shape(order, mul_table, "mul")
+    if not isinstance(table, (list, tuple)) or len(table) != shape[0]:
+        raise ValidationError("bad_table", witness=what, message=f"{what} table "
+                              f"must be a list of {shape[0]} entries")
+    if len(shape) > 1:
+        return tuple(check_table(row, bound, what, *shape[1:]) for row in table)
+    for v in table:
+        if not isinstance(v, int) or not 0 <= v < bound:
+            raise ValidationError("bad_table", witness=(what, v))
+    return tuple(table)
 
-    rng = range(order)
-    # additive identity
+
+def abelian_group_zero(add_table) -> int:
+    """Scan a checked add table for the abelian group laws; returns its zero.
+
+    Raises ValidationError("bad_group") naming the law that fails.
+    """
+    rng = range(len(add_table))
     zero = None
     for e in rng:
         if all(add_table[e][a] == a and add_table[a][e] == a for a in rng):
@@ -165,7 +157,6 @@ def validate_ring(add_table, mul_table, label="", names=None) -> FiniteRing:
             break
     if zero is None:
         raise ValidationError("bad_group", message="no additive identity")
-    # abelian group laws
     for a in rng:
         for b in rng:
             if add_table[a][b] != add_table[b][a]:
@@ -183,6 +174,58 @@ def validate_ring(add_table, mul_table, label="", names=None) -> FiniteRing:
         if all(add_table[a][b] != zero for b in rng):
             raise ValidationError("bad_group", witness=(a,),
                                   message="element has no additive inverse")
+    return zero
+
+
+def check_names(names, order: int, prefix: str) -> tuple:
+    """Display names as a tuple of strings, `<prefix><i>` when None: a list,
+    one per element, distinct.  A canonical spelling e<j> or m<j> may only
+    name element j, or a printed canonical spelling would parse back as
+    another element; rings reserve m<j> too, for their regular modules.
+    """
+    if names is None:
+        return tuple(f"{prefix}{i}" for i in range(order))
+    if not isinstance(names, (list, tuple)) or len(names) != order:
+        raise ValidationError("bad_table", witness="names",
+                              message=f"names must be a list of {order} entries")
+    names = tuple(str(n) for n in names)
+    if len(set(names)) != order:
+        raise ValidationError("bad_table", witness="names",
+                              message="names must be distinct, one per element")
+    for i, n in enumerate(names):
+        m = _CANONICAL.fullmatch(n)
+        if m and m.group(2) != str(i):
+            raise ValidationError("bad_table", witness="names",
+                                  message=f"name {n!r} on element {i} is the "
+                                          f"canonical spelling of another element")
+    return names
+
+
+def _check_order_cap(order: int) -> None:
+    if order > HARD_ORDER_CAP:
+        raise ValidationError("bad_table", witness=order,
+                              message=f"ring order {order} exceeds cap {HARD_ORDER_CAP}")
+
+
+def validate_ring(add_table, mul_table, label="", names=None) -> FiniteRing:
+    """Check the full unital ring axiom set and return the validated ring.
+
+    Raises ValidationError with kinds: bad_table, bad_group, non_associative,
+    non_distributive, no_identity.
+    """
+    order = len(add_table) if isinstance(add_table, (list, tuple)) else 0
+    if order == 0:
+        raise ValidationError("bad_table", witness="add",
+                              message="ring add table must be a non-empty list")
+    _check_order_cap(order)
+    if order > WARN_ORDER:
+        warnings.warn(f"ring of order {order}: bounded deciders will be slow",
+                      stacklevel=2)
+    add_table = check_table(add_table, order, "add", order, order)
+    mul_table = check_table(mul_table, order, "mul", order, order)
+    zero = abelian_group_zero(add_table)
+
+    rng = range(order)
     # multiplication
     for a in rng:
         for b in rng:
@@ -206,14 +249,7 @@ def validate_ring(add_table, mul_table, label="", names=None) -> FiniteRing:
             break
     if one is None:
         raise ValidationError("no_identity")
-
-    if names is None:
-        names = tuple(f"e{i}" for i in rng)
-    else:
-        names = tuple(str(n) for n in names)
-        if len(names) != order or len(set(names)) != order:
-            raise ValidationError("bad_table", witness="names",
-                                  message="names must be distinct, one per element")
+    names = check_names(names, order, FiniteRing._prefix)
     return FiniteRing(order, add_table, mul_table, zero, one, names, label=label)
 
 
@@ -249,9 +285,7 @@ def validate_endomorphism(ring: FiniteRing, table) -> RingMap:
     """Unital injective ring endomorphism.  Kinds raised: not_additive,
     not_multiplicative, not_unital, not_injective."""
     q = ring.order
-    table = tuple(table)
-    if len(table) != q or any(not 0 <= v < q for v in table):
-        raise ValidationError("bad_table", witness="endomorphism")
+    table = check_table(table, q, "endomorphism", q)
     for a in range(q):
         for b in range(q):
             if table[ring.add_table[a][b]] != ring.add_table[table[a]][table[b]]:
@@ -278,9 +312,7 @@ def validate_sigma_derivation(ring: FiniteRing, sigma: RingMap, table) -> RingMa
     if sigma.kind != "endomorphism" or sigma.ring is not ring:
         raise ValidationError("not_endomorphism", witness="sigma")
     q = ring.order
-    table = tuple(table)
-    if len(table) != q or any(not 0 <= v < q for v in table):
-        raise ValidationError("bad_table", witness="sigma_derivation")
+    table = check_table(table, q, "sigma_derivation", q)
     for a in range(q):
         for b in range(q):
             if table[ring.add_table[a][b]] != ring.add_table[table[a]][table[b]]:
@@ -471,10 +503,13 @@ def upper_triangular(n: int, p: int) -> FiniteRing:
     and above the diagonal, most significant first.
     """
     k = n * (n + 1) // 2
-    q = p ** k
+    # With t = HARD_ORDER_CAP.bit_length(), p**min(k, t) is p**k when p < 2
+    # or k < t and at least 2**t > HARD_ORDER_CAP otherwise, so a huge k is
+    # neither raised to nor printed.
+    q = p ** min(k, HARD_ORDER_CAP.bit_length())
     if q > HARD_ORDER_CAP:
-        raise ValidationError("bad_table", witness=q,
-                              message=f"UT({n},Z{p}) has order {q} > {HARD_ORDER_CAP}")
+        raise ValidationError("bad_table", witness=(n, p),
+                              message=f"UT({n},Z{p}) has order {p}^{k} > {HARD_ORDER_CAP}")
     positions = [(i, j) for i in range(n) for j in range(i, n)]
 
     def unpack(idx):

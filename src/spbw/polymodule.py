@@ -7,11 +7,17 @@ table M x R -> M.  `RightModule` extends the carrier base
 module M<X> over a skew PBW extension A has elements sum m_i x^alpha_i with
 module coefficients on the left; `ModulePoly` extends the term-dict base
 `skewpbw.TermPoly` that `SkewPoly` extends too.  A acts on
-the right through the same rewriting tables the ring product uses.  For a
-term m x^a acted on by b x^b, the ring-level normal form of x^a * b * x^b is
-computed first and m is then applied to each of its coefficients, which is
-exactly the coefficient expansion the definitions prescribe, because the
-action associates over ring products.
+the right through the term-product loop the ring product uses
+(`skewpbw.term_products`), with the action table in place of the mul table.
+For a term m x^a acted on by b x^b, the ring-level normal form of
+x^a * b * x^b is computed first and m is then applied to each of its
+coefficients, which is exactly the coefficient expansion the definitions
+prescribe, because the action associates over ring products.
+
+R is the right module R_R, so a right ideal is a submodule of R_R: one
+closure (`closure`) and one closed-subset check (`check_closed`) serve
+submodules and right ideals, given the action or the mul table.  Modules are
+validated with the table, group and names checks of :mod:`spbw.finring`.
 """
 
 from __future__ import annotations
@@ -19,8 +25,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import (PresentationMismatch, TooLarge, ValidationError)
-from .finring import AdditiveCarrier, FiniteRing
-from .skewpbw import SkewPbwPresentation, SkewPoly, TermPoly, collect_terms
+from .finring import (AdditiveCarrier, FiniteRing, abelian_group_zero,
+                      check_names, check_table)
+from .skewpbw import (SkewPbwPresentation, SkewPoly, TermPoly, collect_terms,
+                      term_products)
 
 
 class RightModule(AdditiveCarrier):
@@ -47,44 +55,15 @@ def validate_module(ring: FiniteRing, add_table, action_table,
     Kinds raised: bad_table, bad_group, not_unital, action_not_associative,
     not_biadditive.
     """
-    order = len(add_table)
+    order = len(add_table) if isinstance(add_table, (list, tuple)) else 0
     if order == 0:
-        raise ValidationError("bad_table", message="empty module")
-    add_table = tuple(tuple(row) for row in add_table)
-    action_table = tuple(tuple(row) for row in action_table)
-    if any(len(row) != order for row in add_table) or len(action_table) != order \
-            or any(len(row) != ring.order for row in action_table):
-        raise ValidationError("bad_table", witness="module tables")
-    for row in add_table:
-        for v in row:
-            if not 0 <= v < order:
-                raise ValidationError("bad_table", witness=("add", v))
-    for row in action_table:
-        for v in row:
-            if not 0 <= v < order:
-                raise ValidationError("bad_table", witness=("action", v))
+        raise ValidationError("bad_table", witness="add",
+                              message="module add table must be a non-empty list")
+    add_table = check_table(add_table, order, "add", order, order)
+    action_table = check_table(action_table, order, "action", order, ring.order)
+    zero = abelian_group_zero(add_table)
 
     rng = range(order)
-    zero = None
-    for e in rng:
-        if all(add_table[e][a] == a and add_table[a][e] == a for a in rng):
-            zero = e
-            break
-    if zero is None:
-        raise ValidationError("bad_group", message="no additive identity")
-    for a in rng:
-        for b in rng:
-            if add_table[a][b] != add_table[b][a]:
-                raise ValidationError("bad_group", witness=(a, b))
-            row_ab = add_table[add_table[a][b]]
-            row_a = add_table[a]
-            for c_ in rng:
-                if row_ab[c_] != row_a[add_table[b][c_]]:
-                    raise ValidationError("bad_group", witness=(a, b, c_))
-    for a in rng:
-        if all(add_table[a][b] != zero for b in rng):
-            raise ValidationError("bad_group", witness=(a,))
-
     for m in rng:
         if action_table[m][ring.one] != m:
             raise ValidationError("not_unital", witness=(m,))
@@ -102,12 +81,7 @@ def validate_module(ring: FiniteRing, add_table, action_table,
                         add_table[action_table[m][r]][action_table[m2][r]]:
                     raise ValidationError("not_biadditive", witness=(m, m2, r))
 
-    if names is None:
-        names = tuple(f"m{i}" for i in rng)
-    else:
-        names = tuple(str(n) for n in names)
-        if len(names) != order or len(set(names)) != order:
-            raise ValidationError("bad_table", witness="names")
+    names = check_names(names, order, RightModule._prefix)
     return RightModule(ring, add_table, action_table, zero, names, label=label)
 
 
@@ -124,19 +98,9 @@ def zero_module(ring: FiniteRing) -> RightModule:
 
 
 def right_ideal_closure(ring: FiniteRing, generators) -> frozenset:
-    """Smallest right ideal of R containing the generators."""
-    cur = {ring.zero}
-    cur.update(generators)
-    while True:
-        nxt = set(cur)
-        for a in cur:
-            for b in cur:
-                nxt.add(ring.add_table[a][b])
-            for r in ring.elements():
-                nxt.add(ring.mul_table[a][r])
-        if nxt == cur:
-            return frozenset(cur)
-        cur = nxt
+    """Smallest right ideal of R containing the generators: the submodule
+    of R_R they generate."""
+    return closure(ring, ring.mul_table, generators)
 
 
 def quotient_module(ring: FiniteRing, ideal_generators) -> RightModule:
@@ -174,9 +138,7 @@ def validate_embedding(ring: FiniteRing, module: RightModule, table) -> tuple:
     Determined by the image of 1; checked to be additive, injective and
     action compatible, which is what the theorems needing R inside M use.
     """
-    table = tuple(table)
-    if len(table) != ring.order or any(not 0 <= v < module.order for v in table):
-        raise ValidationError("bad_table", witness="embedding")
+    table = check_table(table, module.order, "embedding", ring.order)
     if len(set(table)) != ring.order:
         raise ValidationError("not_injective", witness="embedding")
     for r in ring.elements():
@@ -199,47 +161,60 @@ def embedding_from_generator(ring: FiniteRing, module: RightModule, u: int) -> t
 # submodules
 
 
+def closure(carrier: AdditiveCarrier, action_table, generators) -> frozenset:
+    """Smallest subset holding 0 and the generators that is closed under
+    addition and the right action `action_table` (carrier x R -> carrier):
+    a submodule of M, or of R_R (a right ideal) with the mul table."""
+    add = carrier.add_table
+    cur = {carrier.zero}
+    cur.update(generators)
+    while True:
+        nxt = set(cur)
+        for a in cur:
+            for b in cur:
+                nxt.add(add[a][b])
+            nxt.update(action_table[a])
+        if nxt == cur:
+            return frozenset(cur)
+        cur = nxt
+
+
+def check_closed(carrier: AdditiveCarrier, action_table, elements, kind: str):
+    """Refuse, as ValidationError(kind), a subset that misses 0 or is not
+    closed under addition and the right action `action_table`."""
+    if carrier.zero not in elements:
+        raise ValidationError(kind, witness=carrier.zero)
+    add = carrier.add_table
+    for a in elements:
+        for b in elements:
+            if add[a][b] not in elements:
+                raise ValidationError(kind, witness=(a, b))
+        for r, v in enumerate(action_table[a]):
+            if v not in elements:
+                raise ValidationError(kind, witness=(a, r))
+
+
 @dataclass(frozen=True)
 class Submodule:
     module: RightModule = field(compare=False)
     elements: frozenset
 
     def __post_init__(self):
-        M = self.module
-        els = self.elements
-        if M.zero not in els:
-            raise ValidationError("not_submodule", witness=M.zero)
-        for a in els:
-            for b in els:
-                if M.add_table[a][b] not in els:
-                    raise ValidationError("not_submodule", witness=(a, b))
-            for r in M.ring.elements():
-                if M.action_table[a][r] not in els:
-                    raise ValidationError("not_submodule", witness=(a, r))
+        check_closed(self.module, self.module.action_table, self.elements,
+                     "not_submodule")
 
     def __len__(self):
         return len(self.elements)
 
 
 def submodule_closure(M: RightModule, generators) -> frozenset:
-    cur = {M.zero}
-    cur.update(generators)
-    while True:
-        nxt = set(cur)
-        for a in cur:
-            for b in cur:
-                nxt.add(M.add_table[a][b])
-            for r in M.ring.elements():
-                nxt.add(M.action_table[a][r])
-        if nxt == cur:
-            return frozenset(cur)
-        cur = nxt
+    return closure(M, M.action_table, generators)
 
 
 def cyclic_submodule(M: RightModule, m: int) -> Submodule:
-    """mR: the orbit of m, additively closed by biadditivity."""
-    orbit = {M.action_table[m][r] for r in M.ring.elements()}
-    return Submodule(M, submodule_closure(M, orbit))
+    """mR: the orbit of m, already closed by biadditivity (m*r + m*s =
+    m*(r + s), (m*r)*s = m*(rs))."""
+    return Submodule(M, frozenset(M.action_table[m]))
 
 
 def all_submodules(M: RightModule, max_order: int = 16):
@@ -315,13 +290,9 @@ def act(mp: ModulePoly, f: SkewPoly) -> ModulePoly:
     if mp.module.ring is not P.ring:
         raise PresentationMismatch("module over a different ring")
     M = mp.module
-    madd, mact, mzero = M.add_table, M.action_table, M.zero
-    out = {}
-    for alpha, m in mp.terms.items():
-        for beta, b in f.terms.items():
-            for gamma, w in P.triple(alpha, b, beta):
-                out[gamma] = madd[out.get(gamma, mzero)][mact[m][w]]
-    return ModulePoly(M, P, {k: v for k, v in out.items() if v != mzero})
+    out = term_products(P, mp.terms.items(), f.terms.items(),
+                        M.action_table, M.add_table, M.zero)
+    return ModulePoly(M, P, {k: v for k, v in out.items() if v != M.zero})
 
 
 def act_scalar(mp: ModulePoly, r: int) -> ModulePoly:

@@ -579,30 +579,6 @@ def _coefficientwise_scalar(ctx: BoundedContext, max_space: int):
     return True, None
 
 
-def _vec_add(M: RightModule, u, v):
-    add = M.add_table
-    return tuple(add[a][b] for a, b in zip(u, v))
-
-
-def _cyclic_vec_closure(ctx: BoundedContext, vec):
-    """Smallest set containing vec closed under scalar action and addition."""
-    M = ctx.module
-    zero = (M.zero,) * ctx.k
-    terms = tuple((ctx.basis[s], c) for s, c in enumerate(vec) if c != M.zero)
-    orbit = {ctx.act_scalar_vec(terms, r) for r in ctx.presentation.ring.elements()}
-    orbit.add(zero)
-    closed = set(orbit)
-    queue = list(orbit)
-    while queue:
-        x = queue.pop()
-        for y in list(orbit):
-            z = _vec_add(M, x, y)
-            if z not in closed:
-                closed.add(z)
-                queue.append(z)
-    return closed
-
-
 def _bounded_sigma_reduced(ctx: BoundedContext, max_space: int):
     """Reduced + sigma-compatible for the degree <= d slice of M<X> viewed
     as a module over R via act_scalar."""
@@ -640,8 +616,8 @@ def _bounded_sigma_reduced(ctx: BoundedContext, max_space: int):
                 continue
             if not ctx.act_is_zero(mts, ((ctx.basis[0], a),)):
                 continue
-            if cyc is None:
-                cyc = _cyclic_vec_closure(ctx, ctx.mvec(m_idx))
+            if cyc is None:  # the orbit {m * r}, closed by biadditivity
+                cyc = {ctx.act_scalar_vec(mts, r) for r in R.elements()}
             hit = cyc & image[a]
             if hit:
                 common = min(hit)

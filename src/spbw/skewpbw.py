@@ -24,7 +24,10 @@ strategy itself is fixed (leftmost redex first) and deterministic.
 
 Polynomials are term dicts on sorted monomials; :class:`TermPoly` holds
 what ring and module polynomials share (comparison, addition, degree and
-leading data, printing), and :class:`SkewPoly` adds the product.
+leading data, printing), and :class:`SkewPoly` adds the product.  Products
+expand term pairs through one loop, :func:`term_products`, which the ring
+product, the module action (:func:`spbw.polymodule.act`) and the bounded
+kernels (:mod:`spbw.bounded`) all call with their own scale and add tables.
 
 Variables are 0-based in this API; the textual syntax x1..xn used by the
 command line layer is 1-based.
@@ -477,18 +480,31 @@ def scalar_mul_left(r: int, f: SkewPoly) -> SkewPoly:
     return SkewPoly(f.presentation, out)
 
 
+def term_products(P: SkewPbwPresentation, left, right, scale, add,
+                  zero) -> dict:
+    """The one term-product loop: sum of a * (x^alpha b x^beta) over the
+    term pairs (alpha, a) of `left` and (beta, b) of `right`, as {gamma:
+    sum} (zero sums kept).  a times a coefficient w is scale[a][w]: the
+    ring's mul table gives the product in A, a module's action table the
+    action on M<X>."""
+    triple = P.triple
+    out = {}
+    for alpha, a in left:
+        row = scale[a]
+        for beta, b in right:
+            for gamma, w in triple(alpha, b, beta):
+                out[gamma] = add[out.get(gamma, zero)][row[w]]
+    return out
+
+
 def mul(f: SkewPoly, g: SkewPoly) -> SkewPoly:
     """Product via the memoized x^a * r * x^b tables; bilinear over terms."""
     _same_presentation(f, g)
     P = f.presentation
     R = P.ring
-    add_t, mul_t, zero = R.add_table, R.mul_table, R.zero
-    out = {}
-    for alpha, a in f.terms.items():
-        for beta, b in g.terms.items():
-            for gamma, w in P.triple(alpha, b, beta):
-                out[gamma] = add_t[out.get(gamma, zero)][mul_t[a][w]]
-    return SkewPoly(P, {k: v for k, v in out.items() if v != zero})
+    out = term_products(P, f.terms.items(), g.terms.items(), R.mul_table,
+                        R.add_table, R.zero)
+    return SkewPoly(P, {k: v for k, v in out.items() if v != R.zero})
 
 
 def alpha_commute(P: SkewPbwPresentation, alpha, r: int):
@@ -564,28 +580,18 @@ def check_consistency(P: SkewPbwPresentation, bound: int = 4,
     def word_repr(w):
         return [list(t) for t in w]
 
-    for k in range(n):
-        for j in range(k):
-            for i in range(j):
-                w = [("v", k), ("v", j), ("v", i)]
-                a = _sum_normal_forms(P, _rewrite_once(P, w, 0))
-                b = _sum_normal_forms(P, _rewrite_once(P, w, 1))
-                if a != b:
-                    return ConsistencyReport(False, bound, {
-                        "word": word_repr(w),
-                        "first": sorted(a.terms.items()),
-                        "second": sorted(b.terms.items())})
-    for j in range(n):
-        for i in range(j):
-            for r in R.elements():
-                w = [("v", j), ("v", i), ("c", r)]
-                a = _sum_normal_forms(P, _rewrite_once(P, w, 0))
-                b = _sum_normal_forms(P, _rewrite_once(P, w, 1))
-                if a != b:
-                    return ConsistencyReport(False, bound, {
-                        "word": word_repr(w),
-                        "first": sorted(a.terms.items()),
-                        "second": sorted(b.terms.items())})
+    overlaps = [[("v", k), ("v", j), ("v", i)]
+                for k in range(n) for j in range(k) for i in range(j)]
+    overlaps += [[("v", j), ("v", i), ("c", r)]
+                 for j in range(n) for i in range(j) for r in R.elements()]
+    for w in overlaps:
+        a = _sum_normal_forms(P, _rewrite_once(P, w, 0))
+        b = _sum_normal_forms(P, _rewrite_once(P, w, 1))
+        if a != b:
+            return ConsistencyReport(False, bound, {
+                "word": word_repr(w),
+                "first": sorted(a.terms.items()),
+                "second": sorted(b.terms.items())})
 
     rng = random.Random(seed)
 

@@ -334,3 +334,58 @@ def test_main_negative_degree_exit_two(argv, capsys):
     assert main(argv + ["--json-only"]) == 2
     payload = json.loads(capsys.readouterr().out)
     assert payload["error"]["type"] == "ValidationError"
+
+
+_Z2_MODULE = {"add": [[0, 1], [1, 0]], "action": [[0, 0], [0, 1]]}
+_Z2_RING = {"add": [[0, 1], [1, 0]], "mul": [[0, 0], [0, 1]]}
+
+
+@pytest.mark.parametrize("instance", [
+    {"module": dict(_Z2_MODULE, add=[[0.0, 1], [1, 0]])},
+    {"module": dict(_Z2_MODULE, add=[["0", 1], [1, 0]])},
+    {"module": dict(_Z2_MODULE, add=5)},
+    {"module": dict(_Z2_MODULE, names=4)},
+    {"ring": dict(_Z2_RING, add=5)},
+    {"ring": dict(_Z2_RING, names=7)},
+    {"sigma": [[0, 1.0]]},
+    {"delta": [[0, 1.0]]},
+    {"embedding": [0, 1.0]},
+    {"embedding": {"generator": 1}},
+    {"module": {"quotient": [1.5]}},
+    {"module": {"quotient": 5}},
+    {"variables": 2, "relations": {"1,2": {"c": 1}}},
+    {"variables": 2, "relations": {"1,2": {"c": "1", "linear": 3}}},
+    {"ring": "UT(200,Z2)"},
+    {"ring": "Z" + "7" * 5000},
+], ids=["module-add-float", "module-add-str", "module-add-int",
+        "module-names-int", "ring-add-int", "ring-names-int", "sigma-float",
+        "delta-float", "embedding-float", "embedding-generator-int",
+        "quotient-float", "quotient-int", "relation-c-int", "relation-linear-int",
+        "ut-huge-order", "zmod-5000-digits"])
+def test_malformed_instances_exit_two(instance, tmp_path, capsys):
+    data = dict({"ring": "Z2", "variables": 1}, **instance)
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(data))
+    assert main([str(path), "validate", "--json-only"]) == 2
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["type"] in ("ParseError", "ValidationError")
+    assert error["message"]
+
+
+def test_canonical_spellings_are_reserved():
+    # m1 on element 0 would make the printed m1*x1 (element 1) parse back
+    # as element 0; e<j> is reserved as well, so a ring's names stay valid
+    # for its regular module
+    for names in (["m1", "x1"], ["e1", "x1"]):
+        with pytest.raises(ValidationError) as exc:
+            parse_instance(json.dumps({
+                "ring": "Z2", "variables": 1,
+                "module": dict(_Z2_MODULE, names=names)}))
+        assert exc.value.kind == "bad_table"
+    with pytest.raises(ValidationError):
+        parse_instance(json.dumps({"ring": dict(_Z2_RING, names=["m1", "a"]),
+                                   "variables": 1}))
+    ok = parse_instance(json.dumps({"ring": "Z2", "variables": 1,
+                                    "module": dict(_Z2_MODULE,
+                                                   names=["m0", "e1"])}))
+    assert ok.module.element_index("m1") == 1
