@@ -35,7 +35,8 @@ from .polymodule import (ModulePoly, RightModule, act, embedding_from_generator,
                          validate_embedding, validate_module)
 from .properties import (DECIDERS, DEFAULT_DEGREE, FAILS, VIOLATION,
                          theorem_suite)
-from .skewpbw import SkewPbwPresentation, SkewPoly, mul, validate_presentation
+from .skewpbw import (SkewPbwPresentation, SkewPoly, check_variable_cap, mul,
+                      validate_presentation)
 
 _ZMOD_RE = re.compile(r"Z(\d+)$")
 _ZPROD_RE = re.compile(r"Z(\d+)xZ(\d+)$")
@@ -206,8 +207,12 @@ def _parse_order(n: int, spec, override: str | None) -> MonomialOrder:
         return default_order(n, spec)
     if isinstance(spec, dict) and set(spec) <= {"kind", "precedence"}:
         kind = spec.get("kind", "deglex")
-        prec = tuple(spec.get("precedence", default_order(n).precedence))
-        return MonomialOrder(kind, prec)
+        prec = spec.get("precedence", list(default_order(n).precedence))
+        if not isinstance(prec, list) or \
+                any(type(v) is not int for v in prec):
+            raise _bad("order precedence must be a list of 0-based "
+                       "variable indices")
+        return MonomialOrder(kind, tuple(prec))
     raise _bad("order must be 'deglex', 'lex', or {kind, precedence}")
 
 
@@ -232,6 +237,7 @@ def parse_instance(text: str, order_override: str | None = None,
     n = data["variables"]
     if not isinstance(n, int) or n < 1:
         raise _bad("'variables' must be a positive integer")
+    check_variable_cap(n)
     label = data.get("label", "")
     ring = _parse_ring(data["ring"])
 

@@ -502,6 +502,12 @@ def upper_triangular(n: int, p: int) -> FiniteRing:
     Elements are indexed by the row-major tuple of the n(n+1)/2 entries on
     and above the diagonal, most significant first.
     """
+    # For p = 1 every n gives the zero ring, so the order cap alone would
+    # let n reach 10^9 and the tables below cost O(n^3); the matrix size is
+    # capped like the order.
+    if n > HARD_ORDER_CAP:
+        raise ValidationError("bad_table", witness=(n, p),
+                              message=f"UT({n},Z{p}) has size {n} > {HARD_ORDER_CAP}")
     k = n * (n + 1) // 2
     # With t = HARD_ORDER_CAP.bit_length(), p**min(k, t) is p**k when p < 2
     # or k < t and at least 2**t > HARD_ORDER_CAP otherwise, so a huge k is

@@ -356,21 +356,17 @@ def is_skew_quasi_armendariz_bounded(M: RightModule, P: SkewPbwPresentation,
         for f_idx in rows[m_idx]:
             fts = ctx.fterms(f_idx)
             for alpha_i, mi in mts:
-                single = ((alpha_i, mi),)
                 for beta_j, bj in fts:
-                    for r in R.elements():
-                        for t in ctx.basis:
-                            mid = ctx.scaled_triple(r, t, bj, beta_j)
-                            if not ctx.act_is_zero(single, mid):
-                                witness = {
-                                    "m": ctx.m_poly(m_idx).to_json(M.name),
-                                    "f": ctx.f_poly(f_idx).to_json(R.name),
-                                    "i_exp": list(alpha_i),
-                                    "j_exp": list(beta_j),
-                                    "r": R.name(r), "t": list(t)}
-                                return PropertyVerdict(
-                                    "skew_quasi_armendariz", FAILS, witness,
-                                    bound=ctx.degree)
+                    hit = ctx.mixed_failure(alpha_i, mi, beta_j, bj)
+                    if hit is not None:
+                        r, t = hit
+                        witness = {"m": ctx.m_poly(m_idx).to_json(M.name),
+                                   "f": ctx.f_poly(f_idx).to_json(R.name),
+                                   "i_exp": list(alpha_i),
+                                   "j_exp": list(beta_j),
+                                   "r": R.name(r), "t": list(t)}
+                        return PropertyVerdict("skew_quasi_armendariz", FAILS,
+                                               witness, bound=ctx.degree)
     return PropertyVerdict("skew_quasi_armendariz", HOLDS_UP_TO_BOUND,
                            bound=ctx.degree)
 

@@ -27,7 +27,7 @@ what ring and module polynomials share (comparison, addition, degree and
 leading data, printing), and :class:`SkewPoly` adds the product.  Products
 expand term pairs through one loop, :func:`term_products`, which the ring
 product, the module action (:func:`spbw.polymodule.act`) and the bounded
-kernels (:mod:`spbw.bounded`) all call with their own scale and add tables.
+searches (:mod:`spbw.bounded`) all call with their own scale and add tables.
 
 Variables are 0-based in this API; the textual syntax x1..xn used by the
 command line layer is 1-based.
@@ -44,6 +44,10 @@ from .errors import (EngineInvariantError, PresentationMismatch,
                      ValidationError)
 from .finring import FiniteRing, RingMap, is_two_sided_invertible
 from .monomial import MonomialOrder, default_order
+
+# Most variables a presentation may have.  Validation scans O(n^3) overlap
+# words and O(n^2) relations, which stays within seconds up to this cap.
+HARD_VARIABLE_CAP = 64
 
 
 def word_of_term(coefficient: int, alpha) -> list:
@@ -620,6 +624,14 @@ def check_consistency(P: SkewPbwPresentation, bound: int = 4,
     return ConsistencyReport(True, bound, None)
 
 
+def check_variable_cap(n: int) -> None:
+    """Refuse more than HARD_VARIABLE_CAP variables, before any
+    per-variable data is built."""
+    if n > HARD_VARIABLE_CAP:
+        raise ValidationError("bad_presentation", witness=n,
+                              message=f"{n} variables exceed cap {HARD_VARIABLE_CAP}")
+
+
 def validate_presentation(ring: FiniteRing, sigmas, deltas, relations=None,
                           order: MonomialOrder | None = None, label: str = "",
                           expect_quasi_commutative: bool | None = None,
@@ -637,6 +649,7 @@ def validate_presentation(ring: FiniteRing, sigmas, deltas, relations=None,
     if n == 0 or len(deltas) != n:
         raise ValidationError("bad_presentation",
                               message="need one sigma and one delta per variable")
+    check_variable_cap(n)
     for i, s in enumerate(sigmas):
         if not isinstance(s, RingMap) or s.kind != "endomorphism" or s.ring is not ring:
             raise ValidationError("not_endomorphism", witness=i)

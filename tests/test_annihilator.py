@@ -1,5 +1,7 @@
 """Annihilator ideals downstairs and degree-bounded annihilators upstairs."""
 
+from itertools import product
+
 import pytest
 
 from spbw.annihilator import (
@@ -11,9 +13,13 @@ from spbw.annihilator import (
     principal_right_ideal,
     RightIdeal,
 )
+from spbw import corpus
 from spbw.bounded import context
+from spbw.cli import parse_instance
 from spbw.errors import SearchSpaceTooLarge, ValidationError
-from spbw.finring import dual_z2, dual_z2_derivation, identity_map, zero_map, zmod
+from spbw.finring import (dual_z2, dual_z2_derivation, identity_map,
+                          upper_triangular, validate_ring,
+                          validate_sigma_derivation, zero_map, zmod)
 from spbw.polymodule import (module_constant, module_poly, quotient_module,
                              regular_module, validate_module)
 from spbw.skewpbw import validate_presentation
@@ -154,23 +160,135 @@ def test_ann_in_a_bounded_intersection():
     assert both == au & av
 
 
+def _assert_kernel_matches_reference(ctx):
+    # every kernel row, as a set of polynomials, against the independent
+    # per-module-polynomial enumeration through polymodule.act
+    kern = ctx.kernel()
+    assert sorted(kern) == list(range(ctx.m_space))
+    for m_idx in range(ctx.m_space):
+        row = kern[m_idx]
+        assert list(row) == sorted(set(row))
+        got = {tuple(sorted(ctx.f_poly(f).terms.items())) for f in row}
+        want = {tuple(sorted(f.terms.items()))
+                for f in ann_in_a_bounded([ctx.m_poly(m_idx)], ctx.degree)}
+        assert got == want, ctx.m_poly(m_idx).to_string()
+
+
+@pytest.mark.parametrize("name", corpus.names())
+def test_kernel_rows_match_reference_on_the_corpus(name):
+    # every degree whose polynomial space has at most 729 elements
+    inst = parse_instance(corpus.load(name))
+    d = 0
+    while (ctx := context(inst.module, inst.presentation, d)).f_space <= 729:
+        _assert_kernel_matches_reference(ctx)
+        d += 1
+    assert d > 0
+
+
+def test_kernel_rows_with_an_inner_derivation():
+    # UT(2, Z2) is noncommutative, and delta(r) = a*r - r*a for the
+    # non-central a = e12 is a nonzero inner derivation
+    ut = upper_triangular(2, 2)
+    a = ut.element_index("010")
+    assert any(ut.mul(a, x) != ut.mul(x, a) for x in ut.elements())
+    table = tuple(ut.sub(ut.mul(a, x), ut.mul(x, a)) for x in ut.elements())
+    delta = validate_sigma_derivation(ut, identity_map(ut), table)
+    assert not delta.is_zero()
+    P = validate_presentation(ut, [identity_map(ut)], [delta], {},
+                              label="ut-inner")
+    M = regular_module(ut)
+    for d in (0, 1):
+        _assert_kernel_matches_reference(context(M, P, d))
+
+
 def test_kernel_rows_when_the_module_outgrows_the_ring():
     # M = Z2^2 over Z2 has more bounded module polynomials than the ring has
-    # bounded polynomials (16 against 4 at d = 1), so kernel() caches more
-    # module-polynomial term lists than it streams polynomials; every row
-    # must still match the independent reference
+    # bounded polynomials (16 against 4 at d = 1); every row must still
+    # match the independent reference
     ring = zmod(2)
     add = [[a ^ b for b in range(4)] for a in range(4)]
     action = [[0, m] for m in range(4)]
     M = validate_module(ring, add, action, label="Z2^2")
     P = validate_presentation(ring, [identity_map(ring)], [zero_map(ring)],
                               {}, label="Z2[x]")
-    ctx = context(M, P, 1)
-    assert ctx.m_space > ctx.f_space
-    kern = ctx.kernel()
-    for m_idx in range(ctx.m_space):
-        got = {tuple(sorted(ctx.f_poly(f).terms.items()))
-               for f in kern[m_idx]}
-        want = {tuple(sorted(f.terms.items()))
-                for f in ann_in_a_bounded([ctx.m_poly(m_idx)], 1)}
-        assert got == want, ctx.m_poly(m_idx).to_string()
+    for d in (0, 1, 2):
+        ctx = context(M, P, d)
+        assert ctx.m_space > ctx.f_space
+        _assert_kernel_matches_reference(ctx)
+
+
+def test_kernel_rows_when_zero_is_not_element_0():
+    # Z3 tabulated as [1, 2, 0]: element 0 is a unit, the zero is element 2,
+    # so a coefficient index of 0 must not be read as a zero coefficient
+    labels = [1, 2, 0]
+    index = {v: i for i, v in enumerate(labels)}
+    ring = validate_ring([[index[(a + b) % 3] for b in labels] for a in labels],
+                         [[index[a * b % 3] for b in labels] for a in labels],
+                         names=["1", "2", "0"])
+    assert ring.zero == 2
+    P = validate_presentation(ring, [identity_map(ring)], [zero_map(ring)],
+                              {}, label="Z3'[x]")
+    _assert_kernel_matches_reference(context(regular_module(ring), P, 1))
+
+
+def test_kernel_tabulates_instead_of_acting_per_pair(monkeypatch):
+    # the kernel reads each normal form x^a * b * x^c once per slot pair
+    # and coefficient, and never evaluates act pair by pair
+    inst = parse_instance(corpus.load("z3-trivial"))
+    P = inst.presentation
+    ctx = context(inst.module, P, 2)
+    assert ctx._kernel is None
+    calls = {"triple": 0, "act_is_zero": 0}
+    triple, act_is_zero = P.triple, ctx.act_is_zero
+
+    def counted_triple(*args):
+        calls["triple"] += 1
+        return triple(*args)
+
+    def counted_act_is_zero(*args):
+        calls["act_is_zero"] += 1
+        return act_is_zero(*args)
+
+    monkeypatch.setattr(P, "triple", counted_triple)
+    monkeypatch.setattr(ctx, "act_is_zero", counted_act_is_zero)
+    rows = ctx.kernel()
+    assert len(rows) == ctx.m_space == 729
+    assert 0 < calls["triple"] <= ctx.k ** 2 * ctx.ring_size
+    assert calls["act_is_zero"] == 0
+
+
+def _first_mixed_failure(ctx, alpha, m, beta, b):
+    # the mixed-product scan of the quasi-Armendariz decider, unmemoised
+    for r in ctx.presentation.ring.elements():
+        for t in ctx.basis:
+            if not ctx.act_is_zero(((alpha, m),),
+                                   ctx.scaled_triple(r, t, b, beta)):
+                return r, t
+    return None
+
+
+def test_mixed_failure_matches_the_direct_scan():
+    failing_from_kernel = 0
+    for name, d in product(corpus.names(), (0, 1, 2)):
+        inst = parse_instance(corpus.load(name))
+        ctx = context(inst.module, inst.presentation, d)
+        M, R = ctx.module, ctx.presentation.ring
+        keys = [(alpha, m, beta, b) for alpha in ctx.basis
+                for m in M.elements() if m != M.zero
+                for beta in ctx.basis
+                for b in R.elements() if b != R.zero]
+        for key in keys:
+            assert ctx.mixed_failure(*key) == _first_mixed_failure(ctx, *key), \
+                (name, d, key)
+        if ctx.pair_space > 10 ** 6:
+            continue
+        # keys met while scanning the kernel rows, which (unlike the rows
+        # of ann(mA)) include products that do not vanish
+        kern = ctx.kernel()
+        for m_idx in range(ctx.m_space):
+            for f_idx in kern[m_idx]:
+                for alpha, m in ctx.mterms(m_idx):
+                    for beta, b in ctx.fterms(f_idx):
+                        hit = ctx.mixed_failure(alpha, m, beta, b)
+                        failing_from_kernel += hit is not None
+    assert failing_from_kernel > 0

@@ -372,6 +372,42 @@ def test_malformed_instances_exit_two(instance, tmp_path, capsys):
     assert error["message"]
 
 
+def _validate_exit(data, tmp_path, capsys):
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(data))
+    code = main([str(path), "validate", "--json-only"])
+    return code, json.loads(capsys.readouterr().out)
+
+
+def test_order_precedence_not_a_list_is_a_parse_error(tmp_path, capsys):
+    code, out = _validate_exit({"ring": "Z2", "variables": 1,
+                                "order": {"precedence": 5}}, tmp_path, capsys)
+    assert code == 2
+    assert out["error"]["type"] == "ParseError"
+
+
+def test_order_precedence_with_a_name_is_a_parse_error(tmp_path, capsys):
+    code, out = _validate_exit({"ring": "Z2", "variables": 2,
+                                "relations": {"1,2": "1"},
+                                "order": {"precedence": ["a", 0]}},
+                               tmp_path, capsys)
+    assert code == 2
+    assert out["error"]["type"] == "ParseError"
+
+
+@pytest.mark.parametrize("data", [
+    {"ring": "UT(3000,Z1)", "variables": 1},
+    {"ring": "Z2", "variables": 1000000},
+], ids=["ut-3000-z1", "a-million-variables"])
+def test_huge_shapes_answer(data, tmp_path, capsys):
+    # each is refused by a fixed cap before its tables or per-variable maps
+    # are built; without the caps neither returns
+    code, out = _validate_exit(data, tmp_path, capsys)
+    assert code in (0, 2)
+    if code == 2:
+        assert out["error"]["type"] == "ValidationError"
+
+
 def test_canonical_spellings_are_reserved():
     # m1 on element 0 would make the printed m1*x1 (element 1) parse back
     # as element 0; e<j> is reserved as well, so a ring's names stay valid
