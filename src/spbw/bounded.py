@@ -21,10 +21,21 @@ and finds the zero sums by a meet-in-the-middle split of the k slots.  Only
 two facts are used: act is the sum over term pairs that `term_products`
 computes, and (M, +) is an abelian group (`validate_module` checks it).
 Its budget guard still measures the pair space |M|^k * |R|^k it decides.
+
+The scalar action m * r is additive in m, so for each r its zero set
+H_r = {m in M^k : m * r = 0} is a subgroup of M^k, and so is
+S_r = ann_M(r)^k.  `scalar_tables` tabulates the slot contributions
+phi[r][s][v] = (v x^basis[s]) * r once, and `count_zero_sums` counts the
+m with sum_s phi[r][s][m_s] = 0 by the kernel's meet-in-the-middle split,
+over all of M per slot (|H_r|) or over ann_M(r) per slot (|H_r & S_r|).
+H_r = S_r exactly when both counts equal |ann_M(r)|^k, so the scalar
+decider certifies equality with about |M|^(k/2) vector sums per r instead
+of acting on each of the |M|^k module polynomials.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import product
 
 from .errors import EngineInvariantError, SearchSpaceTooLarge, ValidationError
@@ -34,6 +45,32 @@ from .skewpbw import SkewPbwPresentation, SkewPoly, term_products
 
 # Shared ceiling on |M|^k * |R|^k enumerations; the CLI can lower or raise it.
 DEFAULT_MAX_SPACE = 10 ** 7
+
+
+def half_sums(tables, zero, add):
+    """Every sum of one vector per table, in product order (the first table
+    varies slowest), starting from the vector `zero`; `add` is the add table
+    the vectors are summed entrywise in."""
+    sums = [zero]
+    for table in tables:
+        sums = [tuple([add[a][b] for a, b in zip(x, c)])
+                for x in sums for c in table]
+    return sums
+
+
+def count_zero_sums(tables, zero, add, neg) -> int:
+    """How many choices of one vector per table sum to `zero`.
+
+    The meet-in-the-middle split of `BoundedContext.kernel`: a Counter of
+    the sums over the low tables h.. (h = len(tables) // 2), then a lookup
+    of the negation of each sum over the high tables ..h-1, so the work is
+    about the sizes of the two halves' products, not of all of them.  `neg`
+    maps each element to its additive inverse.
+    """
+    h = len(tables) // 2
+    low = Counter(half_sums(tables[h:], zero, add))
+    return sum(low[tuple([neg[v] for v in x])]
+               for x in half_sums(tables[:h], zero, add))
 
 
 class BoundedContext:
@@ -60,6 +97,7 @@ class BoundedContext:
         self._kernel = None
         self._ann_am = None
         self._middles = None
+        self._scalar = None
         self._coeff_sets = {}
         self._mixed = {}
 
@@ -78,11 +116,14 @@ class BoundedContext:
     def mvec(self, m_idx: int):
         return self._vec(m_idx, self.mod_size)
 
-    def m_index(self, vec) -> int:
+    def _index(self, vec, size: int) -> int:
         idx = 0
         for v in vec:
-            idx = idx * self.mod_size + v
+            idx = idx * size + v
         return idx
+
+    def m_index(self, vec) -> int:
+        return self._index(vec, self.mod_size)
 
     def fterms(self, f_idx: int):
         vec = self.fvec(f_idx)
@@ -102,7 +143,11 @@ class BoundedContext:
         return module_poly(self.module, self.presentation, self.mterms(m_idx))
 
     def constant_m_index(self, m: int) -> int:
-        return m * self.mod_size ** (self.k - 1)
+        return self.m_index((m,) + (self.module.zero,) * (self.k - 1))
+
+    def constant_f_index(self, r: int) -> int:
+        return self._index((r,) + (self.presentation.ring.zero,) * (self.k - 1),
+                           self.ring_size)
 
     # ------------------------------------------------------------------
     # raw action on term lists (exponents need not lie in the basis)
@@ -123,18 +168,45 @@ class BoundedContext:
                 return False
         return True
 
+    def _scalar_vec(self, items):
+        """The k-vector of (gamma, module coefficient) pairs of a scalar
+        product, gammas distinct; it must stay inside the basis."""
+        out = [self.module.zero] * self.k
+        for gamma, v in items:
+            s = self.slot.get(gamma)
+            if s is not None:
+                out[s] = v
+            elif v != self.module.zero:
+                raise EngineInvariantError(
+                    "scalar action left the bounded basis")
+        return tuple(out)
+
     def act_scalar_vec(self, mterms, r: int):
         """Coefficient vector of (m * r); the result stays inside the basis."""
-        out = [self.module.zero] * self.k
-        for gamma, v in self.act_terms(mterms, ((self.basis[0], r),)).items():
-            s = self.slot.get(gamma)
-            if s is None:
-                if v != self.module.zero:
-                    raise EngineInvariantError(
-                        "scalar action left the bounded basis")
-                continue
-            out[s] = v
-        return tuple(out)
+        return self._scalar_vec(
+            self.act_terms(mterms, ((self.basis[0], r),)).items())
+
+    def scalar_tables(self):
+        """phi[r][s][v]: the coefficient k-vector of (v x^basis[s]) * r.
+
+        m * r = sum over s of phi[r][s][m_s], so `count_zero_sums` over
+        phi[r] is |{m : m * r = 0}|.  One `triple` call per (r, s); built
+        once per context, |R| * k * |M| vectors, nothing of size |M|^k.
+        The caller's guard still measures m_space * |R|, the space the
+        scalar check decides, not this smaller work, so the same reports
+        are decided and skipped as when every (m, r) was acted on.
+        """
+        if self._scalar is None:
+            M = self.module
+            triple, const = self.presentation.triple, self.basis[0]
+            tables = []
+            for r in range(self.ring_size):
+                terms = [triple(alpha, r, const) for alpha in self.basis]
+                tables.append(
+                    [[self._scalar_vec((g, M.action_table[v][w]) for g, w in ts)
+                      for v in M.elements()] for ts in terms])
+            self._scalar = tables
+        return self._scalar
 
     # ------------------------------------------------------------------
     # the kernel map and its refinements
@@ -196,13 +268,6 @@ class BoundedContext:
                 out[g] = add[out[g]][row[w]]
             return out
 
-        def half_sums(tables):
-            # sums of one vector per table, in product order
-            sums = [zero]
-            for table in tables:
-                sums = [vadd(x, c) for x in sums for c in table]
-            return sums
-
         # shift[s][v]: the cells (t, b) of L_m for m = v at slot s, flattened
         shift = [[tuple(x for per_t in tensor[s] for terms in per_t
                         for x in scaled(v, terms))
@@ -223,12 +288,12 @@ class BoundedContext:
             L = [[flat[i:i + G] for i in range(t * width, (t + 1) * width, G)]
                  for t in range(k)]
             suffixes = {}
-            for j, x in enumerate(half_sums(L[h:])):
+            for j, x in enumerate(half_sums(L[h:], zero, add)):
                 suffixes.setdefault(x, []).append(j)
             row = []
             for p, x in enumerate(half_sums(
                     [[tuple([neg[v] for v in c]) for c in cells]
-                     for cells in L[:h]])):
+                     for cells in L[:h]], zero, add)):
                 js = suffixes.get(x)
                 if js is not None:
                     base = p * low_size

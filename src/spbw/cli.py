@@ -44,6 +44,10 @@ _UT_RE = re.compile(r"UT\((\d+),\s*Z(\d+)\)$")
 _VAR_RE = re.compile(r"x(\d+)(?:\^(\d+))?$")
 _PAIR_RE = re.compile(r"(\d+)\s*,\s*(\d+)$")
 
+# Fixed ceiling on the total degree of one term of a polynomial literal:
+# the rewriting pass builds the full word, so x1^99999999 would not return.
+HARD_DEGREE_CAP = 64
+
 _INSTANCE_KEYS = {"label", "ring", "variables", "sigma", "delta", "relations",
                   "module", "embedding", "order"}
 
@@ -288,15 +292,35 @@ def serialize_instance(inst: InstanceFile) -> str:
 # polynomial literals
 
 
+def _small(digits: str) -> int:
+    """int(digits), or HARD_DEGREE_CAP + 1 when it has over nine digits: past
+    every cap here, and int() refuses 4,300 digits and more."""
+    return int(digits) if len(digits.lstrip("0")) <= 9 else HARD_DEGREE_CAP + 1
+
+
+def _check_degree(term_txt: str, factors) -> None:
+    """Refuse a term whose factors x<i>^<k> have total degree over
+    HARD_DEGREE_CAP, before any word is built."""
+    degree = 0
+    for factor in factors:
+        mv = _VAR_RE.fullmatch(factor)
+        if mv:
+            degree += _small(mv.group(2) or "1")
+    if degree > HARD_DEGREE_CAP:
+        raise ParseError(f"term {term_txt!r} exceeds the degree cap "
+                         f"{HARD_DEGREE_CAP}")
+
+
 def _variable(P: SkewPbwPresentation, factor: str) -> SkewPoly | None:
     """The monomial a factor x<i>[^<k>] stands for; None for any other
-    factor."""
+    factor.  Its term has passed `_check_degree`."""
     mv = _VAR_RE.fullmatch(factor)
     if not mv:
         return None
-    i, k = int(mv.group(1)), int(mv.group(2) or "1")
+    i, k = _small(mv.group(1)), int(mv.group(2) or "1")
     if not 1 <= i <= P.n:
-        raise ParseError(f"unknown variable x{i} (n={P.n})")
+        raise ParseError(f"unknown variable x{mv.group(1).lstrip('0') or 0} "
+                         f"(n={P.n})")
     return P.monomial_poly(tuple(k if j == i - 1 else 0 for j in range(P.n)))
 
 
@@ -312,8 +336,10 @@ def parse_poly(P: SkewPbwPresentation, text: str) -> SkewPoly:
     for term_txt in s.split("+"):
         if not term_txt:
             raise ParseError(f"empty term in {text!r}")
+        factors = term_txt.split("*")
+        _check_degree(term_txt, factors)
         acc = P.one_poly()
-        for factor in term_txt.split("*"):
+        for factor in factors:
             var = _variable(P, factor)
             if var is None:
                 var = P.constant(P.ring.element_index(factor))
@@ -338,6 +364,7 @@ def parse_mpoly(M: RightModule, P: SkewPbwPresentation, text: str) -> ModulePoly
         if _VAR_RE.fullmatch(factors[0]):
             raise ParseError(
                 f"module term {term_txt!r} must start with a module element")
+        _check_degree(term_txt, factors[1:])
         m = M.element_index(factors[0])
         mp = module_poly(M, P, [((0,) * P.n, m)])
         for factor in factors[1:]:

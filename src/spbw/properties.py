@@ -39,7 +39,8 @@ from dataclasses import dataclass
 from itertools import product
 
 from .annihilator import ann_in_r, idempotent_generator, principal_right_ideal
-from .bounded import DEFAULT_MAX_SPACE, BoundedContext, context
+from .bounded import (DEFAULT_MAX_SPACE, BoundedContext, context,
+                      count_zero_sums)
 from .errors import (EngineInvariantError, SearchSpaceTooLarge, TooLarge,
                      ValidationError)
 from .finring import closure_monoid, idempotents, is_central
@@ -557,11 +558,37 @@ def _map_annihilation(M: RightModule, P: SkewPbwPresentation):
 
 
 def _coefficientwise_scalar(ctx: BoundedContext, max_space: int):
-    """act_scalar(m, r) = 0 iff every coefficient of m annihilates r."""
+    """act_scalar(m, r) = 0 iff every coefficient of m annihilates r.
+
+    For each r this says H_r = S_r, with H_r = {m : m * r = 0} and
+    S_r = ann_M(r)^k.  Two `count_zero_sums` counts over
+    `ctx.scalar_tables()` decide it: |H_r| over all of M per slot and
+    |H_r & S_r| over ann_M(r) per slot; H_r = S_r exactly when both equal
+    |ann_M(r)|^k.  Only when some r fails does `_coefficientwise_scalar_scan`
+    act on every (m, r), to return the first witness in index order.  The
+    guard measures the m_space * |R| pairs decided, as that scan does.
+    """
+    M = ctx.module
+    ctx.guard(ctx.m_space * ctx.ring_size, max_space,
+              "module-poly/scalar space")
+    zero = (M.zero,) * ctx.k
+    neg = [M.neg(v) for v in M.elements()]
+    for r, phi in enumerate(ctx.scalar_tables()):
+        ann = [v for v in M.elements() if M.action_table[v][r] == M.zero]
+        kept = [[row[v] for v in ann] for row in phi]
+        if not (count_zero_sums(phi, zero, M.add_table, neg)
+                == count_zero_sums(kept, zero, M.add_table, neg)
+                == len(ann) ** ctx.k):
+            return _coefficientwise_scalar_scan(ctx)
+    return True, None
+
+
+def _coefficientwise_scalar_scan(ctx: BoundedContext):
+    """The first (m, r) in index order where m * r = 0 and "every
+    coefficient of m kills r" disagree; (True, None) if none does."""
     M = ctx.module
     R = ctx.presentation.ring
     mz = M.zero
-    ctx.guard(ctx.m_space * R.order, max_space, "module-poly/scalar space")
     const = (ctx.basis[0],)
     for m_idx in range(ctx.m_space):
         mts = ctx.mterms(m_idx)
@@ -664,14 +691,10 @@ def _torsion_constant(ctx: BoundedContext, max_space: int):
         if not mts:
             continue
         for f_idx in kern[m_idx]:
-            if f_idx == 0:
+            fts = ctx.fterms(f_idx)
+            if not fts:
                 continue
-            vec = ctx.fvec(f_idx)
-            lead = None
-            for s in range(ctx.k - 1, -1, -1):
-                if vec[s]:
-                    lead = vec[s]
-                    break
+            lead = fts[-1][1]
             if not ctx.act_is_zero(mts, ((const, lead),)):
                 return False, {"m": ctx.m_poly(m_idx).to_json(M.name),
                                "f": ctx.f_poly(f_idx).to_json(R.name),
@@ -688,13 +711,13 @@ def _quasi_commutative_annihilator(ctx: BoundedContext, max_space: int,
     R = ctx.presentation.ring
     mz = M.zero
     rows = ctx.ann_am_rows(max_space)
-    shift = ctx.ring_size ** (ctx.k - 1)
     a_all, b_all = True, True
     a_wit = b_wit = None
     constant_gap = None
     for m_idx in range(ctx.m_space):
         rowset = frozenset(rows[m_idx])
-        consts = frozenset(r for r in R.elements() if r * shift in rowset)
+        consts = frozenset(r for r in R.elements()
+                           if ctx.constant_f_index(r) in rowset)
         if a_all and rowset != ctx.coeff_set(consts, max_space):
             a_all = False
             a_wit = {"part": "constants-generate",

@@ -408,6 +408,46 @@ def test_huge_shapes_answer(data, tmp_path, capsys):
         assert out["error"]["type"] == "ValidationError"
 
 
+@pytest.mark.parametrize("argv", [
+    ["mul", "x1^99999999", "x2"],
+    ["mul", "x2^40*x1^25", "x1"],
+    ["act", "1*x1^65", "x1"],
+    ["act", "1*x1", "x1^" + "9" * 5000],
+    ["mul", "x" + "1" * 5000, "x2"],
+], ids=["mul-huge-exponent", "mul-degree-65-term", "act-module-term",
+        "act-5000-digit-exponent", "mul-5000-digit-variable"])
+def test_polynomial_literals_past_the_degree_cap_exit_two(argv, capsys):
+    # refused before any word is built; without the cap the first argv
+    # does not return
+    assert main(["z3-trivial", *argv, "--json-only"]) == 2
+    assert json.loads(capsys.readouterr().out)["error"]["type"] == "ParseError"
+
+
+def test_polynomial_literals_at_the_degree_cap_parse(z3):
+    P = z3.presentation
+    assert parse_poly(P, "x1^32*x2^32").terms == {(32, 32): 1}
+    assert parse_mpoly(z3.module, P, "1*x2^64").terms == {(0, 64): 1}
+
+
+def test_zero_that_is_not_element_0_decides_like_z3(tmp_path, capsys):
+    # Z3 tabulated as [1, 2, 0]: element 0 is a unit, the zero is element 2;
+    # every report must read as on the isomorphic z3-trivial
+    labels = [1, 2, 0]
+    index = {v: i for i, v in enumerate(labels)}
+    ring = {"add": [[index[(a + b) % 3] for b in labels] for a in labels],
+            "mul": [[index[a * b % 3] for b in labels] for a in labels],
+            "names": ["1", "2", "0"]}
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(dict(json.loads(corpus.load("z3-trivial")),
+                                    label="z3-zero-last", ring=ring)))
+    statuses = []
+    for source in (str(path), "z3-trivial"):
+        assert main([source, "theorems", "--degree", "1", "--json-only"]) == 0
+        reports = json.loads(capsys.readouterr().out)["result"]["reports"]
+        statuses.append([(r["theorem"], r["status"]) for r in reports])
+    assert statuses[0] == statuses[1]
+
+
 def test_canonical_spellings_are_reserved():
     # m1 on element 0 would make the printed m1*x1 (element 1) parse back
     # as element 0; e<j> is reserved as well, so a ring's names stay valid

@@ -4,7 +4,9 @@ The table holds the sha256 of `main(argv)` stdout and the exit code for each
 corpus instance under `validate`, `check P --degree 1` for every property,
 `ann` on the first nonzero module element, `theorems --degree 1` and the
 unknown-property error, plus eight `theorems` runs whose budgets make
-reports skip (every skip conclusion text the corpus reaches).  The digests
+reports skip (every skip conclusion text the corpus reaches) and the
+`theorems` runs one degree past each frontier at the default budget (every
+instance but weyl-dual-quotient, whose frontier is past d=5).  The digests
 were recorded before the refactors of the verification layers they guard;
 such a refactor must leave every one of them unchanged.  Regenerate the
 table, with this file's `__main__` block, only for an intended change of
@@ -229,6 +231,15 @@ GOLDEN = [
      '8dc976b0581a6b752f1ee8193da97320803d127e95b8aa2b1d4142bd8317c274'),
     ('weyl-dual-quotient theorems --degree 1 --max-space 5', 0,
      'e35a1f2eeb765d4e3d5c2d282bc417c2f9faf301cdb2085a59ac855cd17bc02a'),
+    # one degree past each frontier; quantum-plane-z5 --degree 2 is above
+    ('z6-commutative theorems --degree 2', 0,
+     'e44bcac584497dded7092da3338e90d5f4eacb5bf50091af8d488790b8925b8d'),
+    ('z3-trivial theorems --degree 3', 0,
+     '0f698c766226c9bda5b2b9790d8a6722211807cbcc09d521819a90afb75074d1'),
+    ('z4-regular theorems --degree 5', 0,
+     '09b8853ffb096c9e8f60cc28efec6d75b03b217fd8a24ea06ecc3714827dbc39'),
+    ('z2xz2-swap theorems --degree 5', 0,
+     '5a7b4d5c2487bb8359f0d04f3b6a5fa11f8d396b93786d27fdb31f822100b6ea'),
 ]
 
 

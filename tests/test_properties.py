@@ -1,6 +1,7 @@
 """Property deciders, theorem reports, and witness replay."""
 
 import gc
+import json
 import weakref
 
 import pytest
@@ -21,6 +22,8 @@ from spbw.properties import (
     SKIPPED,
     VIOLATION,
     PropertyVerdict,
+    _coefficientwise_scalar,
+    _coefficientwise_scalar_scan,
     idempotent_stability,
     is_abelian,
     is_baer,
@@ -418,6 +421,61 @@ def test_every_property_replays_a_fails_witness(instances):
                              {"m": one, "f": one, "i_exp": [0], "j_exp": [0],
                               "r": "1", "t": [0]}, bound=1)
     assert replay(M, P, forged) is False
+
+
+def _z3_zero_last():
+    # Z3 tabulated as [1, 2, 0], so the zero is element 2
+    labels = [1, 2, 0]
+    index = {v: i for i, v in enumerate(labels)}
+    return parse_instance(json.dumps({
+        "ring": {"add": [[index[(a + b) % 3] for b in labels] for a in labels],
+                 "mul": [[index[a * b % 3] for b in labels] for a in labels],
+                 "names": ["1", "2", "0"]},
+        "variables": 2, "relations": {"1,2": "1"}}))
+
+
+def test_scalar_certificate_matches_the_scan():
+    # the counting certificate gives the (ok, witness) of the per-(m, r)
+    # scan on every corpus context with m_space * |R| <= 10^6 (z2xz2-swap
+    # and weyl-dual-quotient fail), on UT(2,Z2) and on a zero that is not
+    # element 0
+    # (name, instance text, top degree); the corpus runs until the size cap
+    sources = [(name, corpus.load(name), 99) for name in corpus.names()] + [
+        ("UT(2,Z2)", '{"ring":"UT(2,Z2)","variables":1}', 2),
+        ("Z3 zero last", None, 2)]
+    seen = {True: 0, False: 0}
+    for name, text, top in sources:
+        for d in range(top + 1):
+            inst = parse_instance(text) if text else _z3_zero_last()
+            ctx = context(inst.module, inst.presentation, d)
+            if ctx.m_space * ctx.ring_size > 10 ** 6:
+                break
+            got = _coefficientwise_scalar(ctx, DEFAULT_MAX_SPACE)
+            assert got == _coefficientwise_scalar_scan(ctx), (name, d)
+            seen[got[0]] += 1
+    assert seen[True] and seen[False]
+
+
+def test_scalar_certificate_counts_instead_of_acting(monkeypatch):
+    inst = parse_instance(corpus.load("quantum-plane-z5"))
+    P = inst.presentation
+    ctx = context(inst.module, P, 2)
+    calls = {"triple": 0, "act_is_zero": 0}
+    triple, act_is_zero = P.triple, ctx.act_is_zero
+
+    def counted_triple(*args):
+        calls["triple"] += 1
+        return triple(*args)
+
+    def counted_act_is_zero(*args):
+        calls["act_is_zero"] += 1
+        return act_is_zero(*args)
+
+    monkeypatch.setattr(P, "triple", counted_triple)
+    monkeypatch.setattr(ctx, "act_is_zero", counted_act_is_zero)
+    assert _coefficientwise_scalar(ctx, DEFAULT_MAX_SPACE) == (True, None)
+    assert calls["act_is_zero"] == 0
+    assert calls["triple"] <= ctx.k * ctx.ring_size
 
 
 def test_context_lives_exactly_as_long_as_its_module():
