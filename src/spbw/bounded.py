@@ -12,7 +12,8 @@ The expensive artifact is the kernel map m -> {f : act(m, f) = 0}.  It is
 computed once per (module, presentation, degree) triple and shared by every
 check that needs annihilators, via the `context` factory below.  The module
 owns its contexts: they are cached on the RightModule and live exactly as
-long as it does, so there is no process-wide cache.
+long as it does, so there is no process-wide cache.  M<X>_{<=0} is M, so
+the exact Baer-family deciders on M use the slice `context(M, None, 0)`.
 
 The kernel never evaluates act pair by pair.  It tabulates the structure
 tensor x^basis[s] * b * x^basis[t] once (k^2 * |R| normal forms), turns
@@ -39,7 +40,7 @@ from collections import Counter
 from itertools import product
 
 from .errors import EngineInvariantError, SearchSpaceTooLarge, ValidationError
-from .monomial import enumerate_upto
+from .monomial import default_order, enumerate_upto
 from .polymodule import ModulePoly, RightModule, module_poly
 from .skewpbw import SkewPbwPresentation, SkewPoly, term_products
 
@@ -390,17 +391,24 @@ class BoundedContext:
         return result
 
 
-def context(module: RightModule, presentation: SkewPbwPresentation,
+def context(module: RightModule, presentation: SkewPbwPresentation | None,
             degree: int) -> BoundedContext:
     """Shared BoundedContext per (module, presentation, degree).
 
     The kernel map is the dominant cost of the theorem suite and must be
     computed once, not once per decider, so the context is cached on the
     module under (presentation, degree) and dies with the module.
+
+    A None presentation is R as an extension in no variables, built here as
+    `validate_presentation` refuses n = 0.  Its basis is [()] and
+    T[0][0][b] = b, so at degree 0 the kernel row of m is ann({m}) in R.
     """
     key = (presentation, degree)
     ctx = module._contexts.get(key)
     if ctx is None:
+        if presentation is None:
+            presentation = SkewPbwPresentation(module.ring, [], [], {}, {}, {},
+                                               default_order(0), True, True)
         ctx = module._contexts[key] = BoundedContext(module, presentation,
                                                      degree)
     return ctx

@@ -45,7 +45,7 @@ class RightModule(AdditiveCarrier):
         super().__init__(len(add_table), add_table, zero, names, label)
         self.ring = ring
         self.action_table = action_table
-        self._contexts = {}  # (presentation, degree) -> bounded.BoundedContext
+        self._contexts = {}  # (presentation|None, degree) -> BoundedContext
 
 
 def validate_module(ring: FiniteRing, add_table, action_table,

@@ -218,51 +218,30 @@ def idempotent_stability(P: SkewPbwPresentation) -> PropertyVerdict:
     return PropertyVerdict("idempotent_stability", HOLDS)
 
 
-def _idempotent_family(prop: str, M: RightModule, family,
-                       witness) -> PropertyVerdict:
-    """Decide `prop`: every annihilator in `family`, an iterable of
-    (key, annihilator frozenset) pairs, must be eR for an idempotent e.
-    Fails at the first that is not, with witness(key) plus the annihilator."""
-    R = M.ring
-    for key, ideal in family:
-        if idempotent_generator(R, ideal) is None:
-            return PropertyVerdict(prop, FAILS, {
-                **witness(key),
-                "annihilator": [R.name(r) for r in sorted(ideal)]})
-    return PropertyVerdict(prop, HOLDS)
+# ---------------------------------------------------------------------------
+# Baer family: one annihilator lattice per property, for M and for M<X>
 
 
-def is_pp(M: RightModule) -> PropertyVerdict:
-    return _idempotent_family(
-        "pp", M, ((m, ann_in_r(M, (m,)).elements) for m in M.elements()),
-        lambda m: {"m": M.name(m)})
+def _first_outside(ctx: BoundedContext, max_space: int, family):
+    """The first (key, frozenset row) of `family`, (key, row) pairs, whose
+    row is no e A_{<=d}, or None.  The family is consumed after those sets
+    are built, so its guards (lattice, submodule cap) refuse after theirs."""
+    R = ctx.presentation.ring
+    inv = {ctx.coeff_set(principal_right_ideal(R, e), max_space)
+           for e in idempotents(R)}
+    return next(((key, frozenset(row)) for key, row in family
+                 if frozenset(row) not in inv), None)
 
 
-def is_pq_baer(M: RightModule) -> PropertyVerdict:
-    return _idempotent_family(
-        "pq_baer", M,
-        ((m, ann_in_r(M, cyclic_submodule(M, m).elements).elements)
-         for m in M.elements()),
-        lambda m: {"m": M.name(m)})
-
-
-def is_quasi_baer(M: RightModule,
-                  max_order: int = DEFAULT_MAX_SUBMODULE_ORDER) -> PropertyVerdict:
-    return _idempotent_family(
-        "quasi_baer", M,
-        ((sub, ann_in_r(M, sub.elements).elements)
-         for sub in all_submodules(M, max_order)),
-        lambda sub: {"submodule": sorted(M.name(x) for x in sub.elements)})
-
-
-def _meet_closure(seeds: dict, meet, join, limit: int | None = None) -> dict:
-    """Close `seeds` (annihilator -> witness) under pairwise meets.
+def _meet_closure(seeds: dict, meet, limit: int | None = None) -> dict:
+    """Close `seeds` (annihilator -> witness frozenset) under pairwise meets.
 
     Each round meets every pair of known annihilators in insertion order and
-    records a new meet with the join of the two witnesses; rounds repeat
-    until nothing new appears.  With a `limit` (only the bounded lattice has
-    one), a round that would grow the lattice past it raises
-    SearchSpaceTooLarge before the growth is kept.
+    records a new meet with the union of the two witnesses; rounds repeat
+    until nothing new appears.  A round that would grow the lattice past a
+    `limit` raises SearchSpaceTooLarge first.  Baer's 4096 never fires at
+    degree 0: annihilators in R are additive subgroups, at most 2,825 for
+    |R| <= 64 (those of (Z/2)^6).
     """
     cands = dict(seeds)
     while True:
@@ -272,7 +251,7 @@ def _meet_closure(seeds: dict, meet, join, limit: int | None = None) -> dict:
             for key2, w2 in items:
                 key = meet(key1, key2)
                 if key not in cands and key not in fresh:
-                    fresh[key] = join(w1, w2)
+                    fresh[key] = w1 | w2
         if not fresh:
             return cands
         if limit is not None and len(cands) + len(fresh) > limit:
@@ -281,19 +260,84 @@ def _meet_closure(seeds: dict, meet, join, limit: int | None = None) -> dict:
         cands.update(fresh)
 
 
+def _pp_family(ctx: BoundedContext, max_space: int):
+    """Kernel rows {f : act(m, f) = 0}, keyed by m_idx."""
+    return _first_outside(ctx, max_space, ctx.kernel(max_space).items())
+
+
+def _pq_baer_family(ctx: BoundedContext, max_space: int):
+    """`ann_am_rows` rows, the bounded ann(mA), keyed by m_idx."""
+    return _first_outside(ctx, max_space, ctx.ann_am_rows(max_space).items())
+
+
+def _quasi_baer_family(ctx: BoundedContext, max_space: int,
+                       max_order: int = DEFAULT_MAX_SUBMODULE_ORDER):
+    """The meet of the kernel rows over N^k, keyed by the submodule N."""
+    kern = ctx.kernel(max_space)
+
+    def family():
+        for sub in all_submodules(ctx.module, max_order):
+            yield sub, frozenset.intersection(*(
+                frozenset(kern[ctx.m_index(vec)])
+                for vec in product(sorted(sub.elements), repeat=ctx.k)))
+
+    return _first_outside(ctx, max_space, family())
+
+
+def _baer_family(ctx: BoundedContext, max_space: int):
+    """The meet closure of the kernel rows (the whole annihilator lattice),
+    keyed by the frozenset of m_idx whose rows meet in it."""
+    kern = ctx.kernel(max_space)
+
+    def family():
+        seeds: dict = {}
+        for m_idx in range(ctx.m_space):
+            seeds.setdefault(frozenset(kern[m_idx]), frozenset({m_idx}))
+        cands = _meet_closure(seeds, operator.and_, limit=4096)
+        for s in sorted(cands, key=lambda x: (len(x), sorted(x))):
+            yield cands[s], s
+
+    return _first_outside(ctx, max_space, family())
+
+
+def _exact_verdict(prop: str, M: RightModule, family, witness,
+                   *args) -> PropertyVerdict:
+    """family(ctx, budget, *args) on context(M, None, 0), where m_idx and
+    f_idx are elements of M and R; the budget is its pair space, so no guard
+    refuses.  Fails with witness(ctx, key) and the annihilator."""
+    ctx = context(M, None, 0)
+    found = family(ctx, ctx.pair_space, *args)
+    if found is None:
+        return PropertyVerdict(prop, HOLDS)
+    return PropertyVerdict(prop, FAILS, {
+        **witness(ctx, found[0]),
+        "annihilator": [M.ring.name(r) for r in sorted(found[1])]})
+
+
+def is_pp(M: RightModule) -> PropertyVerdict:
+    return _exact_verdict("pp", M, _pp_family,
+                          lambda ctx, m: {"m": M.name(m)})
+
+
+def is_pq_baer(M: RightModule) -> PropertyVerdict:
+    return _exact_verdict("pq_baer", M, _pq_baer_family,
+                          lambda ctx, m: {"m": M.name(m)})
+
+
+def is_quasi_baer(M: RightModule,
+                  max_order: int = DEFAULT_MAX_SUBMODULE_ORDER) -> PropertyVerdict:
+    return _exact_verdict("quasi_baer", M, _quasi_baer_family,
+                          _submodule_json, max_order)
+
+
 def is_baer(M: RightModule) -> PropertyVerdict:
-    """Every ann(X) with X a subset of M is an intersection of ann({m}) over
-    m in X, so the meet closure of the single-element annihilators is the
-    full annihilator lattice, each with a witness subset of M."""
-    seeds: dict = {}
-    for m in M.elements():
-        seeds.setdefault(frozenset(ann_in_r(M, (m,)).elements), frozenset({m}))
-    cands = _meet_closure(seeds, operator.and_, operator.or_)
-    return _idempotent_family(
-        "baer", M,
-        ((cands[ideal], ideal)
-         for ideal in sorted(cands, key=lambda s: (len(s), sorted(s)))),
-        lambda subset: {"subset": sorted(M.name(x) for x in subset)})
+    return _exact_verdict(
+        "baer", M, _baer_family,
+        lambda ctx, subset: {"subset": sorted(M.name(x) for x in subset)})
+
+
+def _submodule_json(ctx: BoundedContext, sub) -> dict:
+    return {"submodule": sorted(ctx.module.name(x) for x in sub.elements)}
 
 
 # ---------------------------------------------------------------------------
@@ -425,78 +469,21 @@ def torsion_witness(mp: ModulePoly, h: SkewPoly) -> int:
 # bounded M<X>-side deciders used by the transfer reports
 
 
-def _idempotent_sets(ctx: BoundedContext, max_space: int) -> dict:
-    """frozenset(e R A_{<=d}) -> e, for each idempotent e of the ring."""
-    R = ctx.presentation.ring
-    inv: dict = {}
-    for e in idempotents(R):
-        s = ctx.coeff_set(principal_right_ideal(R, e), max_space)
-        inv.setdefault(s, e)
-    return inv
+def _bounded_side(ctx: BoundedContext, max_space: int, family, witness):
+    """A transfer report's M<X> side: (False, witness(ctx, key)) at the
+    first failure of family(ctx, max_space), else (True, None)."""
+    found = family(ctx, max_space)
+    return (True, None) if found is None else (False, witness(ctx, found[0]))
 
 
-def _bounded_idempotent_family(ctx: BoundedContext, max_space: int, family,
-                               witness):
-    """(True, None) when every bounded annihilator in `family`, an iterable of
-    (key, frozenset of f_idx) pairs, is e A_{<=d} for an idempotent e; else
-    (False, witness(key)) for the first that is not.  The family is consumed
-    after the idempotent sets are built, so its own guards (lattice size,
-    submodule cap) refuse only after theirs."""
-    inv = _idempotent_sets(ctx, max_space)
-    for key, row in family:
-        if row not in inv:
-            return False, witness(key)
-    return True, None
+def _m_json(ctx: BoundedContext, m_idx: int) -> dict:
+    return {"m": ctx.m_poly(m_idx).to_json(ctx.module.name)}
 
 
-def _pp_bounded(ctx: BoundedContext, max_space: int):
-    kern = ctx.kernel(max_space)
-    return _bounded_idempotent_family(
-        ctx, max_space,
-        ((m_idx, frozenset(kern[m_idx])) for m_idx in range(ctx.m_space)),
-        lambda m_idx: {"m": ctx.m_poly(m_idx).to_json(ctx.module.name)})
-
-
-def _baer_bounded(ctx: BoundedContext, max_space: int):
-    kern = ctx.kernel(max_space)
-
-    def family():
-        seeds: dict = {}
-        for m_idx in range(ctx.m_space):
-            seeds.setdefault(frozenset(kern[m_idx]), (m_idx,))
-        cands = _meet_closure(seeds, operator.and_, operator.add, limit=4096)
-        for s in sorted(cands, key=lambda x: (len(x), sorted(x))):
-            yield cands[s], s
-
-    return _bounded_idempotent_family(
-        ctx, max_space, family(),
-        lambda gens: {"subset": [ctx.m_poly(i).to_string() for i in gens[:8]],
-                      "subset_size": len(gens)})
-
-
-def _quasi_baer_bounded(ctx: BoundedContext, max_space: int):
-    kern = ctx.kernel(max_space)
-    M = ctx.module
-
-    def family():
-        for sub in all_submodules(M, DEFAULT_MAX_SUBMODULE_ORDER):
-            meet = None
-            for vec in product(sorted(sub.elements), repeat=ctx.k):
-                row = frozenset(kern[ctx.m_index(vec)])
-                meet = row if meet is None else (meet & row)
-            yield sub, meet
-
-    return _bounded_idempotent_family(
-        ctx, max_space, family(),
-        lambda sub: {"submodule": sorted(M.name(x) for x in sub.elements)})
-
-
-def _pq_baer_bounded(ctx: BoundedContext, max_space: int):
-    rows = ctx.ann_am_rows(max_space)
-    return _bounded_idempotent_family(
-        ctx, max_space,
-        ((m_idx, frozenset(rows[m_idx])) for m_idx in range(ctx.m_space)),
-        lambda m_idx: {"m": ctx.m_poly(m_idx).to_json(ctx.module.name)})
+def _generators_json(ctx: BoundedContext, gens) -> dict:
+    """The bounded Baer witness: every generator, in index order."""
+    return {"subset": [ctx.m_poly(i).to_json(ctx.module.name)
+                       for i in sorted(gens)]}
 
 
 # ---------------------------------------------------------------------------
@@ -657,21 +644,23 @@ def _annihilator_correspondence(ctx: BoundedContext, max_space: int):
     bounded module polynomial (or constant subset) in A_{<=d} is exactly the
     coefficientwise annihilator extended over the monomial basis."""
     M = ctx.module
+    R = ctx.presentation.ring
     kern = ctx.kernel(max_space)
     for m_idx in range(ctx.m_space):
         coeffs = frozenset(c for _, c in ctx.mterms(m_idx))
         ideal = ann_in_r(M, coeffs)
         pred = ctx.coeff_set(ideal.elements, max_space)
-        if frozenset(kern[m_idx]) != pred:
+        row = frozenset(kern[m_idx])
+        if row != pred:
             return False, {"m": ctx.m_poly(m_idx).to_json(M.name),
+                           "f": ctx.f_poly(min(row ^ pred)).to_json(R.name),
                            "side": "single"}
     seeds: dict = {}
     for u in M.elements():
         ideal = frozenset(ann_in_r(M, (u,)).elements)
         row = frozenset(kern[ctx.constant_m_index(u)])
         seeds.setdefault((ideal, row), frozenset({u}))
-    cands = _meet_closure(seeds, lambda a, b: (a[0] & b[0], a[1] & b[1]),
-                          operator.or_)
+    cands = _meet_closure(seeds, lambda a, b: (a[0] & b[0], a[1] & b[1]))
     for (ideal, row), subset in cands.items():
         if ctx.coeff_set(ideal, max_space) != row:
             return False, {"subset": sorted(M.name(x) for x in subset),
@@ -962,11 +951,12 @@ def theorem_suite(M: RightModule, P: SkewPbwPresentation,
          None),
         ("pp_polynomial_transfer", armendariz_embeds,
          _agreement(pp, "is_pp", "bounded polynomial-module pp",
-                    _pp_bounded, ctx, max_space),
+                    _bounded_side, ctx, max_space, _pp_family, _m_json),
          degree),
         ("baer_polynomial_transfer", armendariz_embeds,
          _agreement(baer, "is_baer", "bounded polynomial-module baer",
-                    _baer_bounded, ctx, max_space),
+                    _bounded_side, ctx, max_space, _baer_family,
+                    _generators_json),
          degree),
         ("compatible_torsion_constant", reduced_central,
          _claim("torsion pairs admit a constant annihilator",
@@ -981,11 +971,12 @@ def theorem_suite(M: RightModule, P: SkewPbwPresentation,
         ("quasi_baer_polynomial_transfer", compatible,
          _agreement(qb, "is_quasi_baer",
                     "bounded polynomial-module quasi-baer",
-                    _quasi_baer_bounded, ctx, max_space),
+                    _bounded_side, ctx, max_space, _quasi_baer_family,
+                    _submodule_json),
          degree),
         ("pq_baer_polynomial_transfer", compatible,
          _agreement(pqb, "is_pq_baer", "bounded polynomial-module pq-baer",
-                    _pq_baer_bounded, ctx, max_space),
+                    _bounded_side, ctx, max_space, _pq_baer_family, _m_json),
          degree),
         ("quasi_baer_quasi_armendariz", compatible + [("quasi_baer", qb)],
          _verdict(quasi, "skew_quasi_armendariz"), degree),

@@ -1,17 +1,21 @@
 """Property deciders, theorem reports, and witness replay."""
 
 import gc
+import hashlib
 import json
+import operator
 import weakref
 
 import pytest
 
 from spbw import corpus, properties
-from spbw.bounded import DEFAULT_MAX_SPACE, context
+from spbw.annihilator import ann_in_r, principal_right_ideal
+from spbw.bounded import DEFAULT_MAX_SPACE, BoundedContext, context
 from spbw.cli import parse_instance
-from spbw.errors import TooLarge, ValidationError
-from spbw.finring import upper_triangular, zmod
-from spbw.polymodule import module_constant, module_poly, regular_module
+from spbw.errors import SearchSpaceTooLarge, TooLarge, ValidationError
+from spbw.finring import idempotents, upper_triangular, zmod, zmod_product
+from spbw.polymodule import (act, cyclic_submodule, module_constant,
+                             module_poly, quotient_module, regular_module)
 from spbw.properties import (
     CONFIRMED,
     DECIDERS,
@@ -22,8 +26,15 @@ from spbw.properties import (
     SKIPPED,
     VIOLATION,
     PropertyVerdict,
+    _annihilator_correspondence,
+    _baer_family,
+    _bounded_side,
     _coefficientwise_scalar,
     _coefficientwise_scalar_scan,
+    _generators_json,
+    _meet_closure,
+    _mpoly_from_struct,
+    _poly_from_struct,
     idempotent_stability,
     is_abelian,
     is_baer,
@@ -143,11 +154,30 @@ def test_idempotent_stability_delta_kind():
     assert replay(regular_module(ut), P, v)
 
 
-@pytest.mark.parametrize("ringmaker", [lambda: zmod(3), lambda: zmod(4),
-                                       lambda: zmod(6)],
-                         ids=["Z3", "Z4", "Z6"])
-def test_baer_family_matches_oracle(ringmaker):
-    M = regular_module(ringmaker())
+def _ut_quotient():
+    ut = upper_triangular(2, 2)
+    return quotient_module(ut, [ut.element_index("010")])
+
+
+# (id, module maker): regular modules and quotients R/I beyond Z3, Z4, Z6
+BAER_MODULES = [
+    ("Z8", lambda: regular_module(zmod(8))),
+    ("Z9", lambda: regular_module(zmod(9))),
+    ("Z12", lambda: regular_module(zmod(12))),
+    ("UT(2,Z2)", lambda: regular_module(upper_triangular(2, 2))),
+    ("Z2xZ4", lambda: regular_module(zmod_product(2, 4))),
+    ("Z8/(4)", lambda: quotient_module(zmod(8), [4])),
+    ("UT(2,Z2)/e12R", _ut_quotient),
+]
+
+
+@pytest.mark.parametrize(
+    "modmaker",
+    [lambda: regular_module(zmod(3)), lambda: regular_module(zmod(4)),
+     lambda: regular_module(zmod(6))] + [make for _, make in BAER_MODULES],
+    ids=["Z3", "Z4", "Z6"] + [name for name, _ in BAER_MODULES])
+def test_baer_family_matches_oracle(modmaker):
+    M = modmaker()
     want = oracles.brute_baer_family(M)
     got = {"pp": is_pp(M), "pq_baer": is_pq_baer(M),
            "quasi_baer": is_quasi_baer(M), "baer": is_baer(M)}
@@ -186,6 +216,136 @@ def test_pp_fails_on_z4_with_witness(z4):
 def test_quasi_baer_order_guard(z6):
     with pytest.raises(TooLarge):
         is_quasi_baer(z6.module, max_order=4)
+
+
+# sha256 of json.dumps([v.to_json() for v in (pp, pq_baer, quasi_baer, baer)])
+# per module, recorded before the exact deciders became the degree-0 case of
+# the bounded annihilator families
+EXACT_BAER_DIGESTS = {
+    "Z8": "3815cd484b1ff8ffc2c65c1b7ef07f1c71b0395290f92e4d9f10290decb7080b",
+    "Z9": "a5b2742dc678668cc6e7c7843faefd59bd7d2c4acdba00aa4a4844a5ba3ed3dd",
+    "Z12": "e6fb2ac97fcdf702bc5f3d258a29ee0bb4473365682ec9a610ff0cdd8a227d79",
+    "UT(2,Z2)":
+        "5c300b12b62da75f9ab11f4786908b9f570fda3b191ff79a350bd1ec06aec893",
+    "Z2xZ4":
+        "a342d43db2f252a32a27b7a50da91e0e84796ca8faa916c030f3e6ec7f8fbd6b",
+    "Z8/(4)":
+        "6034d8325f275084cfd28ab5fcf2905adb7cc68918515baa225561e68b1688e4",
+    "UT(2,Z2)/e12R":
+        "70fe02bb4bf4a37c59dbf2550f860353fecf6d6ca3f5e39884be107a9c30f330",
+    "quantum-plane-z5":
+        "5c300b12b62da75f9ab11f4786908b9f570fda3b191ff79a350bd1ec06aec893",
+    "weyl-dual-quotient":
+        "685d906830ba4b02324778424d982232fc964936004a42d7c96c64dfcfc17398",
+    "z2xz2-swap":
+        "5c300b12b62da75f9ab11f4786908b9f570fda3b191ff79a350bd1ec06aec893",
+    "z3-trivial":
+        "5c300b12b62da75f9ab11f4786908b9f570fda3b191ff79a350bd1ec06aec893",
+    "z4-regular":
+        "91a8d96751a539482d4f34a0d300b5c6c8aa3aee30c0d57837470bab28763deb",
+    "z6-commutative":
+        "5c300b12b62da75f9ab11f4786908b9f570fda3b191ff79a350bd1ec06aec893",
+}
+
+
+def _baer_modules():
+    """(id, module) for BAER_MODULES and the corpus modules."""
+    return [(name, make()) for name, make in BAER_MODULES] + [
+        (name, parse_instance(corpus.load(name)).module)
+        for name in corpus.names()]
+
+
+def _exact_baer_digest(M):
+    verdicts = (is_pp(M), is_pq_baer(M), is_quasi_baer(M), is_baer(M))
+    text = json.dumps([v.to_json() for v in verdicts])
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_exact_baer_family_verdicts_are_pinned():
+    got = {name: _exact_baer_digest(M) for name, M in _baer_modules()}
+    assert got == EXACT_BAER_DIGESTS
+
+
+def test_degree_zero_rows_are_annihilators_in_r():
+    # context(M, None, 0) views R as an extension in no variables, so each
+    # f_idx is a ring element and the rows are annihilators in R
+    for name, M in _baer_modules():
+        ctx = context(M, None, 0)
+        kern, ann_am = ctx.kernel(), ctx.ann_am_rows()
+        for m in M.elements():
+            assert frozenset(kern[m]) == ann_in_r(M, {m}).elements, (name, m)
+            cyc = cyclic_submodule(M, m).elements
+            assert frozenset(ann_am[m]) == ann_in_r(M, cyc).elements, (name, m)
+
+
+@pytest.mark.filterwarnings("ignore:ring of order 64")
+def test_exact_baer_family_decides_z64_without_a_budget():
+    # no guard of the degree-0 families refuses an exact verdict; the
+    # submodule cap is a separate, explicit parameter
+    M = regular_module(zmod(64))
+    verdicts = [is_pp(M), is_pq_baer(M), is_quasi_baer(M, max_order=64),
+                is_baer(M)]
+    assert [v.status for v in verdicts] == [FAILS] * 4
+    assert verdicts[0].witness == {"m": "2", "annihilator": ["0", "32"]}
+    assert all(replay(M, None, v) for v in verdicts)
+
+
+def test_exact_baer_family_shares_one_degree_zero_kernel(monkeypatch):
+    calls = []
+    tensor = BoundedContext.structure_tensor
+
+    def counted(ctx):
+        calls.append(ctx)
+        return tensor(ctx)
+
+    monkeypatch.setattr(BoundedContext, "structure_tensor", counted)
+    M = regular_module(zmod(12))
+    for decide in (is_pp, is_pq_baer, is_quasi_baer, is_baer):
+        decide(M)
+    assert len(calls) == 1 and calls[0] is context(M, None, 0)
+
+
+def test_meet_closure_joins_witnesses_by_union():
+    seeds = {frozenset({1, 2}): frozenset({"a"}),
+             frozenset({2, 3}): frozenset({"b"})}
+    got = _meet_closure(seeds, operator.and_)
+    assert got == {**seeds, frozenset({2}): frozenset({"a", "b"})}
+    with pytest.raises(SearchSpaceTooLarge):
+        _meet_closure(seeds, operator.and_, limit=2)
+
+
+@pytest.mark.parametrize("name", ["weyl-dual-quotient", "z2xz2-swap"])
+def test_bounded_baer_witness_lists_every_generator(name):
+    inst = parse_instance(corpus.load(name))
+    M, P = inst.module, inst.presentation
+    ctx = context(M, P, 1)
+    ok, wit = _bounded_side(ctx, DEFAULT_MAX_SPACE, _baer_family,
+                            _generators_json)
+    assert ok is False and set(wit) == {"subset"} and wit["subset"]
+    kern = ctx.kernel()
+    rows = []
+    for struct in wit["subset"]:
+        mp = _mpoly_from_struct(M, P, struct)
+        vec = tuple(mp.coefficient(alpha) for alpha in ctx.basis)
+        rows.append(frozenset(kern[ctx.m_index(vec)]))
+    meet = frozenset.intersection(*rows)
+    assert meet == _baer_family(ctx, DEFAULT_MAX_SPACE)[1]
+    R = P.ring
+    assert all(meet != ctx.coeff_set(principal_right_ideal(R, e))
+               for e in idempotents(R))
+
+
+@pytest.mark.parametrize("name", ["weyl-dual-quotient", "z2xz2-swap"])
+def test_annihilator_correspondence_witness_names_an_f(name):
+    inst = parse_instance(corpus.load(name))
+    M, P = inst.module, inst.presentation
+    ok, wit = _annihilator_correspondence(context(M, P, 1), DEFAULT_MAX_SPACE)
+    assert ok is False and wit["side"] == "single"
+    mp = _mpoly_from_struct(M, P, wit["m"])
+    f = _poly_from_struct(P, wit["f"])
+    allowed = ann_in_r(M, set(mp.terms.values())).elements
+    killed = act(mp, f).is_zero()
+    assert killed != all(c in allowed for c in f.terms.values())
 
 
 # -- bounded deciders -------------------------------------------------------
