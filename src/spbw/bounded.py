@@ -31,7 +31,9 @@ m with sum_s phi[r][s][m_s] = 0 by the kernel's meet-in-the-middle split,
 over all of M per slot (|H_r|) or over ann_M(r) per slot (|H_r & S_r|).
 H_r = S_r exactly when both counts equal |ann_M(r)|^k, so the scalar
 decider certifies equality with about |M|^(k/2) vector sums per r instead
-of acting on each of the |M|^k module polynomials.
+of acting on each of the |M|^k module polynomials.  Summed over all of M,
+the same tables give `scalar_action`, the slice's own action table, which
+the reduced and twist-compatibility scans of `properties` read as M's.
 """
 
 from __future__ import annotations
@@ -99,6 +101,7 @@ class BoundedContext:
         self._ann_am = None
         self._middles = None
         self._scalar = None
+        self._action = None
         self._coeff_sets = {}
         self._mixed = {}
 
@@ -153,14 +156,8 @@ class BoundedContext:
     # ------------------------------------------------------------------
     # raw action on term lists (exponents need not lie in the basis)
 
-    def act_terms(self, mterms, fterms) -> dict:
-        M = self.module
-        return term_products(self.presentation, mterms, fterms,
-                             M.action_table, M.add_table, M.zero)
-
     def act_is_zero(self, mterms, fterms) -> bool:
-        # The innermost call of `ann_am_rows` and the scans: the loop is
-        # called directly, not through act_terms, to keep one call per pair.
+        # The innermost call of `ann_am_rows` and the witness scans.
         M = self.module
         mzero = M.zero
         for v in term_products(self.presentation, mterms, fterms,
@@ -182,20 +179,15 @@ class BoundedContext:
                     "scalar action left the bounded basis")
         return tuple(out)
 
-    def act_scalar_vec(self, mterms, r: int):
-        """Coefficient vector of (m * r); the result stays inside the basis."""
-        return self._scalar_vec(
-            self.act_terms(mterms, ((self.basis[0], r),)).items())
-
     def scalar_tables(self):
         """phi[r][s][v]: the coefficient k-vector of (v x^basis[s]) * r.
 
         m * r = sum over s of phi[r][s][m_s], so `count_zero_sums` over
-        phi[r] is |{m : m * r = 0}|.  One `triple` call per (r, s); built
-        once per context, |R| * k * |M| vectors, nothing of size |M|^k.
-        The caller's guard still measures m_space * |R|, the space the
-        scalar check decides, not this smaller work, so the same reports
-        are decided and skipped as when every (m, r) was acted on.
+        phi[r] is |{m : m * r = 0}| and its `half_sums` list every m * r.
+        One `triple` call per (r, s); built once per context, |R| * k * |M|
+        vectors.  The scalar check's guard still measures m_space * |R|, the
+        space it decides, not this smaller work, so the same reports are
+        decided and skipped as when every (m, r) was acted on.
         """
         if self._scalar is None:
             M = self.module
@@ -208,6 +200,18 @@ class BoundedContext:
                       for v in M.elements()] for ts in terms])
             self._scalar = tables
         return self._scalar
+
+    def scalar_action(self):
+        """action[m_idx][r]: the index of m * r.  x^alpha r = sigma^alpha(r)
+        x^alpha + lower terms, so the slice is a finite right R-module; its
+        table is read off `half_sums` over each phi[r] of `scalar_tables`,
+        which lists m * r for every m in index order."""
+        if self._action is None:
+            zero, add = (self.module.zero,) * self.k, self.module.add_table
+            cols = [[self.m_index(v) for v in half_sums(phi, zero, add)]
+                    for phi in self.scalar_tables()]
+            self._action = list(zip(*cols))
+        return self._action
 
     # ------------------------------------------------------------------
     # the kernel map and its refinements

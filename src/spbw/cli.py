@@ -38,11 +38,12 @@ from .properties import (DECIDERS, DEFAULT_DEGREE, FAILS, VIOLATION,
 from .skewpbw import (SkewPbwPresentation, SkewPoly, check_variable_cap, mul,
                       validate_presentation)
 
-_ZMOD_RE = re.compile(r"Z(\d+)$")
-_ZPROD_RE = re.compile(r"Z(\d+)xZ(\d+)$")
-_UT_RE = re.compile(r"UT\((\d+),\s*Z(\d+)\)$")
-_VAR_RE = re.compile(r"x(\d+)(?:\^(\d+))?$")
-_PAIR_RE = re.compile(r"(\d+)\s*,\s*(\d+)$")
+# re.ASCII: \d would match any Unicode digit, which int() reads as well
+_ZMOD_RE = re.compile(r"Z(\d+)$", re.ASCII)
+_ZPROD_RE = re.compile(r"Z(\d+)xZ(\d+)$", re.ASCII)
+_UT_RE = re.compile(r"UT\((\d+),\s*Z(\d+)\)$", re.ASCII)
+_VAR_RE = re.compile(r"x(\d+)(?:\^(\d+))?$", re.ASCII)
+_PAIR_RE = re.compile(r"(\d+)\s*,\s*(\d+)$", re.ASCII)
 
 # Fixed ceiling on the total degree of one term of a polynomial literal:
 # the rewriting pass builds the full word, so x1^99999999 would not return.

@@ -220,19 +220,21 @@ def cyclic_submodule(M: RightModule, m: int) -> Submodule:
 def all_submodules(M: RightModule, max_order: int = 16):
     """The full submodule lattice, for carriers of at most max_order elements.
 
-    Grown incrementally: close every known submodule extended by one element
-    until nothing new appears.  Deterministic order: by size, then carrier.
+    Each submodule is a sum of cyclic ones mR and S + mR is a submodule, so
+    the lattice grows from 0 by adding each distinct mR to each S found that
+    lacks it, with no closure.  Deterministic order: by size, then carrier.
     """
     if M.order > max_order:
         raise TooLarge(M.order, max_order, what="all_submodules")
-    found = {submodule_closure(M, ())}
+    cyclics = {frozenset(row) for row in M.action_table}
+    found = {frozenset({M.zero})}
     frontier = list(found)
     while frontier:
         fresh = []
         for S in frontier:
-            for m in M.elements():
-                if m not in S:
-                    T = submodule_closure(M, S | {m})
+            for C in cyclics:
+                if not C <= S:
+                    T = frozenset(M.add_table[s][c] for s in S for c in C)
                     if T not in found:
                         found.add(T)
                         fresh.append(T)

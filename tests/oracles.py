@@ -1,7 +1,10 @@
 """Independent reference implementations used as test oracles.
 
 Everything here recomputes results from raw Cayley tables with naive
-algorithms, deliberately sharing no code with the engine under test.
+algorithms, deliberately sharing no code with the engine under test.  The
+one exception is `slice_scalar_action`, which acts on each bounded module
+polynomial through `polymodule.act_scalar`, the generic action path, so it
+shares nothing with the tables the bounded context builds.
 """
 
 from __future__ import annotations
@@ -136,3 +139,73 @@ def brute_baer_family(M) -> dict:
             baer = (False, frozenset(subset))
             break
     return {"pp": pp, "pq_baer": pq, "quasi_baer": qb, "baer": baer}
+
+
+def closure_lattice(M) -> list:
+    """Every submodule, grown by closing S and one more element for each
+    submodule S found, sorted by size then carrier."""
+    def close(gens):
+        cur = set(gens) | {M.zero}
+        while True:
+            nxt = set(cur)
+            for a in cur:
+                nxt.update(M.add_table[a][b] for b in cur)
+                nxt.update(M.action_table[a])
+            if nxt == cur:
+                return frozenset(cur)
+            cur = nxt
+
+    found = {close(())}
+    frontier = list(found)
+    while frontier:
+        grown = {close(S | {m}) for S in frontier for m in range(M.order)}
+        frontier = list(grown - found)
+        found |= grown
+    return sorted(found, key=lambda s: (len(s), sorted(s)))
+
+
+def slice_scalar_action(ctx, rows) -> dict:
+    """{m_idx: (index of m * r for each r)} for each m_idx in `rows`, on
+    the degree <= d slice of `ctx`: act_scalar on ctx.m_poly(m_idx), read
+    back slot by slot, most significant slot first."""
+    from spbw.polymodule import act_scalar
+
+    M = ctx.module
+    out = {}
+    for m_idx in rows:
+        mp = ctx.m_poly(m_idx)
+        row = []
+        for r in range(M.ring.order):
+            prod = act_scalar(mp, r)
+            assert set(prod.terms) <= set(ctx.basis)
+            idx = 0
+            for alpha in ctx.basis:
+                idx = idx * M.order + prod.coefficient(alpha)
+            row.append(idx)
+        out[m_idx] = tuple(row)
+    return out
+
+
+def sigma_reduced_failure(ring, sigma_tables, action, zero):
+    """The first failure of a module given by its action table action[m][r]:
+    ("sigma_compatible", m, r) where m * r = 0 and m * s(r) = 0 disagree
+    for some s(r) in the orbit of r under the sigma maps, else
+    ("reduced", m, a) where m * a = 0 and mR meets Ma outside 0; None if
+    neither fails."""
+    q = ring.order
+    for m, row in enumerate(action):
+        for r in range(q):
+            orbit = {r}
+            while True:
+                more = orbit | {t[x] for t in sigma_tables for x in orbit}
+                if more == orbit:
+                    break
+                orbit = more
+            if any((row[x] == zero) != (row[r] == zero) for x in orbit):
+                return "sigma_compatible", m, r
+    images = [{row[a] for row in action} - {zero} for a in range(q)]
+    for m, row in enumerate(action):
+        for a in range(q):
+            if row[a] == zero and set(row) & images[a]:
+                return "reduced", m, a
+    return None

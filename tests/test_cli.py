@@ -465,3 +465,29 @@ def test_canonical_spellings_are_reserved():
                                     "module": dict(_Z2_MODULE,
                                                    names=["m0", "e1"])}))
     assert ok.module.element_index("m1") == 1
+
+
+@pytest.mark.parametrize("data", [
+    {"ring": "Z٣", "variables": 1},
+    {"ring": "Z2xZ٢", "variables": 1},
+    {"ring": "UT(٢,Z2)", "variables": 1},
+    {"ring": "Z3", "variables": 2, "relations": {"١,2": "1"}},
+], ids=["zmod", "zmod-product", "ut", "relation-key"])
+def test_non_ascii_digits_in_instances_exit_two(data, tmp_path, capsys):
+    # int() reads Arabic-Indic digits, so Z٣ once validated as Z3
+    # under another canonical form and digest
+    code, out = _validate_exit(data, tmp_path, capsys)
+    assert code == 2
+    assert out["error"]["type"] == "ParseError"
+
+
+@pytest.mark.parametrize("argv", [
+    ["mul", "x١", "x1"],
+    ["mul", "x1^٢", "x1"],
+    ["act", "1*x١", "x1"],
+], ids=["mul-variable", "mul-exponent", "act-variable"])
+def test_non_ascii_digits_in_literals_exit_two(argv, capsys):
+    # x١ once parsed as x1; now it is no variable name
+    assert main(["z3-trivial", *argv, "--json-only"]) == 2
+    assert json.loads(capsys.readouterr().out)["error"]["type"] in (
+        "ParseError", "ValidationError")

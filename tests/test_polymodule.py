@@ -7,6 +7,7 @@ from spbw.finring import (
     dual_z2,
     dual_z2_derivation,
     identity_map,
+    upper_triangular,
     zero_map,
     zmod,
     zmod_product,
@@ -129,6 +130,18 @@ def test_all_submodules_sorted_and_capped():
     assert len(subs) == 4  # {0}, 2Z6, 3Z6, Z6
     with pytest.raises(TooLarge):
         all_submodules(M, max_order=4)
+
+
+@pytest.mark.filterwarnings("ignore:ring of order 64")
+@pytest.mark.parametrize("ring", [
+    lambda: zmod(16), lambda: zmod(64), lambda: zmod(12),
+    lambda: zmod_product(2, 4), lambda: zmod_product(4, 4),
+    lambda: zmod_product(2, 8), lambda: upper_triangular(2, 2)],
+    ids=["Z16", "Z64", "Z12", "Z2xZ4", "Z4xZ4", "Z2xZ8", "UT(2,Z2)"])
+def test_all_submodules_match_the_closure_lattice(ring):
+    M = regular_module(ring())
+    got = [s.elements for s in all_submodules(M, max_order=64)]
+    assert got == oracles.closure_lattice(M)
 
 
 def test_embeddings():

@@ -13,7 +13,9 @@ from spbw.annihilator import ann_in_r, principal_right_ideal
 from spbw.bounded import DEFAULT_MAX_SPACE, BoundedContext, context
 from spbw.cli import parse_instance
 from spbw.errors import SearchSpaceTooLarge, TooLarge, ValidationError
-from spbw.finring import idempotents, upper_triangular, zmod, zmod_product
+from spbw.finring import (identity_map, idempotents, upper_triangular,
+                          validate_endomorphism, validate_sigma_derivation,
+                          zero_map, zmod, zmod_product)
 from spbw.polymodule import (act, cyclic_submodule, module_constant,
                              module_poly, quotient_module, regular_module)
 from spbw.properties import (
@@ -29,12 +31,15 @@ from spbw.properties import (
     _annihilator_correspondence,
     _baer_family,
     _bounded_side,
+    _bounded_sigma_reduced,
     _coefficientwise_scalar,
     _coefficientwise_scalar_scan,
     _generators_json,
+    _map_annihilation,
     _meet_closure,
     _mpoly_from_struct,
     _poly_from_struct,
+    _torsion_constant,
     idempotent_stability,
     is_abelian,
     is_baer,
@@ -52,6 +57,7 @@ from spbw.properties import (
     theorem_suite,
     torsion_witness,
 )
+from spbw.skewpbw import validate_presentation
 
 import oracles
 
@@ -636,6 +642,124 @@ def test_scalar_certificate_counts_instead_of_acting(monkeypatch):
     assert _coefficientwise_scalar(ctx, DEFAULT_MAX_SPACE) == (True, None)
     assert calls["act_is_zero"] == 0
     assert calls["triple"] <= ctx.k * ctx.ring_size
+
+
+def _twisted(R):
+    """One variable over R: on UT(2,Z2), sigma is conjugation by 111 and
+    delta the inner sigma-derivation r -> 100 r - sigma(r) 100; on the
+    other rings, which have no other automorphism or derivation, the
+    identity and zero."""
+    if R.label != "UT(2,Z2)":
+        sigma = identity_map(R)
+        return validate_presentation(R, [sigma], [zero_map(R, sigma)], {})
+    u, a = R.element_index("111"), R.element_index("100")
+    conj = [R.mul(R.mul(u, r), u) for r in R.elements()]
+    sigma = validate_endomorphism(R, conj)
+    delta = validate_sigma_derivation(
+        R, sigma, [R.sub(R.mul(a, r), R.mul(conj[r], a)) for r in R.elements()])
+    return validate_presentation(R, [sigma], [delta], {})
+
+
+# sha256 of json.dumps([reduced, sigma_compatible, delta_compatible verdict
+# to_json, list(_map_annihilation)]) per module, under `_twisted` for Z3, Z4,
+# Z6 and BAER_MODULES and under their own presentation for the corpus;
+# recorded before the scans ran on one action-table routine for M and M<X>
+TWIST_DIGESTS = {
+    "Z3": "4d59057435a58ecf1d59f90101be74d2b288bd13ec93745c6ba0c6a74e99794d",
+    "Z4": "2b24c815fce9dad0bdb91c5f29de4b4fffe784c92dc524fd3011ff43b47c42e7",
+    "Z6": "4d59057435a58ecf1d59f90101be74d2b288bd13ec93745c6ba0c6a74e99794d",
+    "Z8": "b797a99b19224ec295ba129acb4306eeff9e5b6d155687878921b5859967f636",
+    "Z9": "217d918a5de4ead895afb178ad0f65e03721798d4980cfa9c95520896d9a492b",
+    "Z12": "060b9d09ff1fe12fbe27a7e153e45254f44dda48c52d3887019ce646639a5497",
+    "UT(2,Z2)":
+        "7ce66a4c034766ab37ef03833c719eb93e7796ec367c473e6e61f7e1c8fb12ea",
+    "Z2xZ4":
+        "2e21a389942cd532476c805e7ef698db3d1fbe2c6cbb957fcd63b81637f5198f",
+    "Z8/(4)":
+        "8fda4c44c2edb725e99a31f09a65e4cdad0a6f7d46d820f223252d80e00994aa",
+    "UT(2,Z2)/e12R":
+        "4d59057435a58ecf1d59f90101be74d2b288bd13ec93745c6ba0c6a74e99794d",
+    "quantum-plane-z5":
+        "4d59057435a58ecf1d59f90101be74d2b288bd13ec93745c6ba0c6a74e99794d",
+    "weyl-dual-quotient":
+        "09bac8d6b1eec8490877394a7ac38c7a798ed625b026ead4f70cde4f245094ff",
+    "z2xz2-swap":
+        "92e49b74795b294193b947cc1e21e16217bceb9419b05436bb36485e71c84b83",
+    "z3-trivial":
+        "4d59057435a58ecf1d59f90101be74d2b288bd13ec93745c6ba0c6a74e99794d",
+    "z4-regular":
+        "2b24c815fce9dad0bdb91c5f29de4b4fffe784c92dc524fd3011ff43b47c42e7",
+    "z6-commutative":
+        "4d59057435a58ecf1d59f90101be74d2b288bd13ec93745c6ba0c6a74e99794d",
+}
+
+
+def test_reduced_and_twist_verdicts_are_pinned():
+    small = [("Z3", lambda: regular_module(zmod(3))),
+             ("Z4", lambda: regular_module(zmod(4))),
+             ("Z6", lambda: regular_module(zmod(6)))] + BAER_MODULES
+    pairs = [(name, make()) for name, make in small]
+    pairs = [(name, (M, _twisted(M.ring))) for name, M in pairs] + [
+        (name, (inst.module, inst.presentation)) for name, inst in
+        ((n, parse_instance(corpus.load(n))) for n in corpus.names())]
+    got = {}
+    for name, (M, P) in pairs:
+        text = json.dumps([is_reduced(M).to_json(),
+                           is_sigma_compatible(M, P).to_json(),
+                           is_delta_compatible(M, P).to_json(),
+                           list(_map_annihilation(M, P))])
+        got[name] = hashlib.sha256(text.encode()).hexdigest()
+    assert got == TWIST_DIGESTS
+
+
+def _slice_sources():
+    """(name, fresh instance) for the corpus, UT(2,Z2) and a Z3 whose zero
+    is not element 0."""
+    return [(name, parse_instance(corpus.load(name)))
+            for name in corpus.names()] + [
+        ("UT(2,Z2)", parse_instance('{"ring":"UT(2,Z2)","variables":1}')),
+        ("Z3 zero last", _z3_zero_last())]
+
+
+def test_bounded_sigma_reduced_matches_the_act_scalar_oracle(monkeypatch):
+    # the slice's action table and the first failure of the M<X> side agree
+    # with act_scalar on every module polynomial; where the square guard
+    # refuses, the table is checked on every 97th row
+    def no_act(*args):
+        raise AssertionError("act_is_zero called")
+
+    seen = set()
+    for name, inst in _slice_sources():
+        M, P = inst.module, inst.presentation
+        for d in (0, 1, 2):
+            ctx = context(M, P, d)
+            monkeypatch.setattr(ctx, "act_is_zero", no_act)
+            action = ctx.scalar_action()
+            square = ctx.m_space * ctx.m_space * ctx.ring_size
+            rows = range(0, ctx.m_space, 1 if square <= DEFAULT_MAX_SPACE
+                         else 97)
+            want = oracles.slice_scalar_action(ctx, rows)
+            assert {m: action[m] for m in rows} == want, (name, d)
+            if square > DEFAULT_MAX_SPACE:
+                with pytest.raises(SearchSpaceTooLarge):
+                    _bounded_sigma_reduced(ctx, DEFAULT_MAX_SPACE)
+                seen.add("refused")
+                continue
+            zero = ctx.constant_m_index(M.zero)
+            fail = oracles.sigma_reduced_failure(P.ring, P.sigma_tables,
+                                                 action, zero)
+            ok, wit = _bounded_sigma_reduced(ctx, DEFAULT_MAX_SPACE)
+            assert ok is (fail is None), (name, d)
+            if fail is not None:
+                side, m, x = fail
+                key = "r" if side == "sigma_compatible" else "a"
+                assert (wit["side"], wit["m"], wit[key]) == (
+                    side, ctx.m_poly(m).to_json(M.name), P.ring.name(x)), \
+                    (name, d)
+                seen.add(side)
+            if ctx.pair_space <= DEFAULT_MAX_SPACE:  # reads the table too
+                _torsion_constant(ctx, DEFAULT_MAX_SPACE)
+    assert seen == {"refused", "sigma_compatible", "reduced"}
 
 
 def test_context_lives_exactly_as_long_as_its_module():
