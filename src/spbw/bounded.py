@@ -18,10 +18,15 @@ the exact Baer-family deciders on M use the slice `context(M, None, 0)`.
 The kernel never evaluates act pair by pair.  It tabulates the structure
 tensor x^basis[s] * b * x^basis[t] once (k^2 * |R| normal forms), turns
 each m into k * |R| vectors L_m[t][b] with act(m, f) = sum_t L_m[t][f_t],
-and finds the zero sums by a meet-in-the-middle split of the k slots.  Only
-two facts are used: act is the sum over term pairs that `term_products`
-computes, and (M, +) is an abelian group (`validate_module` checks it).
-Its budget guard still measures the pair space |M|^k * |R|^k it decides.
+and finds the zero sums by a meet-in-the-middle split of the k slots.  The
+two lists of half sums that split compares are additive in m, so they are
+tabulated once per slot and module value, and each m's lists are a sum of
+its slots' tables.  Only two facts are used: act is the sum over term pairs
+that `term_products` computes, and (M, +) is an abelian group
+(`validate_module` checks it).  Its budget guard still measures the pair
+space |M|^k * |R|^k it decides.  `ann_am_rows` refines the kernel rows:
+a constant middle factor r needs only the kernel row of m * r, and every
+other product (r x^gamma) * f is formed once however many m act on it.
 
 The scalar action m * r is additive in m, so for each r its zero set
 H_r = {m in M^k : m * r = 0} is a subgroup of M^k, and so is
@@ -241,11 +246,16 @@ class BoundedContext:
         with L_m[t][b] the G-vector sum over s of m_s applied to T[s][t][b]
         (see `structure_tensor`), act(m, f) = sum over t of L_m[t][f_t].
         Each row is then found by a meet-in-the-middle split of the slots:
-        the sums over the low slots h..k-1 (h = k // 2) are indexed by value,
-        and every sum over the high slots 0..h-1 looks up its negation.  f
-        with prefix index p and suffix index j has index p * q^(k-h) + j, so
-        walking the prefixes in order, each with its ascending suffix list,
-        emits the row ascending.  L_m is additive in m, so walking the m in
+        the sums over the low slots h..k-1 (h = k // 2), one per suffix, are
+        indexed by value, and the negated sums over the high slots 0..h-1,
+        one per prefix, look themselves up.  f with prefix index p and
+        suffix index j has index p * q^(k-h) + j, so walking the prefixes in
+        order, each with its ascending suffix list, emits the row ascending.
+
+        Both lists of half sums are additive in m, as L_m is.  So they are
+        tabulated once per slot s and value v, for m = v at slot s alone
+        (2 * k * |M| `half_sums` calls), flattened into one tuple, and the
+        lists of each m are the sum of its slots' tables: walking the m in
         index order re-sums only the slots from the first changed digit on.
 
         The guard still measures the pair space |M|^k * |R|^k the rows
@@ -263,43 +273,43 @@ class BoundedContext:
         tensor, G = self.structure_tensor()
         zero = (M.zero,) * G
 
-        def vadd(u, v):
-            return tuple([add[x][y] for x, y in zip(u, v)])
-
         def scaled(v, terms):
             out = list(zero)
             row = action[v]
             for g, w in terms:
                 out[g] = add[out[g]][row[w]]
-            return out
+            return tuple(out)
 
-        # shift[s][v]: the cells (t, b) of L_m for m = v at slot s, flattened
-        shift = [[tuple(x for per_t in tensor[s] for terms in per_t
-                        for x in scaled(v, terms))
-                  for v in M.elements()] for s in range(k)]
-        width = q * G
         h = k // 2
-        low_size = q ** (k - h)
+        high_size, low_size = q ** h, q ** (k - h)
+        split = high_size * G
+
+        def sums_table(s, v):
+            # the negated prefix sums, then the suffix sums, of m = v at s
+            L = [[scaled(v, terms) for terms in per_t] for per_t in tensor[s]]
+            high = half_sums(L[:h], zero, add)
+            return (tuple(neg[x] for c in high for x in c)
+                    + tuple(x for c in half_sums(L[h:], zero, add) for x in c))
+
+        table = [[sums_table(s, v) for v in M.elements()] for s in range(k)]
         rows = {}
-        # partial[s]: the flattened L of m's slots before s
-        partial = [(M.zero,) * (k * width)] + [None] * k
+        # partial[s]: the flat sums table of m's slots before s
+        partial = [(M.zero,) * (split + low_size * G)] + [None] * k
         prev = (None,) * k
         for m_idx, digits in enumerate(product(M.elements(), repeat=k)):
             first = next(s for s in range(k) if digits[s] != prev[s])
             for s in range(first, k):
-                partial[s + 1] = vadd(partial[s], shift[s][digits[s]])
+                partial[s + 1] = tuple([
+                    add[x][y] for x, y in zip(partial[s], table[s][digits[s]])])
             prev = digits
             flat = partial[k]
-            L = [[flat[i:i + G] for i in range(t * width, (t + 1) * width, G)]
-                 for t in range(k)]
             suffixes = {}
-            for j, x in enumerate(half_sums(L[h:], zero, add)):
-                suffixes.setdefault(x, []).append(j)
+            for j in range(low_size):
+                i = split + j * G
+                suffixes.setdefault(flat[i:i + G], []).append(j)
             row = []
-            for p, x in enumerate(half_sums(
-                    [[tuple([neg[v] for v in c]) for c in cells]
-                     for cells in L[:h]], zero, add)):
-                js = suffixes.get(x)
+            for p in range(high_size):
+                js = suffixes.get(flat[p * G:(p + 1) * G])
                 if js is not None:
                     base = p * low_size
                     row.extend([base + j for j in js])
@@ -345,32 +355,54 @@ class BoundedContext:
     def ann_am_rows(self, max_space: int = DEFAULT_MAX_SPACE) -> dict:
         """Bounded annihilator of m*A: f with act(m, r x^gamma f) = 0 for all
         middle factors.  Always a subset of the kernel row (identity factor).
+
+        Middles with r = 0 are dropped, as r x^gamma f = 0.  A constant
+        middle r keeps m * r inside the slice and act(m, r f) =
+        act(m * r, f), so f passes it exactly when f lies in the kernel row
+        of `scalar_action()[m][r]`: a set lookup, and at degree 0, where
+        every middle is constant, each row is a meet of kernel rows.  For
+        the other middles the terms of (r x^gamma) * f are computed once
+        per (middle, f), on first use, and acted on by each m whose row
+        still holds f.
         """
         if self._ann_am is not None:
             return self._ann_am
         kern = self.kernel(max_space)
-        middles = self.middle_factors()[1:]
         P, ring = self.presentation, self.presentation.ring
+        const = self.basis[0]
+        scalars = [r for r, gamma in self.middle_factors()[1:]
+                   if gamma == const and r != ring.zero]
+        middles = [(gamma, r) for r, gamma in self.middle_factors()[1:]
+                   if gamma != const and r != ring.zero]
+        action = self.scalar_action() if scalars else None
+        zero_m = self.constant_m_index(self.module.zero)
+        kern_sets = {}
+        products = {}   # (middle, f_idx) -> terms of (r x^gamma) * f
         rows = {}
         for m_idx in range(self.m_space):
             mt = self.mterms(m_idx)
             if not mt:
                 rows[m_idx] = kern[m_idx]
                 continue
-            keep = []
-            for f_idx in kern[m_idx]:
-                ft = self.fterms(f_idx)
-                ok = True
-                for r, gamma in middles:
-                    # (r x^gamma) * f, summed before acting: act is additive
-                    h = term_products(P, ((gamma, r),), ft, ring.mul_table,
-                                      ring.add_table, ring.zero)
-                    if not self.act_is_zero(mt, tuple(
-                            (g, w) for g, w in h.items() if w != ring.zero)):
-                        ok = False
-                        break
-                if ok:
-                    keep.append(f_idx)
+            keep = kern[m_idx]
+            for m_r in {action[m_idx][r] for r in scalars} - {m_idx, zero_m}:
+                row = kern_sets.get(m_r)
+                if row is None:
+                    row = kern_sets[m_r] = frozenset(kern[m_r])
+                keep = [f_idx for f_idx in keep if f_idx in row]
+            for middle in middles:
+                passed = []
+                for f_idx in keep:
+                    terms = products.get((middle, f_idx))
+                    if terms is None:
+                        acc = term_products(P, (middle,), self.fterms(f_idx),
+                                            ring.mul_table, ring.add_table,
+                                            ring.zero)
+                        terms = products[middle, f_idx] = tuple(
+                            (g, w) for g, w in acc.items() if w != ring.zero)
+                    if self.act_is_zero(mt, terms):
+                        passed.append(f_idx)
+                keep = passed
             rows[m_idx] = tuple(keep)
         self._ann_am = rows
         return rows

@@ -508,6 +508,15 @@ def _load_instance_text(arg: str) -> str:
             return corpus.load(arg)
         except KeyError:
             raise _bad(f"no such file or corpus instance: {arg!r}") from None
+    except UnicodeDecodeError as exc:
+        raise _bad(f"instance file {arg!r} is not UTF-8 text "
+                   f"(byte {exc.start})") from None
+    except OSError as exc:
+        raise _bad(f"cannot read instance file {arg!r}: "
+                   f"{exc.strerror}") from None
+    except ValueError:
+        # open() refuses a path with a NUL byte before touching the disk
+        raise _bad(f"instance path {arg!r} holds a NUL byte") from None
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -2,9 +2,9 @@
 
 Everything here recomputes results from raw Cayley tables with naive
 algorithms, deliberately sharing no code with the engine under test.  The
-one exception is `slice_scalar_action`, which acts on each bounded module
-polynomial through `polymodule.act_scalar`, the generic action path, so it
-shares nothing with the tables the bounded context builds.
+exceptions are `slice_scalar_action` and `ann_am_reference`, which act on
+each bounded module polynomial through `polymodule.act`, the generic action
+path, so they share nothing with the tables the bounded context builds.
 """
 
 from __future__ import annotations
@@ -183,6 +183,29 @@ def slice_scalar_action(ctx, rows) -> dict:
                 idx = idx * M.order + prod.coefficient(alpha)
             row.append(idx)
         out[m_idx] = tuple(row)
+    return out
+
+
+def ann_am_reference(ctx) -> dict:
+    """{m_idx: ascending f_idx with act(m, (r x^gamma) f) = 0 for every r in
+    R and gamma in the basis}, on the degree <= d slice of `ctx`, through
+    `polymodule.act` and `skewpbw.mul`; the identity middle goes first, so
+    an f outside the kernel row costs one act."""
+    from spbw.polymodule import act
+    from spbw.skewpbw import mul
+
+    P = ctx.presentation
+    middles = [P.constant(P.ring.one)] + [
+        P.from_terms(((gamma, r),)) for gamma in ctx.basis
+        for r in P.ring.elements()]
+    products = [[mul(a, ctx.f_poly(f_idx)) for a in middles]
+                for f_idx in range(ctx.f_space)]
+    out = {}
+    for m_idx in range(ctx.m_space):
+        mp = ctx.m_poly(m_idx)
+        out[m_idx] = tuple(
+            f_idx for f_idx, prods in enumerate(products)
+            if all(act(mp, g).is_zero() for g in prods))
     return out
 
 

@@ -1,5 +1,6 @@
 """Annihilator ideals downstairs and degree-bounded annihilators upstairs."""
 
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -13,7 +14,7 @@ from spbw.annihilator import (
     principal_right_ideal,
     RightIdeal,
 )
-from spbw import corpus
+from spbw import bounded, corpus
 from spbw.bounded import context
 from spbw.cli import parse_instance
 from spbw.errors import SearchSpaceTooLarge, ValidationError
@@ -185,6 +186,24 @@ def test_kernel_rows_match_reference_on_the_corpus(name):
     assert d > 0
 
 
+def _assert_ann_am_matches_reference(ctx):
+    # every row of ann(mA) against acting on m with every (r x^gamma) * f
+    assert ctx.ann_am_rows() == oracles.ann_am_reference(ctx)
+
+
+@pytest.mark.parametrize("name", corpus.names())
+def test_ann_am_rows_match_reference_on_the_corpus(name):
+    # degrees 1 and 2, wherever the pair space is at most 10^5
+    inst = parse_instance(corpus.load(name))
+    checked = 0
+    for d in (1, 2):
+        ctx = context(inst.module, inst.presentation, d)
+        if ctx.pair_space <= 10 ** 5:
+            _assert_ann_am_matches_reference(ctx)
+            checked += 1
+    assert checked > 0
+
+
 def test_kernel_rows_with_an_inner_derivation():
     # UT(2, Z2) is noncommutative, and delta(r) = a*r - r*a for the
     # non-central a = e12 is a nonzero inner derivation
@@ -199,6 +218,7 @@ def test_kernel_rows_with_an_inner_derivation():
     M = regular_module(ut)
     for d in (0, 1):
         _assert_kernel_matches_reference(context(M, P, d))
+        _assert_ann_am_matches_reference(context(M, P, d))
 
 
 def test_kernel_rows_when_the_module_outgrows_the_ring():
@@ -215,6 +235,7 @@ def test_kernel_rows_when_the_module_outgrows_the_ring():
         ctx = context(M, P, d)
         assert ctx.m_space > ctx.f_space
         _assert_kernel_matches_reference(ctx)
+        _assert_ann_am_matches_reference(ctx)
 
 
 def test_kernel_rows_when_zero_is_not_element_0():
@@ -228,7 +249,9 @@ def test_kernel_rows_when_zero_is_not_element_0():
     assert ring.zero == 2
     P = validate_presentation(ring, [identity_map(ring)], [zero_map(ring)],
                               {}, label="Z3'[x]")
-    _assert_kernel_matches_reference(context(regular_module(ring), P, 1))
+    for d in (0, 1):
+        _assert_kernel_matches_reference(context(regular_module(ring), P, d))
+        _assert_ann_am_matches_reference(context(regular_module(ring), P, d))
 
 
 def test_kernel_tabulates_instead_of_acting_per_pair(monkeypatch):
@@ -255,6 +278,56 @@ def test_kernel_tabulates_instead_of_acting_per_pair(monkeypatch):
     assert len(rows) == ctx.m_space == 729
     assert 0 < calls["triple"] <= ctx.k ** 2 * ctx.ring_size
     assert calls["act_is_zero"] == 0
+
+
+def test_kernel_and_ann_am_rows_count_their_work(monkeypatch):
+    # the kernel calls half_sums only to build its per-slot tables, never
+    # once per m, and ann(mA) forms each product (r x^gamma) * f at most
+    # once, for non-constant middles only, however many rows hold f
+    inst = parse_instance(corpus.load("z4-regular"))
+    P, M = inst.presentation, inst.module
+    ctx = context(M, P, 3)
+    calls = {"half_sums": 0, "act_is_zero": 0}
+    products = Counter()
+    acting = [False]
+    half_sums, term_products = bounded.half_sums, bounded.term_products
+    act_is_zero = ctx.act_is_zero
+
+    def counted_half_sums(*args):
+        calls["half_sums"] += 1
+        return half_sums(*args)
+
+    def counted_term_products(pres, left, right, *rest):
+        if not acting[0]:
+            products[left, right] += 1
+        return term_products(pres, left, right, *rest)
+
+    def counted_act_is_zero(*args):
+        calls["act_is_zero"] += 1
+        acting[0] = True
+        try:
+            return act_is_zero(*args)
+        finally:
+            acting[0] = False
+
+    monkeypatch.setattr(bounded, "half_sums", counted_half_sums)
+    monkeypatch.setattr(bounded, "term_products", counted_term_products)
+    monkeypatch.setattr(ctx, "act_is_zero", counted_act_is_zero)
+    kern = ctx.kernel()
+    assert len(kern) == ctx.m_space > 2 * ctx.k * M.order
+    assert 0 < calls["half_sums"] <= 2 * ctx.k * M.order
+    assert not products
+    rows = ctx.ann_am_rows()
+    assert products and max(products.values()) == 1
+    lefts = {left for left, _ in products}
+    assert all(len(left) == 1 and left[0][0] != ctx.basis[0]
+               and left[0][1] != P.ring.zero for left in lefts)
+    in_rows = {f for m_idx, row in kern.items() if ctx.mterms(m_idx)
+               for f in row}
+    assert len(products) <= len(lefts) * len(in_rows)
+    # several m act on the same product
+    assert calls["act_is_zero"] > len(products)
+    assert rows == oracles.ann_am_reference(ctx)
 
 
 def _first_mixed_failure(ctx, alpha, m, beta, b):

@@ -40,10 +40,12 @@ def test_round_trip_is_canonical(instances):
 def test_ring_shorthands():
     base = {"variables": 1, "sigma": ["id"], "delta": ["zero"],
             "module": "regular"}
-    for ring, order in [("Z7", 7), ("Z2xZ3", 6), ("Z2[y]/(y^2)", 4),
-                        ("UT(2,Z3)", 27)]:
+    for ring, order in [("Z7", 7), ("Z2xZ3", 6), ("Z2[y]/(y^2)", 4)]:
         inst = parse_instance(json.dumps(dict(base, ring=ring)))
         assert inst.ring.order == order
+    with pytest.warns(UserWarning, match="ring of order 27"):
+        inst = parse_instance(json.dumps(dict(base, ring="UT(2,Z3)")))
+    assert inst.ring.order == 27
 
 
 def test_ring_table_form():
@@ -279,6 +281,22 @@ def test_main_missing_file_exit_two(capsys):
     assert main(["./does-not-exist.json", "validate", "--json-only"]) == 2
     payload = json.loads(capsys.readouterr().out)
     assert payload["error"]["type"] == "ParseError"
+
+
+@pytest.mark.parametrize("case", ["directory", "not-utf8", "nul-byte"])
+def test_main_unreadable_instance_path_exit_two(case, tmp_path, capsys):
+    # a directory, a file that is not UTF-8 and a path with a NUL byte each
+    # get a structured error, not a traceback
+    path = tmp_path / "bad.json"
+    if case == "directory":
+        path.mkdir()
+    elif case == "not-utf8":
+        path.write_bytes(b"\xff\xfe{}")
+    arg = str(path) + ("\0.json" if case == "nul-byte" else "")
+    assert main([arg, "validate", "--json-only"]) == 2
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["error"]["type"] == "ParseError"
+    assert repr(arg) in payload["error"]["message"]
 
 
 def test_main_unknown_property_exit_two(capsys):
