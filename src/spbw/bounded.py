@@ -15,30 +15,27 @@ owns its contexts: they are cached on the RightModule and live exactly as
 long as it does, so there is no process-wide cache.  M<X>_{<=0} is M, so
 the exact Baer-family deciders on M use the slice `context(M, None, 0)`.
 
-The kernel never evaluates act pair by pair.  It tabulates the structure
-tensor x^basis[s] * b * x^basis[t] once (k^2 * |R| normal forms), turns
-each m into k * |R| vectors L_m[t][b] with act(m, f) = sum_t L_m[t][f_t],
-and finds the zero sums by a meet-in-the-middle split of the k slots.  The
-two lists of half sums that split compares are additive in m, so they are
-tabulated once per slot and module value, and each m's lists are a sum of
-its slots' tables.  Only two facts are used: act is the sum over term pairs
-that `term_products` computes, and (M, +) is an abelian group
-(`validate_module` checks it).  Its budget guard still measures the pair
-space |M|^k * |R|^k it decides.  `ann_am_rows` refines the kernel rows:
-a constant middle factor r needs only the kernel row of m * r, and every
-other product (r x^gamma) * f is formed once however many m act on it.
+Module values are summed only as `PackedVectors`: (M, +) is coded once
+per module as Z/n_1 x .. x Z/n_r, and a vector is one int with an 8-bit
+lane per entry and factor, added or negated with a few int operations
+(SIMD within a register) and read back through one `unpack`.
 
-The scalar action m * r is additive in m, so for each r its zero set
-H_r = {m in M^k : m * r = 0} is a subgroup of M^k, and so is
-S_r = ann_M(r)^k.  `scalar_tables` tabulates the slot contributions
-phi[r][s][v] = (v x^basis[s]) * r once, and `count_zero_sums` counts the
-m with sum_s phi[r][s][m_s] = 0 by the kernel's meet-in-the-middle split,
-over all of M per slot (|H_r|) or over ann_M(r) per slot (|H_r & S_r|).
-H_r = S_r exactly when both counts equal |ann_M(r)|^k, so the scalar
-decider certifies equality with about |M|^(k/2) vector sums per r instead
-of acting on each of the |M|^k module polynomials.  Summed over all of M,
-the same tables give `scalar_action`, the slice's own action table, which
-the reduced and twist-compatibility scans of `properties` read as M's.
+The kernel never acts pair by pair.  It tabulates the structure tensor
+x^basis[s] * b * x^basis[t] once (k^2 * |R| normal forms) and finds each
+row by a meet-in-the-middle split of the k slots, whose half sums are
+additive in m and so tabulated once per slot and module value.  Only two
+facts are used: act is the sum over term pairs that `term_products`
+computes, and (M, +) is an abelian group (`validate_module` checks it).
+`ann_am_rows` refines the kernel rows over the middle factors r x^gamma
+with r an additive generator of R.
+
+The scalar action m * r is additive in m, so H_r = {m in M^k : m * r = 0}
+and S_r = ann_M(r)^k are subgroups of M^k.  `count_zero_sums` over the
+tables of `scalar_tables` counts |H_r| and |H_r & S_r| with the kernel's
+split, about |M|^(k/2) vector sums per r instead of |M|^k actions, and
+H_r = S_r exactly when both equal |ann_M(r)|^k.  Summed over all of M, the
+same tables give `scalar_action`, the slice's own action table, which the
+reduced and twist-compatibility scans of `properties` read as M's.
 """
 
 from __future__ import annotations
@@ -46,7 +43,7 @@ from __future__ import annotations
 from collections import Counter
 from itertools import product
 
-from .errors import EngineInvariantError, SearchSpaceTooLarge, ValidationError
+from .errors import EngineInvariantError, SearchSpaceTooLarge
 from .monomial import default_order, enumerate_upto
 from .polymodule import ModulePoly, RightModule, module_poly
 from .skewpbw import SkewPbwPresentation, SkewPoly, term_products
@@ -55,30 +52,92 @@ from .skewpbw import SkewPbwPresentation, SkewPoly, term_products
 DEFAULT_MAX_SPACE = 10 ** 7
 
 
-def half_sums(tables, zero, add):
-    """Every sum of one vector per table, in product order (the first table
-    varies slowest), starting from the vector `zero`; `add` is the add table
-    the vectors are summed entrywise in."""
-    sums = [zero]
+def cyclic_factors(carrier):
+    """(gens, coords): (carrier, +) is the direct sum of the <g> of the (g,
+    order of g) in gens; coords[x] lists x's multiple of each g.  Each g has
+    the largest order of the elements whose multiples meet the sum so far
+    only in 0, which spans a summand, so such g exist until the sum is all."""
+    add, zero = carrier.add_table, carrier.zero
+    cyclic = []  # [0, g, 2g, ..] for each g
+    for g in carrier.elements():
+        mults, x = [zero], g
+        while x != zero:
+            mults.append(x)
+            x = add[x][g]
+        cyclic.append(mults)
+    gens, coords = [], {zero: ()}
+    while len(coords) < carrier.order:
+        best = max((c for c in cyclic if coords.keys().isdisjoint(c[1:])), key=len)
+        gens.append((best[1], len(best)))
+        coords = {add[x][y]: c + (j,) for x, c in coords.items()
+                  for j, y in enumerate(best)}
+    return gens, coords
+
+
+class PackedVectors:
+    """Vectors of `length` entries of (M, +), each packed into one int.
+
+    (M, +) is coded once as Z/n_1 x .. x Z/n_r by `cyclic_factors` (the zero
+    module as one lane of order 1), checked against the whole add table and
+    kept on the module.  Entry i is bytes i*r .. i*r+r-1, big-endian, one
+    8-bit lane per factor.  Each n_j divides char(R) <= 64 (n * m = m * (n *
+    1_R)), so a lane sum s < 128, and s + 128 - n_j sets bit 7 iff s >= n_j."""
+
+    def __init__(self, module: RightModule, length: int):
+        packing = module._packing
+        if packing is None:
+            gens, coords = cyclic_factors(module)
+            code = [bytes(coords[m]) or b"\0" for m in module.elements()]
+            packing = (code, {c: m for m, c in enumerate(code)},
+                       [n for _, n in gens] or [1])
+        self.code, self.decode, orders = packing
+        self.width, self.nbytes = len(orders), len(orders) * length
+        self.C, self.H, self.N = (
+            int.from_bytes(bytes(lane) * length, "big") for lane in
+            ([128 - n for n in orders], [128] * self.width, orders))
+        if module._packing is None:
+            ints = [int.from_bytes(c, "big") for c in self.code]
+            if len(self.decode) != module.order or any(
+                    self.add(ints[a], ints[b]) != ints[c]
+                    for a, row in enumerate(module.add_table)
+                    for b, c in enumerate(row)):
+                raise EngineInvariantError("packed code disagrees with add table")
+            module._packing = packing
+
+    def add(self, x: int, y: int) -> int:
+        return (s := x + y) - (((((s + self.C) & self.H) >> 7) * 255) & self.N)
+
+    def neg(self, x: int) -> int:
+        return self.add(self.N - x, 0)
+
+    def pack(self, pairs) -> int:
+        """Value v at entry i for the (i, v) in `pairs`, i distinct; else 0."""
+        top, code = 8 * (self.nbytes - self.width), self.code
+        return sum(int.from_bytes(code[v], "big") << (top - 8 * self.width * i)
+                   for i, v in pairs)
+
+    def unpack(self, x: int) -> tuple:
+        b, w = x.to_bytes(self.nbytes, "big"), self.width
+        return tuple([self.decode[b[i:i + w]] for i in range(0, len(b), w)])
+
+
+def half_sums(tables, vecs: PackedVectors):
+    """Every sum of one packed vector per table, in product order (the first
+    table varies slowest), starting from the zero vector 0."""
+    sums = [0]
     for table in tables:
-        sums = [tuple([add[a][b] for a, b in zip(x, c)])
-                for x in sums for c in table]
+        sums = [vecs.add(x, c) for x in sums for c in table]
     return sums
 
 
-def count_zero_sums(tables, zero, add, neg) -> int:
-    """How many choices of one vector per table sum to `zero`.
-
-    The meet-in-the-middle split of `BoundedContext.kernel`: a Counter of
-    the sums over the low tables h.. (h = len(tables) // 2), then a lookup
-    of the negation of each sum over the high tables ..h-1, so the work is
-    about the sizes of the two halves' products, not of all of them.  `neg`
-    maps each element to its additive inverse.
-    """
+def count_zero_sums(tables, vecs: PackedVectors) -> int:
+    """How many choices of one packed vector per table sum to 0, by the
+    kernel's meet-in-the-middle split: a Counter of the sums over the low
+    tables h.. (h = len(tables) // 2), looked up by the negated sums over
+    the high tables, so the work is about the two halves' products."""
     h = len(tables) // 2
-    low = Counter(half_sums(tables[h:], zero, add))
-    return sum(low[tuple([neg[v] for v in x])]
-               for x in half_sums(tables[:h], zero, add))
+    low = Counter(half_sums(tables[h:], vecs))
+    return sum(low[vecs.neg(x)] for x in half_sums(tables[:h], vecs))
 
 
 class BoundedContext:
@@ -86,9 +145,6 @@ class BoundedContext:
 
     def __init__(self, module: RightModule, presentation: SkewPbwPresentation,
                  degree: int):
-        if degree < 0:
-            raise ValidationError("bad_input",
-                                  message="degree bound must be >= 0")
         self.module = module
         self.presentation = presentation
         self.degree = degree
@@ -102,6 +158,7 @@ class BoundedContext:
         self.f_space = self.ring_size ** self.k
         self.m_space = self.mod_size ** self.k
         self.pair_space = self.f_space * self.m_space
+        self.vectors = PackedVectors(module, self.k)
         self._kernel = None
         self._ann_am = None
         self._middles = None
@@ -171,21 +228,8 @@ class BoundedContext:
                 return False
         return True
 
-    def _scalar_vec(self, items):
-        """The k-vector of (gamma, module coefficient) pairs of a scalar
-        product, gammas distinct; it must stay inside the basis."""
-        out = [self.module.zero] * self.k
-        for gamma, v in items:
-            s = self.slot.get(gamma)
-            if s is not None:
-                out[s] = v
-            elif v != self.module.zero:
-                raise EngineInvariantError(
-                    "scalar action left the bounded basis")
-        return tuple(out)
-
     def scalar_tables(self):
-        """phi[r][s][v]: the coefficient k-vector of (v x^basis[s]) * r.
+        """phi[r][s][v]: the packed coefficient k-vector of (v x^basis[s]) * r.
 
         m * r = sum over s of phi[r][s][m_s], so `count_zero_sums` over
         phi[r] is |{m : m * r = 0}| and its `half_sums` list every m * r.
@@ -195,15 +239,16 @@ class BoundedContext:
         decided and skipped as when every (m, r) was acted on.
         """
         if self._scalar is None:
-            M = self.module
+            M, slot = self.module, self.slot
             triple, const = self.presentation.triple, self.basis[0]
-            tables = []
-            for r in range(self.ring_size):
-                terms = [triple(alpha, r, const) for alpha in self.basis]
-                tables.append(
-                    [[self._scalar_vec((g, M.action_table[v][w]) for g, w in ts)
-                      for v in M.elements()] for ts in terms])
-            self._scalar = tables
+            terms = [[triple(alpha, r, const) for alpha in self.basis]
+                     for r in range(self.ring_size)]
+            if any(g not in slot for per_r in terms for ts in per_r
+                   for g, _ in ts):
+                raise EngineInvariantError("scalar action left the bounded basis")
+            self._scalar = [[[self.vectors.pack(
+                (slot[g], M.action_table[v][w]) for g, w in ts)
+                for v in M.elements()] for ts in per_r] for per_r in terms]
         return self._scalar
 
     def scalar_action(self):
@@ -212,8 +257,8 @@ class BoundedContext:
         table is read off `half_sums` over each phi[r] of `scalar_tables`,
         which lists m * r for every m in index order."""
         if self._action is None:
-            zero, add = (self.module.zero,) * self.k, self.module.add_table
-            cols = [[self.m_index(v) for v in half_sums(phi, zero, add)]
+            vecs = self.vectors
+            cols = [[self.m_index(vecs.unpack(x)) for x in half_sums(phi, vecs)]
                     for phi in self.scalar_tables()]
             self._action = list(zip(*cols))
         return self._action
@@ -228,7 +273,8 @@ class BoundedContext:
     def structure_tensor(self):
         """(T, G): T[s][t][b] lists the terms of x^basis[s] * b * x^basis[t]
         as (position, coefficient) pairs, every output monomial re-keyed to
-        a position in 0..G-1.  One `triple` call per (s, t, b)."""
+        a position in 0..G-1, G >= 1 even if none is output (over the zero
+        ring).  One `triple` call per (s, t, b)."""
         triple = self.presentation.triple
         pos = {}
         tensor = [[[tuple((pos.setdefault(g, len(pos)), w)
@@ -236,7 +282,7 @@ class BoundedContext:
                     for b in range(self.ring_size)]
                    for beta in self.basis]
                   for alpha in self.basis]
-        return tensor, len(pos)
+        return tensor, max(len(pos), 1)
 
     def kernel(self, max_space: int = DEFAULT_MAX_SPACE) -> dict:
         """act-annihilator rows: {m_idx: tuple of f_idx with act(m,f)=0}.
@@ -254,9 +300,10 @@ class BoundedContext:
 
         Both lists of half sums are additive in m, as L_m is.  So they are
         tabulated once per slot s and value v, for m = v at slot s alone
-        (2 * k * |M| `half_sums` calls), flattened into one tuple, and the
-        lists of each m are the sum of its slots' tables: walking the m in
-        index order re-sums only the slots from the first changed digit on.
+        (2 * k * |M| `half_sums` calls), concatenated into one packed int,
+        and the lists of each m are the sum of its slots' tables: walking
+        the m in index order re-sums, one packed add each, only the slots
+        from the first changed digit on; sums compare as `bytes` slices.
 
         The guard still measures the pair space |M|^k * |R|^k the rows
         cover, not the smaller work done here: a guard on the work would
@@ -266,65 +313,53 @@ class BoundedContext:
         if self._kernel is not None:
             return self._kernel
         self.guard(self.pair_space, max_space, "module-poly/poly pair space")
-        M = self.module
-        add, action = M.add_table, M.action_table
-        neg = [M.neg(v) for v in M.elements()]
-        q, k = self.ring_size, self.k
+        M, q, k = self.module, self.ring_size, self.k
         tensor, G = self.structure_tensor()
-        zero = (M.zero,) * G
-
-        def scaled(v, terms):
-            out = list(zero)
-            row = action[v]
-            for g, w in terms:
-                out[g] = add[out[g]][row[w]]
-            return tuple(out)
-
-        h = k // 2
+        vec, h = PackedVectors(M, G), k // 2
         high_size, low_size = q ** h, q ** (k - h)
-        split = high_size * G
+        flat = PackedVectors(M, (high_size + low_size) * G)
+        step = vec.width * G
 
         def sums_table(s, v):
             # the negated prefix sums, then the suffix sums, of m = v at s
-            L = [[scaled(v, terms) for terms in per_t] for per_t in tensor[s]]
-            high = half_sums(L[:h], zero, add)
-            return (tuple(neg[x] for c in high for x in c)
-                    + tuple(x for c in half_sums(L[h:], zero, add) for x in c))
+            row = M.action_table[v]
+            L = [[vec.pack((g, row[w]) for g, w in terms) for terms in per_t]
+                 for per_t in tensor[s]]
+            sums = ([vec.neg(x) for x in half_sums(L[:h], vec)]
+                    + half_sums(L[h:], vec))
+            return int.from_bytes(b"".join([x.to_bytes(step, "big")
+                                            for x in sums]), "big")
 
         table = [[sums_table(s, v) for v in M.elements()] for s in range(k)]
+        suffix_at = list(enumerate(range(high_size * step, flat.nbytes, step)))
+        prefix_at = [(p * low_size, p * step) for p in range(high_size)]
         rows = {}
-        # partial[s]: the flat sums table of m's slots before s
-        partial = [(M.zero,) * (split + low_size * G)] + [None] * k
-        prev = (None,) * k
+        # partial[s]: the flat sums of m's slots before s; going from m - 1
+        # to m resets every digit after the last nonzero one
+        partial = [0] * (k + 1)
         for m_idx, digits in enumerate(product(M.elements(), repeat=k)):
-            first = next(s for s in range(k) if digits[s] != prev[s])
+            first = max((s for s in range(k) if digits[s]), default=0)
             for s in range(first, k):
-                partial[s + 1] = tuple([
-                    add[x][y] for x, y in zip(partial[s], table[s][digits[s]])])
-            prev = digits
-            flat = partial[k]
+                partial[s + 1] = flat.add(partial[s], table[s][digits[s]])
+            b = partial[k].to_bytes(flat.nbytes, "big")
             suffixes = {}
-            for j in range(low_size):
-                i = split + j * G
-                suffixes.setdefault(flat[i:i + G], []).append(j)
-            row = []
-            for p in range(high_size):
-                js = suffixes.get(flat[p * G:(p + 1) * G])
-                if js is not None:
-                    base = p * low_size
-                    row.extend([base + j for j in js])
-            rows[m_idx] = tuple(row)
+            for j, i in suffix_at:
+                suffixes.setdefault(b[i:i + step], []).append(j)
+            rows[m_idx] = tuple([base + j for base, i in prefix_at
+                                 for j in suffixes.get(b[i:i + step], ())])
         self._kernel = rows
         return rows
 
     def middle_factors(self):
-        """(r, gamma) pairs spanning A up to degree d, the identity first."""
+        """(r, gamma) pairs spanning A up to degree d additively, the
+        identity first: r runs over the generators of (R, +) that
+        `cyclic_factors` picks, as act(m, (r x^gamma) f) is additive in r."""
         if self._middles is None:
-            one = self.presentation.ring.one
-            rest = [(r, gamma) for gamma in self.basis
-                    for r in self.presentation.ring.elements()
-                    if not (r == one and gamma == self.basis[0])]
-            self._middles = [(one, self.basis[0])] + rest
+            ring, const = self.presentation.ring, self.basis[0]
+            gens = cyclic_factors(ring)[0]
+            self._middles = [(ring.one, const)] + [
+                (r, gamma) for gamma in self.basis for r, _ in gens
+                if (r, gamma) != (ring.one, const)]
         return self._middles
 
     def scaled_triple(self, r: int, t, b: int, beta):
@@ -356,24 +391,23 @@ class BoundedContext:
         """Bounded annihilator of m*A: f with act(m, r x^gamma f) = 0 for all
         middle factors.  Always a subset of the kernel row (identity factor).
 
-        Middles with r = 0 are dropped, as r x^gamma f = 0.  A constant
-        middle r keeps m * r inside the slice and act(m, r f) =
-        act(m * r, f), so f passes it exactly when f lies in the kernel row
-        of `scalar_action()[m][r]`: a set lookup, and at degree 0, where
-        every middle is constant, each row is a meet of kernel rows.  For
-        the other middles the terms of (r x^gamma) * f are computed once
-        per (middle, f), on first use, and acted on by each m whose row
-        still holds f.
+        The middles are `middle_factors()`, over the additive generators of
+        R only (Z4 needs r = 1 alone).  A constant middle r keeps m * r
+        inside the slice and act(m, r f) = act(m * r, f), so f passes it
+        exactly when f lies in the kernel row of `scalar_action()[m][r]`: a
+        set lookup, and at degree 0, where every middle is constant, each
+        row is a meet of kernel rows.  For the other middles the terms of
+        (r x^gamma) * f are computed once per (middle, f), on first use, and
+        acted on by each m whose row still holds f.
         """
         if self._ann_am is not None:
             return self._ann_am
         kern = self.kernel(max_space)
         P, ring = self.presentation, self.presentation.ring
         const = self.basis[0]
-        scalars = [r for r, gamma in self.middle_factors()[1:]
-                   if gamma == const and r != ring.zero]
+        scalars = [r for r, gamma in self.middle_factors()[1:] if gamma == const]
         middles = [(gamma, r) for r, gamma in self.middle_factors()[1:]
-                   if gamma != const and r != ring.zero]
+                   if gamma != const]
         action = self.scalar_action() if scalars else None
         zero_m = self.constant_m_index(self.module.zero)
         kern_sets = {}

@@ -10,11 +10,15 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 from .errors import ValidationError
 
 Exponent = tuple
+# Most monomials a degree bound may give: every guarded space, at most
+# |M|^(2k) * |R|, then has under 4,300 digits for any |M| < 2 * 10^8.
+MAX_BASIS = 256
 
 
 @dataclass(frozen=True)
@@ -66,12 +70,15 @@ def sort_key(order: MonomialOrder):
 def enumerate_upto(n: int, d: int, order: MonomialOrder | None = None):
     """All exponents of total degree <= d, ascending under the order.
 
-    The result has C(n+d, d) entries.
+    The result has C(n+d, d) entries, refused past MAX_BASIS or d < 0.
     """
+    if d < 0 or math.comb(n + d, n) > MAX_BASIS:
+        raise ValidationError("bad_input", witness=d, message=(
+            f"degree bound {d} in {n} variables: need d >= 0 and at most {MAX_BASIS} monomials"))
     if order is None:
         order = default_order(n)
     out = []
-    for total in range(d + 1):
+    for total in range(d + 1 if n else 1):
         for c in itertools.combinations_with_replacement(range(n), total):
             alpha = [0] * n
             for i in c:

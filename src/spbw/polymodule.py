@@ -46,6 +46,7 @@ class RightModule(AdditiveCarrier):
         self.ring = ring
         self.action_table = action_table
         self._contexts = {}  # (presentation|None, degree) -> BoundedContext
+        self._packing = None  # (M, +) as lanes, see bounded.PackedVectors
 
 
 def validate_module(ring: FiniteRing, add_table, action_table,

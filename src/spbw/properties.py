@@ -567,13 +567,11 @@ def _coefficientwise_scalar(ctx: BoundedContext, max_space: int):
     M = ctx.module
     ctx.guard(ctx.m_space * ctx.ring_size, max_space,
               "module-poly/scalar space")
-    zero = (M.zero,) * ctx.k
-    neg = [M.neg(v) for v in M.elements()]
     for r, phi in enumerate(ctx.scalar_tables()):
         ann = [v for v in M.elements() if M.action_table[v][r] == M.zero]
         kept = [[row[v] for v in ann] for row in phi]
-        if not (count_zero_sums(phi, zero, M.add_table, neg)
-                == count_zero_sums(kept, zero, M.add_table, neg)
+        if not (count_zero_sums(phi, ctx.vectors)
+                == count_zero_sums(kept, ctx.vectors)
                 == len(ann) ** ctx.k):
             return _coefficientwise_scalar_scan(ctx)
     return True, None

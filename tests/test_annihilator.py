@@ -1,5 +1,6 @@
 """Annihilator ideals downstairs and degree-bounded annihilators upstairs."""
 
+import random
 from collections import Counter
 from itertools import product
 
@@ -15,14 +16,15 @@ from spbw.annihilator import (
     RightIdeal,
 )
 from spbw import bounded, corpus
-from spbw.bounded import context
+from spbw.bounded import PackedVectors, context, cyclic_factors
 from spbw.cli import parse_instance
-from spbw.errors import SearchSpaceTooLarge, ValidationError
+from spbw.errors import (EngineInvariantError, SearchSpaceTooLarge,
+                         ValidationError)
 from spbw.finring import (dual_z2, dual_z2_derivation, identity_map,
                           upper_triangular, validate_ring,
                           validate_sigma_derivation, zero_map, zmod)
 from spbw.polymodule import (module_constant, module_poly, quotient_module,
-                             regular_module, validate_module)
+                             regular_module, validate_module, zero_module)
 from spbw.skewpbw import validate_presentation
 
 import oracles
@@ -238,14 +240,18 @@ def test_kernel_rows_when_the_module_outgrows_the_ring():
         _assert_ann_am_matches_reference(ctx)
 
 
-def test_kernel_rows_when_zero_is_not_element_0():
-    # Z3 tabulated as [1, 2, 0]: element 0 is a unit, the zero is element 2,
-    # so a coefficient index of 0 must not be read as a zero coefficient
+def _zero_last_z3():
+    # Z3 tabulated as [1, 2, 0]: element 0 is a unit, the zero is element 2
     labels = [1, 2, 0]
     index = {v: i for i, v in enumerate(labels)}
-    ring = validate_ring([[index[(a + b) % 3] for b in labels] for a in labels],
+    return validate_ring([[index[(a + b) % 3] for b in labels] for a in labels],
                          [[index[a * b % 3] for b in labels] for a in labels],
                          names=["1", "2", "0"])
+
+
+def test_kernel_rows_when_zero_is_not_element_0():
+    # a coefficient index of 0 must not be read as a zero coefficient
+    ring = _zero_last_z3()
     assert ring.zero == 2
     P = validate_presentation(ring, [identity_map(ring)], [zero_map(ring)],
                               {}, label="Z3'[x]")
@@ -283,7 +289,8 @@ def test_kernel_tabulates_instead_of_acting_per_pair(monkeypatch):
 def test_kernel_and_ann_am_rows_count_their_work(monkeypatch):
     # the kernel calls half_sums only to build its per-slot tables, never
     # once per m, and ann(mA) forms each product (r x^gamma) * f at most
-    # once, for non-constant middles only, however many rows hold f
+    # once, for non-constant middles with r an additive generator of R
+    # only, however many rows hold f
     inst = parse_instance(corpus.load("z4-regular"))
     P, M = inst.presentation, inst.module
     ctx = context(M, P, 3)
@@ -324,6 +331,10 @@ def test_kernel_and_ann_am_rows_count_their_work(monkeypatch):
                and left[0][1] != P.ring.zero for left in lefts)
     in_rows = {f for m_idx, row in kern.items() if ctx.mterms(m_idx)
                for f in row}
+    # only the additive generators of (R, +) are middles: for Z4, r = 1
+    gens = {g for g, _ in cyclic_factors(P.ring)[0]}
+    assert gens == {P.ring.one}
+    assert {left[0][1] for left in lefts} == gens
     assert len(products) <= len(lefts) * len(in_rows)
     # several m act on the same product
     assert calls["act_is_zero"] > len(products)
@@ -365,3 +376,87 @@ def test_mixed_failure_matches_the_direct_scan():
                         hit = ctx.mixed_failure(alpha, m, beta, b)
                         failing_from_kernel += hit is not None
     assert failing_from_kernel > 0
+
+
+def _z4_plus_z2():
+    # Z4 + Z4/(2) over Z4, element 2a + b for (a, b): factors of orders 4, 2
+    ring = zmod(4)
+    add = [[2 * ((x // 2 + y // 2) % 4) + (x + y) % 2 for y in range(8)]
+           for x in range(8)]
+    action = [[2 * (x // 2 * r % 4) + x % 2 * r % 2 for r in range(4)]
+              for x in range(8)]
+    return validate_module(ring, add, action, label="Z4+Z2")
+
+
+def _packed_modules():
+    return [(name, parse_instance(corpus.load(name)).module)
+            for name in corpus.names()] + [
+        ("UT(2,Z2)", regular_module(upper_triangular(2, 2))),
+        ("Z3 zero last", regular_module(_zero_last_z3())),
+        ("zero", zero_module(zmod(2))),
+        ("Z4+Z2", _z4_plus_z2())]
+
+
+@pytest.mark.parametrize("name,M", _packed_modules(),
+                         ids=[name for name, _ in _packed_modules()])
+def test_packed_vectors_agree_with_the_tables(name, M):
+    # pack/unpack round trips, and add and neg agree with the add table
+    # entry by entry: every pair at length 1, seeded vectors at length 5
+    orders = [n for _, n in cyclic_factors(M)[0]]
+    size = 1
+    for n in orders:
+        size *= n
+    assert size == M.order
+    rng = random.Random(11)
+    for length, pairs in ((1, [((a,), (b,)) for a in M.elements()
+                                for b in M.elements()]),
+                          (5, [tuple(tuple(rng.randrange(M.order)
+                                           for _ in range(5))
+                                     for _ in range(2)) for _ in range(200)])):
+        vecs = PackedVectors(M, length)
+        for u, v in pairs:
+            x, y = vecs.pack(enumerate(u)), vecs.pack(enumerate(v))
+            assert vecs.unpack(x) == u
+            assert vecs.unpack(vecs.add(x, y)) == tuple(
+                M.add(a, b) for a, b in zip(u, v))
+            assert vecs.unpack(vecs.neg(x)) == tuple(M.neg(a) for a in u)
+    assert vecs.unpack(0) == (M.zero,) * 5
+    assert PackedVectors(M, 2).code is vecs.code   # built once per module
+
+
+def test_packed_code_is_checked_against_the_add_table(monkeypatch):
+    # a code that swaps two elements is refused when it is built, and is
+    # not kept on the module
+    M = _z4_plus_z2()
+    gens, coords = cyclic_factors(M)
+    coords[2], coords[4] = coords[4], coords[2]
+    monkeypatch.setattr(bounded, "cyclic_factors", lambda _: (gens, coords))
+    with pytest.raises(EngineInvariantError):
+        PackedVectors(M, 1)
+    assert M._packing is None
+
+
+def test_kernel_rows_with_mixed_moduli():
+    # (M, +) = Z4 + Z2 has factors of unequal order, which no corpus module
+    # has: kernel, ann(mA) and scalar action rows against the references
+    M = _z4_plus_z2()
+    assert [n for _, n in cyclic_factors(M)[0]] == [4, 2]
+    ring = M.ring
+    P = validate_presentation(ring, [identity_map(ring)], [zero_map(ring)],
+                              {}, label="Z4[x]")
+    for d in (0, 1, 2):
+        ctx = context(M, P, d)
+        _assert_kernel_matches_reference(ctx)
+        _assert_ann_am_matches_reference(ctx)
+        assert {m: ctx.scalar_action()[m] for m in range(ctx.m_space)} == \
+            oracles.slice_scalar_action(ctx, range(ctx.m_space))
+
+
+def test_kernel_rows_over_the_zero_ring():
+    # no normal form has a term, yet every f annihilates the one m
+    ring = validate_ring([[0]], [[0]])
+    P = validate_presentation(ring, [identity_map(ring)], [zero_map(ring)],
+                              {}, label="0[x]")
+    for d in (0, 2):
+        ctx = context(regular_module(ring), P, d)
+        assert ctx.kernel() == ctx.ann_am_rows() == {0: (0,)}

@@ -7,6 +7,7 @@ import pytest
 from spbw import corpus
 from spbw.bounded import BoundedContext
 from spbw.errors import ParseError, ValidationError
+from spbw.monomial import MAX_BASIS
 from spbw.cli import (
     main,
     parse_instance,
@@ -352,6 +353,20 @@ def test_main_negative_degree_exit_two(argv, capsys):
     assert main(argv + ["--json-only"]) == 2
     payload = json.loads(capsys.readouterr().out)
     assert payload["error"]["type"] == "ValidationError"
+
+
+@pytest.mark.parametrize("argv", [
+    ["z4-regular", "theorems", "--degree", "5000"],
+    ["z4-regular", "theorems", "--degree", "200000"],
+    ["z6-commutative", "theorems", "--degree", "64"],
+], ids=["z4-d5000", "z4-d200000", "z6-d64"])
+def test_main_oversize_degree_exit_two(argv, capsys):
+    # refused from C(n+d, n) before any basis is built: at the first the
+    # refusal's space had over 4,300 digits, the second did not return
+    assert main(argv + ["--json-only"]) == 2
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert (error["type"], error["kind"]) == ("ValidationError", "bad_input")
+    assert f"at most {MAX_BASIS} monomials" in error["message"]
 
 
 _Z2_MODULE = {"add": [[0, 1], [1, 0]], "action": [[0, 0], [0, 1]]}

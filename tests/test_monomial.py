@@ -7,6 +7,7 @@ import pytest
 
 from spbw.errors import ValidationError
 from spbw.monomial import (
+    MAX_BASIS,
     MonomialOrder,
     add,
     compare,
@@ -90,6 +91,17 @@ def test_enumerate_upto_counts():
             assert len(basis) == comb(n + d, d)
             assert len(set(basis)) == len(basis)
             assert all(degree(a) <= d for a in basis)
+
+
+def test_enumerate_upto_refuses_past_the_basis_cap():
+    # C(n+d, n) is sized first, so a huge d is refused at once
+    assert len(enumerate_upto(1, MAX_BASIS - 1)) == MAX_BASIS
+    assert len(enumerate_upto(2, 21)) == comb(23, 2) <= MAX_BASIS
+    assert enumerate_upto(0, 10 ** 12) == [()]   # no variables: one monomial
+    for n, d in ((1, MAX_BASIS), (2, 22), (64, 2), (1, 10 ** 100), (2, -1)):
+        with pytest.raises(ValidationError) as err:
+            enumerate_upto(n, d)
+        assert err.value.kind == "bad_input"
 
 
 def test_enumerate_upto_is_ascending():
