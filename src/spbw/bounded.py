@@ -18,7 +18,8 @@ the exact Baer-family deciders on M use the slice `context(M, None, 0)`.
 Module values are summed only as `PackedVectors`: (M, +) is coded once
 per module as Z/n_1 x .. x Z/n_r, and a vector is one int with an 8-bit
 lane per entry and factor, added or negated with a few int operations
-(SIMD within a register) and read back through one `unpack`.
+(SIMD within a register).  An index is decoded only by `fterms` and
+`mterms`, once per context, and the scans test rows against `coeff_set`s.
 
 The kernel never acts pair by pair.  It tabulates the structure tensor
 x^basis[s] * b * x^basis[t] once (k^2 * |R| normal forms) and finds each
@@ -88,16 +89,15 @@ class PackedVectors:
         if packing is None:
             gens, coords = cyclic_factors(module)
             code = [bytes(coords[m]) or b"\0" for m in module.elements()]
-            packing = (code, {c: m for m, c in enumerate(code)},
-                       [n for _, n in gens] or [1])
-        self.code, self.decode, orders = packing
+            packing = (code, [n for _, n in gens] or [1])
+        self.code, orders = packing
         self.width, self.nbytes = len(orders), len(orders) * length
         self.C, self.H, self.N = (
             int.from_bytes(bytes(lane) * length, "big") for lane in
             ([128 - n for n in orders], [128] * self.width, orders))
         if module._packing is None:
             ints = [int.from_bytes(c, "big") for c in self.code]
-            if len(self.decode) != module.order or any(
+            if len(set(self.code)) != module.order or any(
                     self.add(ints[a], ints[b]) != ints[c]
                     for a, row in enumerate(module.add_table)
                     for b, c in enumerate(row)):
@@ -115,10 +115,6 @@ class PackedVectors:
         top, code = 8 * (self.nbytes - self.width), self.code
         return sum(int.from_bytes(code[v], "big") << (top - 8 * self.width * i)
                    for i, v in pairs)
-
-    def unpack(self, x: int) -> tuple:
-        b, w = x.to_bytes(self.nbytes, "big"), self.width
-        return tuple([self.decode[b[i:i + w]] for i in range(0, len(b), w)])
 
 
 def half_sums(tables, vecs: PackedVectors):
@@ -166,6 +162,8 @@ class BoundedContext:
         self._action = None
         self._coeff_sets = {}
         self._mixed = {}
+        self._fterms = {}
+        self._mterms = {}
 
     # ------------------------------------------------------------------
     # vector addressing
@@ -176,12 +174,6 @@ class BoundedContext:
             idx, out[s] = divmod(idx, size)
         return tuple(out)
 
-    def fvec(self, f_idx: int):
-        return self._vec(f_idx, self.ring_size)
-
-    def mvec(self, m_idx: int):
-        return self._vec(m_idx, self.mod_size)
-
     def _index(self, vec, size: int) -> int:
         idx = 0
         for v in vec:
@@ -191,16 +183,23 @@ class BoundedContext:
     def m_index(self, vec) -> int:
         return self._index(vec, self.mod_size)
 
+    def _terms(self, memo: dict, idx: int, size: int, zero: int):
+        terms = memo.get(idx)
+        if terms is None:
+            terms = memo[idx] = tuple(
+                (self.basis[s], v) for s, v in enumerate(self._vec(idx, size))
+                if v != zero)
+        return terms
+
     def fterms(self, f_idx: int):
-        vec = self.fvec(f_idx)
-        zero = self.presentation.ring.zero
-        return tuple((self.basis[s], b) for s, b in enumerate(vec)
-                     if b != zero)
+        """(exponent, nonzero coefficient) pairs of f, decoded once per
+        context and kept there, as every scan reads the same rows again."""
+        return self._terms(self._fterms, f_idx, self.ring_size,
+                           self.presentation.ring.zero)
 
     def mterms(self, m_idx: int):
-        vec = self.mvec(m_idx)
-        return tuple((self.basis[s], m) for s, m in enumerate(vec)
-                     if m != self.module.zero)
+        """The same pairs for m, kept the same way."""
+        return self._terms(self._mterms, m_idx, self.mod_size, self.module.zero)
 
     def f_poly(self, f_idx: int) -> SkewPoly:
         return self.presentation.from_terms(self.fterms(f_idx))
@@ -255,10 +254,14 @@ class BoundedContext:
         """action[m_idx][r]: the index of m * r.  x^alpha r = sigma^alpha(r)
         x^alpha + lower terms, so the slice is a finite right R-module; its
         table is read off `half_sums` over each phi[r] of `scalar_tables`,
-        which lists m * r for every m in index order."""
+        which lists m * r for every m in index order.  One dict maps them to
+        indices: `half_sums` over the unit tables lists every m in order."""
         if self._action is None:
             vecs = self.vectors
-            cols = [[self.m_index(vecs.unpack(x)) for x in half_sums(phi, vecs)]
+            units = [[vecs.pack(((s, v),)) for v in self.module.elements()]
+                     for s in range(self.k)]
+            index = {x: m_idx for m_idx, x in enumerate(half_sums(units, vecs))}
+            cols = [[index[x] for x in half_sums(phi, vecs)]
                     for phi in self.scalar_tables()]
             self._action = list(zip(*cols))
         return self._action
@@ -444,20 +447,17 @@ class BoundedContext:
     def coeff_set(self, allowed, max_space: int = DEFAULT_MAX_SPACE) -> frozenset:
         """All f_idx whose coefficients lie in `allowed` (a set of ring
         elements containing 0); this is (allowed)*A cut to degree <= d when
-        allowed is a right ideal."""
+        allowed is a right ideal.  Built slot by slot, |result| * k indices,
+        and kept per `allowed`; the guard measures the polynomial space."""
         key = frozenset(allowed)
         cached = self._coeff_sets.get(key)
         if cached is not None:
             return cached
         self.guard(self.f_space, max_space, "polynomial space")
-        out = []
-        f_idx = 0
-        for fv in product(range(self.ring_size), repeat=self.k):
-            if all(b in key for b in fv):
-                out.append(f_idx)
-            f_idx += 1
-        result = frozenset(out)
-        self._coeff_sets[key] = result
+        out = [0]   # the indices of the vectors over `allowed`, slot by slot
+        for _ in range(self.k):
+            out = [f_idx * self.ring_size + b for f_idx in out for b in key]
+        result = self._coeff_sets[key] = frozenset(out)
         return result
 
 

@@ -399,6 +399,8 @@ def run_command(inst: InstanceFile, command: str, args: list,
                     "order": P.order.kind, "seed": options.get("seed", 0)},
     }
     code = 0
+    if args and command in ("validate", "theorems"):
+        raise _bad(f"{command} takes no arguments")
 
     if command == "validate":
         report["result"] = {

@@ -362,24 +362,30 @@ def _submodule_json(ctx: BoundedContext, sub) -> dict:
 
 def _armendariz_scan(ctx: BoundedContext, prop: str, exact: bool,
                      max_space: int) -> PropertyVerdict:
+    """Each kernel row must lie in coeff_set(ann_R(m0)), m0 the constant
+    coefficient of m: one set per block of m sharing m0.  The witness is the
+    first f outside it and its first term b with m0 * b != 0."""
     M = ctx.module
     R = ctx.presentation.ring
     kern = ctx.kernel(max_space)
-    mz = M.zero
-    for m_idx in range(ctx.m_space):
-        m0 = ctx.mvec(m_idx)[0]
-        if m0 == mz:
+    stride = ctx.m_space // ctx.mod_size   # the m_idx with one m0
+    for m0 in M.elements():
+        if m0 == M.zero:
             continue
         row = M.action_table[m0]
-        for f_idx in kern[m_idx]:
-            for beta, b in ctx.fterms(f_idx):
-                if row[b] != mz:
-                    witness = {"m": ctx.m_poly(m_idx).to_json(M.name),
-                               "f": ctx.f_poly(f_idx).to_json(R.name),
-                               "exp": list(beta), "m0": M.name(m0),
-                               "coeff": R.name(b)}
-                    return PropertyVerdict(prop, FAILS, witness,
-                                           bound=ctx.degree)
+        allowed = ctx.coeff_set([b for b in R.elements() if row[b] == M.zero],
+                                max_space)
+        for m_idx in range(m0 * stride, (m0 + 1) * stride):
+            f_idx = next((f for f in kern[m_idx] if f not in allowed), None)
+            if f_idx is None:
+                continue
+            beta, b = next((beta, b) for beta, b in ctx.fterms(f_idx)
+                           if row[b] != M.zero)
+            witness = {"m": ctx.m_poly(m_idx).to_json(M.name),
+                       "f": ctx.f_poly(f_idx).to_json(R.name),
+                       "exp": list(beta), "m0": M.name(m0),
+                       "coeff": R.name(b)}
+            return PropertyVerdict(prop, FAILS, witness, bound=ctx.degree)
     status = HOLDS if exact else HOLDS_UP_TO_BOUND
     return PropertyVerdict(prop, status, bound=ctx.degree)
 
@@ -406,7 +412,8 @@ def is_skew_quasi_armendariz_bounded(M: RightModule, P: SkewPbwPresentation,
                                      d: int = DEFAULT_DEGREE,
                                      max_space: int = DEFAULT_MAX_SPACE) -> PropertyVerdict:
     """m·A·f = 0 (middle factors r x^gamma, |gamma| <= d) must force every
-    mixed product m_i x^alpha_i · r x^t · b_j x^beta_j to vanish."""
+    mixed product m_i x^alpha_i · r x^t · b_j x^beta_j to vanish; terms and
+    term-pair answers (`mixed_failure`) are kept on the context."""
     ctx = context(M, P, d)
     R = P.ring
     rows = ctx.ann_am_rows(max_space)
@@ -629,22 +636,26 @@ def _bounded_sigma_reduced(ctx: BoundedContext, max_space: int):
 def _annihilator_correspondence(ctx: BoundedContext, max_space: int):
     """Bounded form of the extension correspondence: the annihilator of any
     bounded module polynomial (or constant subset) in A_{<=d} is exactly the
-    coefficientwise annihilator extended over the monomial basis."""
+    coefficientwise annihilator extended over the monomial basis.  ann_R(C)
+    and its coeff_set are found once per distinct coefficient set C of m; an
+    ascending kernel row equals that set when it has its size and lies in it."""
     M = ctx.module
     R = ctx.presentation.ring
     kern = ctx.kernel(max_space)
+    ideals = {}   # coefficient set C of m -> (ann_R(C), its coeff_set)
     for m_idx in range(ctx.m_space):
         coeffs = frozenset(c for _, c in ctx.mterms(m_idx))
-        ideal = ann_in_r(M, coeffs)
-        pred = ctx.coeff_set(ideal.elements, max_space)
-        row = frozenset(kern[m_idx])
-        if row != pred:
+        if coeffs not in ideals:
+            ideal = ann_in_r(M, coeffs).elements
+            ideals[coeffs] = ideal, ctx.coeff_set(ideal, max_space)
+        pred, row = ideals[coeffs][1], kern[m_idx]
+        if len(row) != len(pred) or not pred.issuperset(row):
             return False, {"m": ctx.m_poly(m_idx).to_json(M.name),
-                           "f": ctx.f_poly(min(row ^ pred)).to_json(R.name),
+                           "f": ctx.f_poly(min(pred ^ frozenset(row))).to_json(R.name),
                            "side": "single"}
     seeds: dict = {}
     for u in M.elements():
-        ideal = frozenset(ann_in_r(M, (u,)).elements)
+        ideal = ideals[frozenset({u}) - {M.zero}][0]
         row = frozenset(kern[ctx.constant_m_index(u)])
         seeds.setdefault((ideal, row), frozenset({u}))
     cands = _meet_closure(seeds, lambda a, b: (a[0] & b[0], a[1] & b[1]))
@@ -657,7 +668,8 @@ def _annihilator_correspondence(ctx: BoundedContext, max_space: int):
 
 def _torsion_constant(ctx: BoundedContext, max_space: int):
     """Every bounded torsion pair act(m, f) = 0 with f != 0 already has the
-    constant annihilator lc(f)."""
+    constant annihilator lc(f), read off f's terms (decoded once per
+    context) and checked in the slice's `scalar_action` table."""
     M = ctx.module
     R = ctx.presentation.ring
     kern = ctx.kernel(max_space)
@@ -677,50 +689,60 @@ def _torsion_constant(ctx: BoundedContext, max_space: int):
     return True, None
 
 
+def _mixed_annihilator(M: RightModule, coeffs) -> frozenset:
+    """good(C) = {a : (c * r) * a = 0 for every c in C and r in R}: every
+    mixed product m_i r a_j of (m, f) vanishes exactly when f's coefficients
+    lie in good(C), C the coefficients of m."""
+    return ann_in_r(M, {M.action_table[c][r] for c in coeffs
+                        for r in M.ring.elements()}).elements
+
+
+def _mixed_products_failure(ctx: BoundedContext, rows: dict, max_space: int):
+    """The witness of the first m, and f in its row, with a mixed product
+    (m_i * r) * a_j != 0, or None: f outside coeff_set(good(C)), one set per
+    distinct C, and r the first over m's terms, then f's, then R."""
+    M = ctx.module
+    R = ctx.presentation.ring
+    act_t = M.action_table
+    good = {}   # coefficient set C of m -> coeff_set(good(C))
+    for m_idx in range(ctx.m_space):
+        mts = ctx.mterms(m_idx)
+        if not mts:
+            continue
+        C = frozenset(c for _, c in mts)
+        if C not in good:
+            good[C] = ctx.coeff_set(_mixed_annihilator(M, C), max_space)
+        f_idx = next((f for f in rows[m_idx] if f not in good[C]), None)
+        if f_idx is not None:
+            r = next(r for _, mi in mts for _, aj in ctx.fterms(f_idx)
+                     for r in R.elements() if act_t[act_t[mi][r]][aj] != M.zero)
+            return {"part": "mixed-products",
+                    "m": ctx.m_poly(m_idx).to_json(M.name),
+                    "f": ctx.f_poly(f_idx).to_json(R.name), "r": R.name(r)}
+    return None
+
+
 def _quasi_commutative_annihilator(ctx: BoundedContext, max_space: int,
                                    quasi_verdict):
     """Structure of bounded ann(mA): generated by its constants exactly when
-    all mixed products m_i R a_j vanish; plus the nonzero-constant guarantee
-    for quasi-Armendariz modules."""
+    all mixed products m_i R a_j vanish (`_mixed_products_failure`); plus
+    the nonzero-constant guarantee for quasi-Armendariz modules."""
     M = ctx.module
     R = ctx.presentation.ring
-    mz = M.zero
     rows = ctx.ann_am_rows(max_space)
-    a_all, b_all = True, True
-    a_wit = b_wit = None
-    constant_gap = None
+    a_wit = constant_gap = None
+    constants = [(r, ctx.constant_f_index(r)) for r in R.elements()]
     for m_idx in range(ctx.m_space):
         rowset = frozenset(rows[m_idx])
-        consts = frozenset(r for r in R.elements()
-                           if ctx.constant_f_index(r) in rowset)
-        if a_all and rowset != ctx.coeff_set(consts, max_space):
-            a_all = False
+        consts = frozenset(r for r, f_idx in constants if f_idx in rowset)
+        if a_wit is None and rowset != ctx.coeff_set(consts, max_space):
             a_wit = {"part": "constants-generate",
                      "m": ctx.m_poly(m_idx).to_json(M.name)}
-        mts = ctx.mterms(m_idx)
-        if b_all and mts:
-            for f_idx in rows[m_idx]:
-                for _, mi in mts:
-                    rowm = M.action_table[mi]
-                    for _, aj in ctx.fterms(f_idx):
-                        for r in R.elements():
-                            if M.action_table[rowm[r]][aj] != mz:
-                                b_all = False
-                                b_wit = {"part": "mixed-products",
-                                         "m": ctx.m_poly(m_idx).to_json(M.name),
-                                         "f": ctx.f_poly(f_idx).to_json(R.name),
-                                         "r": R.name(r)}
-                                break
-                        if not b_all:
-                            break
-                    if not b_all:
-                        break
-                if not b_all:
-                    break
         if constant_gap is None and len(rowset) > 1 and consts == {R.zero}:
             constant_gap = {"part": "nonzero-constant",
                             "m": ctx.m_poly(m_idx).to_json(M.name)}
-    if a_all != b_all:
+    b_wit = _mixed_products_failure(ctx, rows, max_space)
+    if (a_wit is None) != (b_wit is None):
         return False, (a_wit or b_wit)
     if quasi_verdict is None:
         return None, None

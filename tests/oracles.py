@@ -4,7 +4,8 @@ Everything here recomputes results from raw Cayley tables with naive
 algorithms, deliberately sharing no code with the engine under test.  The
 exceptions are `slice_scalar_action` and `ann_am_reference`, which act on
 each bounded module polynomial through `polymodule.act`, the generic action
-path, so they share nothing with the tables the bounded context builds.
+path, so they share nothing with the tables the bounded context builds; the
+row-scan references read only a context's sizes, basis and given rows.
 """
 
 from __future__ import annotations
@@ -231,4 +232,81 @@ def sigma_reduced_failure(ring, sigma_tables, action, zero):
         for a in range(q):
             if row[a] == zero and set(row) & images[a]:
                 return "reduced", m, a
+    return None
+
+
+# References for the row scans of `properties`: per-f loops that their set
+# tests must agree with.  Indices are decoded here, digit by digit, slot 0
+# most significant.
+
+
+def _digits(idx: int, size: int, k: int) -> list:
+    out = []
+    for _ in range(k):
+        idx, d = divmod(idx, size)
+        out.append(d)
+    return out[::-1]
+
+
+def _coefficients(ctx, idx: int, size: int, zero: int) -> list:
+    """(exponent, coefficient) pairs of the vector at idx, zeros dropped."""
+    return [(alpha, v) for alpha, v in zip(ctx.basis, _digits(idx, size, ctx.k))
+            if v != zero]
+
+
+def armendariz_failure(ctx, rows):
+    """The first (m_idx, f_idx, m0, beta, b), m then f in index order and
+    then f's terms, with f in rows[m_idx] and m0 * b != 0 for m0 the
+    constant coefficient of m; None if there is none."""
+    M, R = ctx.module, ctx.presentation.ring
+    for m_idx in range(ctx.m_space):
+        m0 = _digits(m_idx, M.order, ctx.k)[0]
+        if m0 == M.zero:
+            continue
+        for f_idx in rows[m_idx]:
+            for beta, b in _coefficients(ctx, f_idx, R.order, R.zero):
+                if M.action_table[m0][b] != M.zero:
+                    return m_idx, f_idx, m0, beta, b
+    return None
+
+
+def mixed_products_failure(ctx, rows):
+    """The first (m_idx, f_idx, r), m then f in index order, then m's
+    terms, f's terms and r in R, with f in rows[m_idx] and a mixed product
+    (m_i * r) * a_j != 0; None if there is none."""
+    M, R = ctx.module, ctx.presentation.ring
+    act_t = M.action_table
+    for m_idx in range(ctx.m_space):
+        mts = _coefficients(ctx, m_idx, M.order, M.zero)
+        for f_idx in rows[m_idx]:
+            for _, mi in mts:
+                for _, aj in _coefficients(ctx, f_idx, R.order, R.zero):
+                    for r in range(R.order):
+                        if act_t[act_t[mi][r]][aj] != M.zero:
+                            return m_idx, f_idx, r
+    return None
+
+
+def mixed_annihilator(M, coeffs) -> frozenset:
+    """{a : (c * r) * a = 0 for every c in coeffs and r in R}, one
+    (c, a, r) at a time."""
+    act_t = M.action_table
+    return frozenset(a for a in range(M.ring.order)
+                     if all(act_t[act_t[c][r]][a] == M.zero
+                            for c in coeffs for r in range(M.ring.order)))
+
+
+def correspondence_failure(ctx, rows):
+    """The first (m_idx, f_idx) with rows[m_idx] unequal to the f whose
+    every coefficient annihilates every coefficient of m, f_idx the least
+    index in the difference; None if there is none."""
+    M, R = ctx.module, ctx.presentation.ring
+    for m_idx in range(ctx.m_space):
+        coeffs = [v for _, v in _coefficients(ctx, m_idx, M.order, M.zero)]
+        ann = brute_annihilator(M, coeffs)
+        pred = {f_idx for f_idx in range(ctx.f_space)
+                if all(b in ann for b in _digits(f_idx, R.order, ctx.k))}
+        diff = pred ^ set(rows[m_idx])
+        if diff:
+            return m_idx, min(diff)
     return None

@@ -400,8 +400,8 @@ def _packed_modules():
 @pytest.mark.parametrize("name,M", _packed_modules(),
                          ids=[name for name, _ in _packed_modules()])
 def test_packed_vectors_agree_with_the_tables(name, M):
-    # pack/unpack round trips, and add and neg agree with the add table
-    # entry by entry: every pair at length 1, seeded vectors at length 5
+    # pack is one-to-one, and add and neg agree with the add table entry
+    # by entry: every pair at length 1, seeded vectors at length 5
     orders = [n for _, n in cyclic_factors(M)[0]]
     size = 1
     for n in orders:
@@ -414,13 +414,14 @@ def test_packed_vectors_agree_with_the_tables(name, M):
                                            for _ in range(5))
                                      for _ in range(2)) for _ in range(200)])):
         vecs = PackedVectors(M, length)
+        packed = {}
         for u, v in pairs:
             x, y = vecs.pack(enumerate(u)), vecs.pack(enumerate(v))
-            assert vecs.unpack(x) == u
-            assert vecs.unpack(vecs.add(x, y)) == tuple(
-                M.add(a, b) for a, b in zip(u, v))
-            assert vecs.unpack(vecs.neg(x)) == tuple(M.neg(a) for a in u)
-    assert vecs.unpack(0) == (M.zero,) * 5
+            assert packed.setdefault(x, u) == u
+            assert vecs.add(x, y) == vecs.pack(enumerate(
+                M.add(a, b) for a, b in zip(u, v)))
+            assert vecs.neg(x) == vecs.pack(enumerate(M.neg(a) for a in u))
+    assert vecs.pack(enumerate((M.zero,) * 5)) == 0
     assert PackedVectors(M, 2).code is vecs.code   # built once per module
 
 

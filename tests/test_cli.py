@@ -307,6 +307,15 @@ def test_main_unknown_property_exit_two(capsys):
     assert "frobenius" in payload["error"]["message"]
 
 
+@pytest.mark.parametrize("command", ["validate", "theorems"])
+def test_main_stray_arguments_exit_two(command, capsys):
+    # both once ignored the extra word and exited 0
+    assert main(["z4-regular", command, "extra", "--json-only"]) == 2
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["error"] == {"type": "ParseError",
+                                "message": f"{command} takes no arguments"}
+
+
 def test_main_byte_identical_reruns(capsys):
     first = main(["z4-regular", "theorems", "--json-only"])
     out1 = capsys.readouterr().out

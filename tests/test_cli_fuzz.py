@@ -3,8 +3,10 @@
 Every input must end in exit 0, 1 or 2 with a JSON report: no exception may
 escape `cli.main`.  The literals of `mul` and `act` are drawn from the
 characters the grammar uses plus a few that it must refuse; instances are
-corpus JSON with one value replaced or one key dropped.  Examples are
-derandomized and bounded, so the test is repeatable and short.
+corpus JSON with one value replaced or one key dropped; element and
+property names are known names or any text, and `--seed` and `--max-space`
+any integer up to 30 digits.  Examples are derandomized and bounded, so the
+test is repeatable and short.
 """
 
 import contextlib
@@ -16,6 +18,7 @@ from hypothesis import strategies as st
 
 from spbw import corpus
 from spbw.cli import main
+from spbw.properties import DECIDERS
 
 FUZZ = settings(max_examples=60, deadline=2000, derandomize=True,
                 database=None,
@@ -49,10 +52,10 @@ small_json = st.recursive(
     max_leaves=8)
 
 
-def _run(argv) -> int:
+def _run(argv, *options) -> int:
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        code = main(["--json-only", "--", *argv])
+        code = main(["--json-only", *options, "--", *argv])
     json.loads(out.getvalue())  # a report or a structured error, never empty
     return code
 
@@ -80,3 +83,23 @@ def test_mutated_instances_answer(name, key, value, drop, tmp_path_factory):
     path = tmp_path_factory.mktemp("fuzz") / "instance.json"
     path.write_text(json.dumps(data), encoding="utf-8")
     assert _run([str(path), "validate"]) in (0, 1, 2)
+
+
+# known element and property names, or any text (non-ASCII included); 0,
+# negative and 30-digit integers
+names = st.sampled_from(ELEMENTS + ["3", "m3", "e1"]) | st.text(max_size=6)
+properties = st.sampled_from(list(DECIDERS)) | st.text(max_size=12)
+numbers = (st.sampled_from([0, -1, 10 ** 30 - 1, -10 ** 29])
+           | st.integers(-10 ** 30, 10 ** 30))
+
+
+@FUZZ
+@given(name=st.sampled_from(["z4-regular", "weyl-dual-quotient"]),
+       elements=st.lists(names, min_size=1, max_size=2), prop=properties,
+       degree=st.sampled_from([0, 1]), seed=numbers, space=numbers)
+def test_names_and_numbers_answer(name, elements, prop, degree, seed, space):
+    options = [f"--seed={seed}", f"--max-space={space}"]
+    assert _run([name, "validate"], *options) in (0, 1, 2)
+    assert _run([name, "ann", *elements], *options) in (0, 1, 2)
+    assert _run([name, "check", prop], f"--degree={degree}",
+                *options) in (0, 1, 2)

@@ -5,6 +5,7 @@ import hashlib
 import json
 import operator
 import weakref
+from collections import Counter
 
 import pytest
 
@@ -29,6 +30,7 @@ from spbw.properties import (
     VIOLATION,
     PropertyVerdict,
     _annihilator_correspondence,
+    _armendariz_scan,
     _baer_family,
     _bounded_side,
     _bounded_sigma_reduced,
@@ -37,6 +39,8 @@ from spbw.properties import (
     _generators_json,
     _map_annihilation,
     _meet_closure,
+    _mixed_annihilator,
+    _mixed_products_failure,
     _mpoly_from_struct,
     _poly_from_struct,
     _torsion_constant,
@@ -60,6 +64,7 @@ from spbw.properties import (
 from spbw.skewpbw import validate_presentation
 
 import oracles
+from test_annihilator import _z4_plus_z2
 
 SUITE_ORDER = [
     "reduced_compatible_equivalence",
@@ -771,3 +776,130 @@ def test_context_lives_exactly_as_long_as_its_module():
     del inst, M, P, ctx
     gc.collect()
     assert ref() is None
+
+
+# -- the row scans against their per-f references ----------------------------
+
+
+def _scan_contexts():
+    """Every corpus context with pair_space <= 10^5 at d = 0..3, then the
+    same on UT(2,Z2), a Z3 whose zero is element 2 and Z4 + Z4/(2)."""
+    z4 = zmod(4)
+    sources = [(name, parse_instance(corpus.load(name)))
+               for name in corpus.names()] + [
+        ("UT(2,Z2)", parse_instance('{"ring":"UT(2,Z2)","variables":1}')),
+        ("Z3 zero last", _z3_zero_last())]
+    modules = [(name, inst.module, inst.presentation) for name, inst in sources]
+    modules.append(("Z4+Z2", _z4_plus_z2(), validate_presentation(
+        z4, [identity_map(z4)], [zero_map(z4)], {}, label="Z4[x]")))
+    for name, M, P in modules:
+        for d in range(4):
+            ctx = context(M, P, d)
+            if ctx.pair_space > 10 ** 5:
+                break
+            yield f"{name} d={d}", ctx
+
+
+def test_row_scans_match_the_per_f_references(monkeypatch):
+    # the set tests give the (verdict, witness) of the per-f loops; the
+    # mixed-products scan fails on no ann(mA) row here, so it also runs on
+    # the kernel rows, where it does
+    seen = set()
+    for case, ctx in _scan_contexts():
+        M, R = ctx.module, ctx.presentation.ring
+        kern = ctx.kernel()
+
+        def poly(m_idx, f_idx):
+            return {"m": ctx.m_poly(m_idx).to_json(M.name),
+                    "f": ctx.f_poly(f_idx).to_json(R.name)}
+
+        verdict = _armendariz_scan(ctx, "skew_armendariz", False,
+                                   DEFAULT_MAX_SPACE)
+        hit = oracles.armendariz_failure(ctx, kern)
+        if hit is None:
+            assert verdict.status == HOLDS_UP_TO_BOUND, case
+        else:
+            m_idx, f_idx, m0, beta, b = hit
+            assert verdict.witness == {**poly(m_idx, f_idx), "exp": list(beta),
+                                       "m0": M.name(m0), "coeff": R.name(b)}, \
+                case
+        seen.add(("armendariz", hit is None))
+
+        # a row one short of its set must fail too
+        shrunk = {m_idx: row[:-1] for m_idx, row in kern.items()}
+        for rows in (kern, shrunk):
+            with monkeypatch.context() as patch:
+                patch.setattr(ctx, "kernel", lambda *args: rows)
+                ok, wit = _annihilator_correspondence(ctx, DEFAULT_MAX_SPACE)
+            hit = oracles.correspondence_failure(ctx, rows)
+            if hit is None:
+                assert ok or wit["side"] == "subset", case
+            else:
+                assert (ok, wit) == (False, {**poly(*hit), "side": "single"}), \
+                    case
+            seen.add(("correspondence", rows is shrunk, hit is None))
+
+        for rows in (ctx.ann_am_rows(), kern):
+            hit = oracles.mixed_products_failure(ctx, rows)
+            got = _mixed_products_failure(ctx, rows, DEFAULT_MAX_SPACE)
+            if hit is None:
+                assert got is None, case
+            else:
+                m_idx, f_idx, r = hit
+                assert got == {"part": "mixed-products", **poly(m_idx, f_idx),
+                               "r": R.name(r)}, case
+            seen.add(("mixed", rows is kern, hit is None))
+        for C in {frozenset(c for _, c in ctx.mterms(m_idx))
+                  for m_idx in range(ctx.m_space)}:
+            assert _mixed_annihilator(M, C) == \
+                oracles.mixed_annihilator(M, C), (case, C)
+    assert seen >= {("armendariz", True), ("armendariz", False),
+                    ("correspondence", False, True),
+                    ("correspondence", False, False),
+                    ("correspondence", True, False),
+                    ("mixed", False, True), ("mixed", True, True),
+                    ("mixed", True, False)}
+
+
+def test_theorem_suite_decodes_each_index_once(monkeypatch):
+    # on z4-regular at d = 4 each context decodes every f and every m at
+    # most once, each decode kept in its memo, and the correspondence finds
+    # ann_R(C) once per distinct coefficient set C
+    inst = parse_instance(corpus.load("z4-regular"))
+    M, P = inst.module, inst.presentation
+    decoded = Counter()
+    vec = BoundedContext._vec
+
+    def counted_vec(ctx, idx, size):
+        decoded[ctx, idx, size] += 1
+        return vec(ctx, idx, size)
+
+    inside, anns = [], Counter()
+    correspondence = properties._annihilator_correspondence
+
+    def counted_correspondence(*args):
+        inside.append(True)
+        try:
+            return correspondence(*args)
+        finally:
+            inside.pop()
+
+    def counted_ann_in_r(module, X):
+        if inside:
+            anns[frozenset(X)] += 1
+        return ann_in_r(module, X)
+
+    monkeypatch.setattr(BoundedContext, "_vec", counted_vec)
+    monkeypatch.setattr(properties, "_annihilator_correspondence",
+                        counted_correspondence)
+    monkeypatch.setattr(properties, "ann_in_r", counted_ann_in_r)
+    theorem_suite(M, P, 4, inst.embedding)
+    ctx = context(M, P, 4)
+    # |R| = |M| = 4 here, so an f and an m of one index share a size
+    assert decoded and max(decoded.values()) <= 2
+    for ctx_seen, n in Counter(key[0] for key in decoded.elements()).items():
+        assert n == len(ctx_seen._fterms) + len(ctx_seen._mterms)
+    coefficient_sets = {frozenset(c for _, c in ctx.mterms(m_idx))
+                        for m_idx in range(ctx.m_space)}
+    assert anns and max(anns.values()) == 1
+    assert set(anns) <= coefficient_sets
