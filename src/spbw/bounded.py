@@ -28,7 +28,7 @@ additive in m and so tabulated once per slot and module value.  Only two
 facts are used: act is the sum over term pairs that `term_products`
 computes, and (M, +) is an abelian group (`validate_module` checks it).
 `ann_am_rows` refines the kernel rows over the middle factors r x^gamma
-with r an additive generator of R.
+with r an additive generator of R; no per-pair answer is kept.
 
 The scalar action m * r is additive in m, so H_r = {m in M^k : m * r = 0}
 and S_r = ann_M(r)^k are subgroups of M^k.  `count_zero_sums` over the
@@ -161,7 +161,6 @@ class BoundedContext:
         self._scalar = None
         self._action = None
         self._coeff_sets = {}
-        self._mixed = {}
         self._fterms = {}
         self._mterms = {}
 
@@ -207,18 +206,19 @@ class BoundedContext:
     def m_poly(self, m_idx: int) -> ModulePoly:
         return module_poly(self.module, self.presentation, self.mterms(m_idx))
 
-    def constant_m_index(self, m: int) -> int:
-        return self.m_index((m,) + (self.module.zero,) * (self.k - 1))
+    def m_term_index(self, alpha, m: int) -> int:
+        return self._index([m if g == alpha else self.module.zero
+                            for g in self.basis], self.mod_size)
 
-    def constant_f_index(self, r: int) -> int:
-        return self._index((r,) + (self.presentation.ring.zero,) * (self.k - 1),
-                           self.ring_size)
+    def f_term_index(self, alpha, r: int) -> int:
+        return self._index([r if g == alpha else self.presentation.ring.zero
+                            for g in self.basis], self.ring_size)
 
     # ------------------------------------------------------------------
     # raw action on term lists (exponents need not lie in the basis)
 
     def act_is_zero(self, mterms, fterms) -> bool:
-        # The innermost call of `ann_am_rows` and the witness scans.
+        # The innermost call of `ann_am_rows` and the scalar witness scan.
         M = self.module
         mzero = M.zero
         for v in term_products(self.presentation, mterms, fterms,
@@ -365,31 +365,6 @@ class BoundedContext:
                 if (r, gamma) != (ring.one, const)]
         return self._middles
 
-    def scaled_triple(self, r: int, t, b: int, beta):
-        """Terms of (r x^t) * (b x^beta); exponents may leave the basis."""
-        ring = self.presentation.ring
-        acc = term_products(self.presentation, ((t, r),), ((beta, b),),
-                            ring.mul_table, ring.add_table, ring.zero)
-        return tuple((g, w) for g, w in acc.items() if w != ring.zero)
-
-    def mixed_failure(self, alpha, m: int, beta, b: int):
-        """The first (r, t), r in ring order then t in basis order, with
-        (m x^alpha) * (r x^t) * (b x^beta) != 0, or None if all vanish.
-
-        The quasi-Armendariz decider asks this for every term pair of every
-        (m, f) it scans, so each answer is kept on the context.
-        """
-        key = (alpha, m, beta, b)
-        if key not in self._mixed:
-            single = ((alpha, m),)
-            self._mixed[key] = next(
-                ((r, t) for r in self.presentation.ring.elements()
-                 for t in self.basis
-                 if not self.act_is_zero(single,
-                                         self.scaled_triple(r, t, b, beta))),
-                None)
-        return self._mixed[key]
-
     def ann_am_rows(self, max_space: int = DEFAULT_MAX_SPACE) -> dict:
         """Bounded annihilator of m*A: f with act(m, r x^gamma f) = 0 for all
         middle factors.  Always a subset of the kernel row (identity factor).
@@ -402,6 +377,10 @@ class BoundedContext:
         row is a meet of kernel rows.  For the other middles the terms of
         (r x^gamma) * f are computed once per (middle, f), on first use, and
         acted on by each m whose row still holds f.
+
+        The row of a single term m x^alpha also answers the quasi-Armendariz
+        mixed products: (m x^alpha)(r x^t)(b x^beta), additive in r, is 0 for
+        all r and t exactly when b x^beta lies in that row.
         """
         if self._ann_am is not None:
             return self._ann_am
@@ -412,7 +391,7 @@ class BoundedContext:
         middles = [(gamma, r) for r, gamma in self.middle_factors()[1:]
                    if gamma != const]
         action = self.scalar_action() if scalars else None
-        zero_m = self.constant_m_index(self.module.zero)
+        zero_m = self.m_term_index(const, self.module.zero)
         kern_sets = {}
         products = {}   # (middle, f_idx) -> terms of (r x^gamma) * f
         rows = {}

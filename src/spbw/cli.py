@@ -7,9 +7,9 @@ polynomial).  Reports go to standard output as deterministic JSON (schema 1,
 sorted keys); the human-readable table and all timing information go to
 standard error so reports stay byte-identical across runs.
 
-Exit codes: 0 everything holds/confirmed, 1 some property Fails, 2 parse or
-validation error (including refused search spaces), 3 theorem violation,
-which on a validated instance means an engine bug.
+Exit codes: 0 everything holds/confirmed, 1 some property Fails, 2 usage,
+parse or validation error (including refused search spaces), 3 theorem
+violation, which on a validated instance means an engine bug.
 """
 
 from __future__ import annotations
@@ -521,8 +521,16 @@ def _load_instance_text(arg: str) -> str:
         raise _bad(f"instance path {arg!r} holds a NUL byte") from None
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Usage errors exit 2 with the structured error of any refused input."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ParseError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="spbw",
         description="Exact arithmetic and module-property checks for skew "
                     "PBW extensions over finite rings.")
@@ -549,9 +557,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    ns = parser.parse_args(argv)
     t0 = time.monotonic()
+    ns = None
     try:
+        ns = parser.parse_args(argv)
         text = _load_instance_text(ns.instance)
         inst = parse_instance(text, order_override=ns.order, seed=ns.seed)
         options = {"degree": ns.degree, "max_space": ns.max_space,
@@ -565,7 +574,7 @@ def main(argv=None) -> int:
             if v is not None:
                 err["error"][attr] = v
         print(json.dumps(err, indent=2, sort_keys=True))
-        if not ns.json_only:
+        if ns is None or not ns.json_only:
             print(f"error: {exc}", file=sys.stderr)
         return 2
     print(json.dumps(report, indent=2, sort_keys=True))

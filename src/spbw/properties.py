@@ -34,7 +34,7 @@ needs it reads "<name> not evaluated", and its side is not run.
 
 from __future__ import annotations
 
-import operator
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import product
 
@@ -249,12 +249,12 @@ def _first_outside(ctx: BoundedContext, max_space: int, family):
                  if frozenset(row) not in inv), None)
 
 
-def _meet_closure(seeds: dict, meet, limit: int | None = None) -> dict:
+def _meet_closure(seeds: dict, limit: int) -> dict:
     """Close `seeds` (annihilator -> witness frozenset) under pairwise meets.
 
     Each round meets every pair of known annihilators in insertion order and
     records a new meet with the union of the two witnesses; rounds repeat
-    until nothing new appears.  A round that would grow the lattice past a
+    until nothing new appears.  A round that would grow the lattice past
     `limit` raises SearchSpaceTooLarge first.  Baer's 4096 never fires at
     degree 0: annihilators in R are additive subgroups, at most 2,825 for
     |R| <= 64 (those of (Z/2)^6).
@@ -265,12 +265,12 @@ def _meet_closure(seeds: dict, meet, limit: int | None = None) -> dict:
         items = list(cands.items())
         for key1, w1 in items:
             for key2, w2 in items:
-                key = meet(key1, key2)
+                key = key1 & key2
                 if key not in cands and key not in fresh:
                     fresh[key] = w1 | w2
         if not fresh:
             return cands
-        if limit is not None and len(cands) + len(fresh) > limit:
+        if len(cands) + len(fresh) > limit:
             raise SearchSpaceTooLarge(len(cands) + len(fresh), limit,
                                       "bounded annihilator lattice")
         cands.update(fresh)
@@ -309,7 +309,7 @@ def _baer_family(ctx: BoundedContext, max_space: int):
         seeds: dict = {}
         for m_idx in range(ctx.m_space):
             seeds.setdefault(frozenset(kern[m_idx]), frozenset({m_idx}))
-        cands = _meet_closure(seeds, operator.and_, limit=4096)
+        cands = _meet_closure(seeds, 4096)
         for s in sorted(cands, key=lambda x: (len(x), sorted(x))):
             yield cands[s], s
 
@@ -408,34 +408,47 @@ def is_linearly_skew_armendariz(M: RightModule, P: SkewPbwPresentation,
                             True, max_space)
 
 
+def _quasi_armendariz_failure(ctx: BoundedContext, rows: dict, max_space: int):
+    """The witness of the first m, f in rows[m], term of m and term of f
+    with a mixed product m_i x^alpha_i · r x^t · b_j x^beta_j != 0, or None:
+    b_j x^beta_j outside the `ann_am_rows` row of m_i x^alpha_i (see there).
+    Only that pair is acted on, for its first r, then t in basis order."""
+    M, P, R = ctx.module, ctx.presentation, ctx.presentation.ring
+    ann = ctx.ann_am_rows(max_space)
+    vanish = {}   # term of m -> the terms b x^beta in its ann(mA) row
+    for m_idx in range(ctx.m_space):
+        mts = ctx.mterms(m_idx)
+        for f_idx in rows[m_idx] if mts else ():
+            fts = ctx.fterms(f_idx)
+            for term in mts if fts else ():
+                if term not in vanish:
+                    row = frozenset(ann[ctx.m_term_index(*term)])
+                    vanish[term] = {
+                        g for g in product(ctx.basis, R.elements())
+                        if ctx.f_term_index(*g) in row}
+                bad = [g for g in fts if g not in vanish[term]]
+                if bad:
+                    (beta, b), single = bad[0], module_poly(M, P, [term])
+                    r, t = next(
+                        (r, t) for r, t in product(R.elements(), ctx.basis)
+                        if not act(single, P.monomial_poly(t, r)
+                                   * P.monomial_poly(beta, b)).is_zero())
+                    return {"m": ctx.m_poly(m_idx).to_json(M.name),
+                            "f": ctx.f_poly(f_idx).to_json(R.name),
+                            "i_exp": list(term[0]), "j_exp": list(beta),
+                            "r": R.name(r), "t": list(t)}
+    return None
+
+
 def is_skew_quasi_armendariz_bounded(M: RightModule, P: SkewPbwPresentation,
                                      d: int = DEFAULT_DEGREE,
                                      max_space: int = DEFAULT_MAX_SPACE) -> PropertyVerdict:
-    """m·A·f = 0 (middle factors r x^gamma, |gamma| <= d) must force every
-    mixed product m_i x^alpha_i · r x^t · b_j x^beta_j to vanish; terms and
-    term-pair answers (`mixed_failure`) are kept on the context."""
+    """m·A·f = 0 (middles r x^gamma, |gamma| <= d) must force each mixed
+    product m_i x^alpha_i · r x^t · b_j x^beta_j to 0: single-term lookups."""
     ctx = context(M, P, d)
-    R = P.ring
-    rows = ctx.ann_am_rows(max_space)
-    for m_idx in range(ctx.m_space):
-        mts = ctx.mterms(m_idx)
-        if not mts:
-            continue
-        for f_idx in rows[m_idx]:
-            fts = ctx.fterms(f_idx)
-            for alpha_i, mi in mts:
-                for beta_j, bj in fts:
-                    hit = ctx.mixed_failure(alpha_i, mi, beta_j, bj)
-                    if hit is not None:
-                        r, t = hit
-                        witness = {"m": ctx.m_poly(m_idx).to_json(M.name),
-                                   "f": ctx.f_poly(f_idx).to_json(R.name),
-                                   "i_exp": list(alpha_i),
-                                   "j_exp": list(beta_j),
-                                   "r": R.name(r), "t": list(t)}
-                        return PropertyVerdict("skew_quasi_armendariz", FAILS,
-                                               witness, bound=ctx.degree)
-    return PropertyVerdict("skew_quasi_armendariz", HOLDS_UP_TO_BOUND,
+    wit = _quasi_armendariz_failure(ctx, ctx.ann_am_rows(max_space), max_space)
+    return PropertyVerdict("skew_quasi_armendariz",
+                           FAILS if wit else HOLDS_UP_TO_BOUND, wit,
                            bound=ctx.degree)
 
 
@@ -618,7 +631,7 @@ def _bounded_sigma_reduced(ctx: BoundedContext, max_space: int):
     ctx.guard(ctx.m_space * ctx.m_space * R.order, max_space,
               "bounded module-poly square")
     monoid = _twist_monoid(ctx.presentation, "s")
-    action, zero = ctx.scalar_action(), ctx.constant_m_index(M.zero)
+    action, zero = ctx.scalar_action(), ctx.m_term_index(ctx.basis[0], M.zero)
     found = _twist_failure(action, zero, monoid, False)
     if found is not None:
         m, r, g, _ = found
@@ -635,34 +648,25 @@ def _bounded_sigma_reduced(ctx: BoundedContext, max_space: int):
 
 def _annihilator_correspondence(ctx: BoundedContext, max_space: int):
     """Bounded form of the extension correspondence: the annihilator of any
-    bounded module polynomial (or constant subset) in A_{<=d} is exactly the
-    coefficientwise annihilator extended over the monomial basis.  ann_R(C)
-    and its coeff_set are found once per distinct coefficient set C of m; an
-    ascending kernel row equals that set when it has its size and lies in it."""
+    bounded module polynomial in A_{<=d} is exactly the coefficientwise
+    annihilator extended over the monomial basis.  The coeff_set of ann_R(C)
+    is found once per distinct coefficient set C of m; an ascending kernel
+    row equals that set when it has its size and lies in it.  Constant
+    subsets follow, as coeff_set(I & J) = coeff_set(I) & coeff_set(J)."""
     M = ctx.module
     R = ctx.presentation.ring
     kern = ctx.kernel(max_space)
-    ideals = {}   # coefficient set C of m -> (ann_R(C), its coeff_set)
+    ideals = {}   # coefficient set C of m -> coeff_set(ann_R(C))
     for m_idx in range(ctx.m_space):
         coeffs = frozenset(c for _, c in ctx.mterms(m_idx))
         if coeffs not in ideals:
-            ideal = ann_in_r(M, coeffs).elements
-            ideals[coeffs] = ideal, ctx.coeff_set(ideal, max_space)
-        pred, row = ideals[coeffs][1], kern[m_idx]
+            ideals[coeffs] = ctx.coeff_set(ann_in_r(M, coeffs).elements,
+                                           max_space)
+        pred, row = ideals[coeffs], kern[m_idx]
         if len(row) != len(pred) or not pred.issuperset(row):
             return False, {"m": ctx.m_poly(m_idx).to_json(M.name),
                            "f": ctx.f_poly(min(pred ^ frozenset(row))).to_json(R.name),
                            "side": "single"}
-    seeds: dict = {}
-    for u in M.elements():
-        ideal = ideals[frozenset({u}) - {M.zero}][0]
-        row = frozenset(kern[ctx.constant_m_index(u)])
-        seeds.setdefault((ideal, row), frozenset({u}))
-    cands = _meet_closure(seeds, lambda a, b: (a[0] & b[0], a[1] & b[1]))
-    for (ideal, row), subset in cands.items():
-        if ctx.coeff_set(ideal, max_space) != row:
-            return False, {"subset": sorted(M.name(x) for x in subset),
-                           "side": "subset"}
     return True, None
 
 
@@ -673,7 +677,7 @@ def _torsion_constant(ctx: BoundedContext, max_space: int):
     M = ctx.module
     R = ctx.presentation.ring
     kern = ctx.kernel(max_space)
-    action, zero = ctx.scalar_action(), ctx.constant_m_index(M.zero)
+    action, zero = ctx.scalar_action(), ctx.m_term_index(ctx.basis[0], M.zero)
     for m_idx in range(ctx.m_space):
         if m_idx == zero:
             continue
@@ -731,14 +735,21 @@ def _quasi_commutative_annihilator(ctx: BoundedContext, max_space: int,
     R = ctx.presentation.ring
     rows = ctx.ann_am_rows(max_space)
     a_wit = constant_gap = None
-    constants = [(r, ctx.constant_f_index(r)) for r in R.elements()]
+    constants = [(r, ctx.f_term_index(ctx.basis[0], r)) for r in R.elements()]
+    spans = {}   # the constants of a row -> their coeff_set
     for m_idx in range(ctx.m_space):
-        rowset = frozenset(rows[m_idx])
-        consts = frozenset(r for r, f_idx in constants if f_idx in rowset)
-        if a_wit is None and rowset != ctx.coeff_set(consts, max_space):
-            a_wit = {"part": "constants-generate",
-                     "m": ctx.m_poly(m_idx).to_json(M.name)}
-        if constant_gap is None and len(rowset) > 1 and consts == {R.zero}:
+        row = rows[m_idx]   # ascending, so membership is a bisection
+        consts = frozenset(r for r, f_idx in constants
+                           if (i := bisect_left(row, f_idx)) < len(row)
+                           and row[i] == f_idx)
+        if a_wit is None:
+            if consts not in spans:
+                spans[consts] = ctx.coeff_set(consts, max_space)
+            span = spans[consts]
+            if len(row) != len(span) or not span.issuperset(row):
+                a_wit = {"part": "constants-generate",
+                         "m": ctx.m_poly(m_idx).to_json(M.name)}
+        if constant_gap is None and len(row) > 1 and consts == {R.zero}:
             constant_gap = {"part": "nonzero-constant",
                             "m": ctx.m_poly(m_idx).to_json(M.name)}
     b_wit = _mixed_products_failure(ctx, rows, max_space)

@@ -2,10 +2,11 @@
 
 Everything here recomputes results from raw Cayley tables with naive
 algorithms, deliberately sharing no code with the engine under test.  The
-exceptions are `slice_scalar_action` and `ann_am_reference`, which act on
-each bounded module polynomial through `polymodule.act`, the generic action
-path, so they share nothing with the tables the bounded context builds; the
-row-scan references read only a context's sizes, basis and given rows.
+exceptions are `slice_scalar_action`, `ann_am_reference` and
+`mixed_failure`, which act on bounded module polynomials through
+`polymodule.act`, the generic action path, so they share nothing with the
+tables the bounded context builds; the row-scan references read only a
+context's sizes, basis and given rows.
 """
 
 from __future__ import annotations
@@ -284,6 +285,43 @@ def mixed_products_failure(ctx, rows):
                     for r in range(R.order):
                         if act_t[act_t[mi][r]][aj] != M.zero:
                             return m_idx, f_idx, r
+    return None
+
+
+def mixed_failure(ctx, alpha, m, beta, b):
+    """The first (r, t), r in R then t in the basis, with the mixed product
+    (m x^alpha)(r x^t)(b x^beta) != 0, through `polymodule.act` and
+    `skewpbw.mul`; None if every one vanishes."""
+    from spbw.polymodule import act, module_poly
+    from spbw.skewpbw import mul
+
+    P = ctx.presentation
+    single = module_poly(ctx.module, P, [(alpha, m)])
+    right = P.from_terms(((beta, b),))
+    for r in range(P.ring.order):
+        for t in ctx.basis:
+            if not act(single, mul(P.from_terms(((t, r),)), right)).is_zero():
+                return r, t
+    return None
+
+
+def quasi_armendariz_failure(ctx, rows):
+    """The first (m_idx, f_idx, alpha, beta, r, t), m then f in index
+    order, then m's terms and f's terms, with f in rows[m_idx] and (r, t)
+    the `mixed_failure` of the term pair; None if there is none.  Each term
+    pair's answer is kept, as many (m, f) share it."""
+    M, R = ctx.module, ctx.presentation.ring
+    memo = {}
+    for m_idx in range(ctx.m_space):
+        mts = _coefficients(ctx, m_idx, M.order, M.zero)
+        for f_idx in rows[m_idx]:
+            for alpha, m in mts:
+                for beta, b in _coefficients(ctx, f_idx, R.order, R.zero):
+                    key = alpha, m, beta, b
+                    if key not in memo:
+                        memo[key] = mixed_failure(ctx, *key)
+                    if memo[key] is not None:
+                        return (m_idx, f_idx, alpha, beta, *memo[key])
     return None
 
 

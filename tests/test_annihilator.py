@@ -1,7 +1,7 @@
 """Annihilator ideals downstairs and degree-bounded annihilators upstairs."""
 
 import random
-from collections import Counter
+from collections import Counter, defaultdict
 from itertools import product
 
 import pytest
@@ -25,6 +25,7 @@ from spbw.finring import (dual_z2, dual_z2_derivation, identity_map,
                           validate_sigma_derivation, zero_map, zmod)
 from spbw.polymodule import (module_constant, module_poly, quotient_module,
                              regular_module, validate_module, zero_module)
+from spbw.properties import _quasi_armendariz_failure
 from spbw.skewpbw import validate_presentation
 
 import oracles
@@ -341,41 +342,54 @@ def test_kernel_and_ann_am_rows_count_their_work(monkeypatch):
     assert rows == oracles.ann_am_reference(ctx)
 
 
-def _first_mixed_failure(ctx, alpha, m, beta, b):
-    # the mixed-product scan of the quasi-Armendariz decider, unmemoised
-    for r in ctx.presentation.ring.elements():
-        for t in ctx.basis:
-            if not ctx.act_is_zero(((alpha, m),),
-                                   ctx.scaled_triple(r, t, b, beta)):
-                return r, t
-    return None
-
-
-def test_mixed_failure_matches_the_direct_scan():
-    failing_from_kernel = 0
-    for name, d in product(corpus.names(), (0, 1, 2)):
+def _mixed_product_contexts():
+    """The corpus contexts at d <= 3 with pair_space <= 3 * 10^6, then
+    UT(2,Z2), the Z3 whose zero is element 2, the zero module and
+    Z4 + Z4/(2) at d <= 2."""
+    for name in corpus.names():
         inst = parse_instance(corpus.load(name))
-        ctx = context(inst.module, inst.presentation, d)
+        for d in range(4):
+            ctx = context(inst.module, inst.presentation, d)
+            if ctx.pair_space > 3 * 10 ** 6:
+                break
+            yield f"{name} d={d}", ctx
+    ut = parse_instance('{"ring":"UT(2,Z2)","variables":1}')
+    others = [("UT(2,Z2)", ut.module, ut.presentation)] + [
+        (name, M, validate_presentation(M.ring, [identity_map(M.ring)],
+                                        [zero_map(M.ring)], {}, label="[x]"))
+        for name, M in (("Z3 zero last", regular_module(_zero_last_z3())),
+                        ("zero", zero_module(zmod(2))),
+                        ("Z4+Z2", _z4_plus_z2()))]
+    for name, M, P in others:
+        for d in range(3):
+            yield f"{name} d={d}", context(M, P, d)
+
+
+def test_single_term_lookup_matches_the_mixed_reference():
+    # every mixed product (m x^alpha)(r x^t)(b x^beta) vanishes exactly
+    # when the single term b x^beta lies in the ann(mA) row of m x^alpha;
+    # the reference acts on each (r, t) through polymodule.act.  A failing
+    # pair, scanned alone, names the reference's first (r, t), r in ring
+    # order first (on z2xz2-swap t in basis order first would differ)
+    seen = set()
+    for case, ctx in _mixed_product_contexts():
         M, R = ctx.module, ctx.presentation.ring
-        keys = [(alpha, m, beta, b) for alpha in ctx.basis
-                for m in M.elements() if m != M.zero
-                for beta in ctx.basis
-                for b in R.elements() if b != R.zero]
-        for key in keys:
-            assert ctx.mixed_failure(*key) == _first_mixed_failure(ctx, *key), \
-                (name, d, key)
-        if ctx.pair_space > 10 ** 6:
-            continue
-        # keys met while scanning the kernel rows, which (unlike the rows
-        # of ann(mA)) include products that do not vanish
-        kern = ctx.kernel()
-        for m_idx in range(ctx.m_space):
-            for f_idx in kern[m_idx]:
-                for alpha, m in ctx.mterms(m_idx):
-                    for beta, b in ctx.fterms(f_idx):
-                        hit = ctx.mixed_failure(alpha, m, beta, b)
-                        failing_from_kernel += hit is not None
-    assert failing_from_kernel > 0
+        ann = ctx.ann_am_rows()
+        for alpha, m, beta, b in product(ctx.basis, M.elements(), ctx.basis,
+                                         R.elements()):
+            if m == M.zero or b == R.zero:
+                continue
+            m_idx, f_idx = ctx.m_term_index(alpha, m), ctx.f_term_index(beta, b)
+            passes = f_idx in ann[m_idx]
+            hit = oracles.mixed_failure(ctx, alpha, m, beta, b)
+            assert passes is (hit is None), (case, alpha, m, beta, b)
+            seen.add(passes)
+            if hit is not None:
+                wit = _quasi_armendariz_failure(
+                    ctx, defaultdict(tuple, {m_idx: (f_idx,)}), ctx.pair_space)
+                assert (wit["r"], wit["t"]) == (R.name(hit[0]), list(hit[1])), \
+                    (case, alpha, m, beta, b)
+    assert seen == {True, False}
 
 
 def _z4_plus_z2():

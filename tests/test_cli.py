@@ -300,6 +300,28 @@ def test_main_unreadable_instance_path_exit_two(case, tmp_path, capsys):
     assert repr(arg) in payload["error"]["message"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["z3-trivial", "validate", "--order", "foo"],
+    ["z3-trivial", "validate", "--degree", "abc"],
+    ["z3-trivial", "validate", "--max-space", "1e3"],
+    ["z3-trivial", "frobnicate"],
+    []], ids=["order", "degree", "max-space", "command", "no-arguments"])
+def test_main_usage_errors_exit_two(argv, capsys):
+    # each once exited 2 with nothing on stdout; the usage stays on stderr
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    error = json.loads(captured.out)["error"]
+    assert error["type"] == "ParseError" and error["message"]
+    assert captured.err.startswith("usage: spbw")
+
+
+def test_main_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: spbw")
+
+
 def test_main_unknown_property_exit_two(capsys):
     assert main(["z3-trivial", "check", "frobenius", "--json-only"]) == 2
     payload = json.loads(capsys.readouterr().out)

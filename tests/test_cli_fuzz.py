@@ -5,8 +5,9 @@ escape `cli.main`.  The literals of `mul` and `act` are drawn from the
 characters the grammar uses plus a few that it must refuse; instances are
 corpus JSON with one value replaced or one key dropped; element and
 property names are known names or any text, and `--seed` and `--max-space`
-any integer up to 30 digits.  Examples are derandomized and bounded, so the
-test is repeatable and short.
+any integer up to 30 digits; `--order` and the instance path are known
+values, any text, a directory or a file that is not UTF-8.  Examples are
+derandomized and bounded, so the test is repeatable and short.
 """
 
 import contextlib
@@ -103,3 +104,24 @@ def test_names_and_numbers_answer(name, elements, prop, degree, seed, space):
     assert _run([name, "ann", *elements], *options) in (0, 1, 2)
     assert _run([name, "check", prop], f"--degree={degree}",
                 *options) in (0, 1, 2)
+
+
+# the two orders or any text; corpus names, any text without a "/" (so no
+# device file is read), a directory or a file that is not UTF-8
+orders = st.sampled_from(["deglex", "lex"]) | st.text(max_size=8)
+paths = (st.sampled_from([*corpus.names(), "", ".", "-", "z4-regular.json"])
+         | st.text(alphabet=st.characters(exclude_characters="/"),
+                   max_size=12)
+         | st.sampled_from(["directory", "not-utf8"]))
+
+
+@FUZZ
+@given(order=orders, path=paths)
+def test_orders_and_instance_paths_answer(order, path, tmp_path_factory):
+    if path in ("directory", "not-utf8"):
+        place = tmp_path_factory.mktemp("fuzz")
+        if path == "not-utf8":
+            place = place / "instance.json"
+            place.write_bytes(b'{"ring": "Z\xff"}')
+        path = str(place)
+    assert _run([path, "validate"], f"--order={order}") in (0, 1, 2)
