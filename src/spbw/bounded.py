@@ -30,6 +30,12 @@ computes, and (M, +) is an abelian group (`validate_module` checks it).
 `ann_am_rows` refines the kernel rows over the middle factors r x^gamma
 with r an additive generator of R; no per-pair answer is kept.
 
+For n prime to the exponent of (M, +), m -> n * m is an automorphism and
+act(n * m, f) = n * act(m, f), so the m of one orbit share their kernel and
+ann(mA) rows.  Each row is built once per orbit, at its least index
+(`orbit_rep`), and the scans whose condition is orbit-invariant visit only
+those minima: the first failing m in index order is one, so witnesses stay.
+
 The scalar action m * r is additive in m, so H_r = {m in M^k : m * r = 0}
 and S_r = ann_M(r)^k are subgroups of M^k.  `count_zero_sums` over the
 tables of `scalar_tables` counts |H_r| and |H_r & S_r| with the kernel's
@@ -43,8 +49,10 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import product
+from math import gcd, lcm
 
-from .errors import EngineInvariantError, SearchSpaceTooLarge
+from .errors import (EngineInvariantError, PresentationMismatch,
+                     SearchSpaceTooLarge)
 from .monomial import default_order, enumerate_upto
 from .polymodule import ModulePoly, RightModule, module_poly
 from .skewpbw import SkewPbwPresentation, SkewPoly, term_products
@@ -156,6 +164,7 @@ class BoundedContext:
         self.pair_space = self.f_space * self.m_space
         self.vectors = PackedVectors(module, self.k)
         self._kernel = None
+        self._rep = None
         self._ann_am = None
         self._middles = None
         self._scalar = None
@@ -255,7 +264,10 @@ class BoundedContext:
         x^alpha + lower terms, so the slice is a finite right R-module; its
         table is read off `half_sums` over each phi[r] of `scalar_tables`,
         which lists m * r for every m in index order.  One dict maps them to
-        indices: `half_sums` over the unit tables lists every m in order."""
+        indices: `half_sums` over the unit tables lists every m in order.  At
+        degree 0 the slice is M and its table is M's own."""
+        if self._action is None and self.k == 1:
+            self._action = list(self.module.action_table)   # M<X>_{<=0} = M
         if self._action is None:
             vecs = self.vectors
             units = [[vecs.pack(((s, v),)) for v in self.module.elements()]
@@ -287,6 +299,26 @@ class BoundedContext:
                   for alpha in self.basis]
         return tensor, max(len(pos), 1)
 
+    def orbit_rep(self) -> list:
+        """rep[m_idx]: the least index of the orbit {n * m : gcd(n, e) = 1},
+        e the exponent of (M, +), the lcm of the packed factor orders.  Each
+        n * v is read off the add table and each image of the slice is listed
+        digit by digit, |M|^k indices per n; e <= 2 gives the identity."""
+        if self._rep is None:
+            M, k = self.module, self.k
+            e = lcm(*M._packing[1])
+            rep = list(range(self.m_space))
+            scaled = list(M.elements())   # n * v, for n = 1, 2, ..
+            for n in range(2, e):
+                scaled = [M.add_table[x][v] for v, x in enumerate(scaled)]
+                if gcd(n, e) == 1:
+                    image = [0]
+                    for _ in range(k):
+                        image = [x * M.order + w for x in image for w in scaled]
+                    rep = list(map(min, rep, image))
+            self._rep = rep
+        return self._rep
+
     def kernel(self, max_space: int = DEFAULT_MAX_SPACE) -> dict:
         """act-annihilator rows: {m_idx: tuple of f_idx with act(m,f)=0}.
 
@@ -307,6 +339,9 @@ class BoundedContext:
         and the lists of each m are the sum of its slots' tables: walking
         the m in index order re-sums, one packed add each, only the slots
         from the first changed digit on; sums compare as `bytes` slices.
+        K_{n * m} = K_m for n prime to the exponent of (M, +), as act(n * m,
+        f) = n * act(m, f), so a row is split out only at an orbit minimum
+        of `orbit_rep` and every other m shares its minimum's tuple.
 
         The guard still measures the pair space |M|^k * |R|^k the rows
         cover, not the smaller work done here: a guard on the work would
@@ -317,6 +352,7 @@ class BoundedContext:
             return self._kernel
         self.guard(self.pair_space, max_space, "module-poly/poly pair space")
         M, q, k = self.module, self.ring_size, self.k
+        rep = self.orbit_rep()
         tensor, G = self.structure_tensor()
         vec, h = PackedVectors(M, G), k // 2
         high_size, low_size = q ** h, q ** (k - h)
@@ -344,6 +380,9 @@ class BoundedContext:
             first = max((s for s in range(k) if digits[s]), default=0)
             for s in range(first, k):
                 partial[s + 1] = flat.add(partial[s], table[s][digits[s]])
+            if rep[m_idx] != m_idx:
+                rows[m_idx] = rows[rep[m_idx]]
+                continue
             b = partial[k].to_bytes(flat.nbytes, "big")
             suffixes = {}
             for j, i in suffix_at:
@@ -381,10 +420,15 @@ class BoundedContext:
         The row of a single term m x^alpha also answers the quasi-Armendariz
         mixed products: (m x^alpha)(r x^t)(b x^beta), additive in r, is 0 for
         all r and t exactly when b x^beta lies in that row.
+
+        A_{n * m} = A_m for n prime to the exponent of (M, +), as n is
+        injective on M, so as in `kernel` each row is found only at an orbit
+        minimum of `orbit_rep` and shared, as one tuple, by its orbit.
         """
         if self._ann_am is not None:
             return self._ann_am
         kern = self.kernel(max_space)
+        rep = self.orbit_rep()
         P, ring = self.presentation, self.presentation.ring
         const = self.basis[0]
         scalars = [r for r, gamma in self.middle_factors()[1:] if gamma == const]
@@ -396,6 +440,9 @@ class BoundedContext:
         products = {}   # (middle, f_idx) -> terms of (r x^gamma) * f
         rows = {}
         for m_idx in range(self.m_space):
+            if rep[m_idx] != m_idx:
+                rows[m_idx] = rows[rep[m_idx]]
+                continue
             mt = self.mterms(m_idx)
             if not mt:
                 rows[m_idx] = kern[m_idx]
@@ -451,7 +498,10 @@ def context(module: RightModule, presentation: SkewPbwPresentation | None,
     A None presentation is R as an extension in no variables, built here as
     `validate_presentation` refuses n = 0.  Its basis is [()] and
     T[0][0][b] = b, so at degree 0 the kernel row of m is ann({m}) in R.
+    Any other presentation must be over M's own ring object.
     """
+    if presentation is not None and presentation.ring is not module.ring:
+        raise PresentationMismatch("module over a different ring")
     key = (presentation, degree)
     ctx = module._contexts.get(key)
     if ctx is None:

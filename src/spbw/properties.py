@@ -364,10 +364,12 @@ def _armendariz_scan(ctx: BoundedContext, prop: str, exact: bool,
                      max_space: int) -> PropertyVerdict:
     """Each kernel row must lie in coeff_set(ann_R(m0)), m0 the constant
     coefficient of m: one set per block of m sharing m0.  The witness is the
-    first f outside it and its first term b with m0 * b != 0."""
+    first f outside it and its first term b with m0 * b != 0.  Only orbit
+    minima are visited, as ann_R(n * m0) = ann_R(m0) (`orbit_rep`)."""
     M = ctx.module
     R = ctx.presentation.ring
     kern = ctx.kernel(max_space)
+    rep = ctx.orbit_rep()
     stride = ctx.m_space // ctx.mod_size   # the m_idx with one m0
     for m0 in M.elements():
         if m0 == M.zero:
@@ -376,6 +378,8 @@ def _armendariz_scan(ctx: BoundedContext, prop: str, exact: bool,
         allowed = ctx.coeff_set([b for b in R.elements() if row[b] == M.zero],
                                 max_space)
         for m_idx in range(m0 * stride, (m0 + 1) * stride):
+            if rep[m_idx] != m_idx:
+                continue
             f_idx = next((f for f in kern[m_idx] if f not in allowed), None)
             if f_idx is None:
                 continue
@@ -652,12 +656,16 @@ def _annihilator_correspondence(ctx: BoundedContext, max_space: int):
     annihilator extended over the monomial basis.  The coeff_set of ann_R(C)
     is found once per distinct coefficient set C of m; an ascending kernel
     row equals that set when it has its size and lies in it.  Constant
-    subsets follow, as coeff_set(I & J) = coeff_set(I) & coeff_set(J)."""
+    subsets follow, as coeff_set(I & J) = coeff_set(I) & coeff_set(J).
+    Only orbit minima are visited, as ann_R(n * C) = ann_R(C)."""
     M = ctx.module
     R = ctx.presentation.ring
     kern = ctx.kernel(max_space)
+    rep = ctx.orbit_rep()
     ideals = {}   # coefficient set C of m -> coeff_set(ann_R(C))
     for m_idx in range(ctx.m_space):
+        if rep[m_idx] != m_idx:
+            continue
         coeffs = frozenset(c for _, c in ctx.mterms(m_idx))
         if coeffs not in ideals:
             ideals[coeffs] = ctx.coeff_set(ann_in_r(M, coeffs).elements,
@@ -673,13 +681,15 @@ def _annihilator_correspondence(ctx: BoundedContext, max_space: int):
 def _torsion_constant(ctx: BoundedContext, max_space: int):
     """Every bounded torsion pair act(m, f) = 0 with f != 0 already has the
     constant annihilator lc(f), read off f's terms (decoded once per
-    context) and checked in the slice's `scalar_action` table."""
+    context) and checked in the slice's `scalar_action` table.  Only orbit
+    minima are visited, as (n * m) * c = n * (m * c) is 0 iff m * c is."""
     M = ctx.module
     R = ctx.presentation.ring
     kern = ctx.kernel(max_space)
+    rep = ctx.orbit_rep()
     action, zero = ctx.scalar_action(), ctx.m_term_index(ctx.basis[0], M.zero)
     for m_idx in range(ctx.m_space):
-        if m_idx == zero:
+        if m_idx == zero or rep[m_idx] != m_idx:
             continue
         for f_idx in kern[m_idx]:
             fts = ctx.fterms(f_idx)
@@ -730,14 +740,18 @@ def _quasi_commutative_annihilator(ctx: BoundedContext, max_space: int,
                                    quasi_verdict):
     """Structure of bounded ann(mA): generated by its constants exactly when
     all mixed products m_i R a_j vanish (`_mixed_products_failure`); plus
-    the nonzero-constant guarantee for quasi-Armendariz modules."""
+    the nonzero-constant guarantee for quasi-Armendariz modules.  Both row
+    tests read the row alone, so only orbit minima are visited."""
     M = ctx.module
     R = ctx.presentation.ring
     rows = ctx.ann_am_rows(max_space)
+    rep = ctx.orbit_rep()
     a_wit = constant_gap = None
     constants = [(r, ctx.f_term_index(ctx.basis[0], r)) for r in R.elements()]
     spans = {}   # the constants of a row -> their coeff_set
     for m_idx in range(ctx.m_space):
+        if rep[m_idx] != m_idx:
+            continue
         row = rows[m_idx]   # ascending, so membership is a bisection
         consts = frozenset(r for r, f_idx in constants
                            if (i := bisect_left(row, f_idx)) < len(row)

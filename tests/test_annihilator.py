@@ -3,6 +3,7 @@
 import random
 from collections import Counter, defaultdict
 from itertools import product
+from math import gcd
 
 import pytest
 
@@ -18,8 +19,8 @@ from spbw.annihilator import (
 from spbw import bounded, corpus
 from spbw.bounded import PackedVectors, context, cyclic_factors
 from spbw.cli import parse_instance
-from spbw.errors import (EngineInvariantError, SearchSpaceTooLarge,
-                         ValidationError)
+from spbw.errors import (EngineInvariantError, PresentationMismatch,
+                         SearchSpaceTooLarge, ValidationError)
 from spbw.finring import (dual_z2, dual_z2_derivation, identity_map,
                           upper_triangular, validate_ring,
                           validate_sigma_derivation, zero_map, zmod)
@@ -353,6 +354,12 @@ def _mixed_product_contexts():
             if ctx.pair_space > 3 * 10 ** 6:
                 break
             yield f"{name} d={d}", ctx
+    yield from _other_contexts()
+
+
+def _other_contexts():
+    """UT(2,Z2), the Z3 whose zero is element 2, the zero module and
+    Z4 + Z4/(2), the last three over R[x], at d <= 2."""
     ut = parse_instance('{"ring":"UT(2,Z2)","variables":1}')
     others = [("UT(2,Z2)", ut.module, ut.presentation)] + [
         (name, M, validate_presentation(M.ring, [identity_map(M.ring)],
@@ -465,6 +472,94 @@ def test_kernel_rows_with_mixed_moduli():
         _assert_ann_am_matches_reference(ctx)
         assert {m: ctx.scalar_action()[m] for m in range(ctx.m_space)} == \
             oracles.slice_scalar_action(ctx, range(ctx.m_space))
+
+
+def _times(M, n, v):
+    out = M.zero
+    for _ in range(n):
+        out = M.add(out, v)
+    return out
+
+
+def _orbit_contexts():
+    """Every corpus context with m_space <= 10^4, then `_other_contexts`."""
+    for name in corpus.names():
+        inst = parse_instance(corpus.load(name))
+        d = 0
+        while (ctx := context(inst.module, inst.presentation,
+                              d)).m_space <= 10 ** 4:
+            yield f"{name} d={d}", ctx
+            d += 1
+    yield from _other_contexts()
+
+
+def test_orbit_rep_is_the_least_index_of_each_orbit(monkeypatch):
+    # rep[m] is the least index of {n * m : gcd(n, e) = 1}, e the least
+    # n > 0 with n * M = 0, by brute force; where the pair space is within
+    # the default budget, the kernel and ann(mA) rows are shared across each
+    # orbit and equal the rows built for every m
+    seen = set()
+    for case, ctx in _orbit_contexts():
+        M = ctx.module
+        e = next(n for n in range(1, M.order + 1)
+                 if all(_times(M, n, v) == M.zero for v in M.elements()))
+        units = [n for n in range(1, e + 1) if gcd(n, e) == 1]
+        rep = ctx.orbit_rep()
+        assert rep == [min(ctx.m_index([_times(M, n, v)
+                                        for v in ctx._vec(m_idx, M.order)])
+                           for n in units)
+                       for m_idx in range(ctx.m_space)], case
+        seen.add(len(set(rep)) < ctx.m_space)
+        if ctx.pair_space > bounded.DEFAULT_MAX_SPACE:
+            continue
+        kern, ann = ctx.kernel(), ctx.ann_am_rows()
+        for m_idx, r in enumerate(rep):
+            assert kern[m_idx] is kern[r] and ann[m_idx] is ann[r], \
+                (case, m_idx)
+        fresh = bounded.BoundedContext(M, ctx.presentation, ctx.degree)
+        with monkeypatch.context() as patch:
+            patch.setattr(fresh, "orbit_rep", lambda: list(range(ctx.m_space)))
+            assert fresh.kernel() == kern and fresh.ann_am_rows() == ann, case
+    assert seen == {True, False}
+
+
+@pytest.mark.parametrize("name,degree,built", [
+    ("z4-regular", 4, 528), ("z3-trivial", 2, 365), ("z2xz2-swap", 4, 1024)])
+def test_kernel_builds_one_row_per_orbit(name, degree, built):
+    # a fresh context builds one kernel and one ann(mA) row per orbit, each
+    # shared as one tuple by its orbit; (Z2 x Z2, +) has exponent 2, so
+    # z2xz2-swap has no unit but 1 and builds every row
+    inst = parse_instance(corpus.load(name))
+    ctx = context(inst.module, inst.presentation, degree)
+    assert len({id(row) for row in ctx.kernel().values()}) == built
+    assert len({id(row) for row in ctx.ann_am_rows().values()}) == built
+    assert len(set(ctx.orbit_rep())) == built
+
+
+def test_degree_zero_action_is_the_modules_own(monkeypatch):
+    # at degree 0 the slice is M, so its action table is M's, taken as it
+    # is: no scalar table and no half sum is built
+    monkeypatch.setattr(bounded, "half_sums", None)
+    for name in corpus.names():
+        inst = parse_instance(corpus.load(name))
+        M = inst.module
+        for ctx in (context(M, None, 0), context(M, inst.presentation, 0)):
+            assert ctx.scalar_action() == [tuple(row) for row in M.action_table]
+            assert ctx._scalar is None
+
+
+def test_context_refuses_a_module_over_another_ring():
+    # a second zmod(4) has equal tables but is another ring: polymodule.act
+    # refuses its products, so no row is built for it
+    ring = zmod(4)
+    P = validate_presentation(ring, [identity_map(ring)], [zero_map(ring)],
+                              {}, label="Z4[x]")
+    M = regular_module(zmod(4))
+    with pytest.raises(PresentationMismatch, match="different ring"):
+        context(M, P, 1)
+    assert not M._contexts
+    assert context(M, None, 0).kernel()
+    assert context(regular_module(ring), P, 1).kernel()
 
 
 def test_kernel_rows_over_the_zero_ring():
