@@ -28,7 +28,9 @@ additive in m and so tabulated once per slot and module value.  Only two
 facts are used: act is the sum over term pairs that `term_products`
 computes, and (M, +) is an abelian group (`validate_module` checks it).
 `ann_am_rows` refines the kernel rows over the middle factors r x^gamma
-with r an additive generator of R; no per-pair answer is kept.
+with r an additive generator of R; no per-pair answer is kept.  Rows are
+frozensets of f_idx, so the scans ask set questions of them and take the
+least index as the witness f.
 
 For n prime to the exponent of (M, +), m -> n * m is an automorphism and
 act(n * m, f) = n * act(m, f), so the m of one orbit share their kernel and
@@ -37,10 +39,12 @@ ann(mA) rows.  Each row is built once per orbit, at its least index
 those minima: the first failing m in index order is one, so witnesses stay.
 
 The scalar action m * r is additive in m, so H_r = {m in M^k : m * r = 0}
-and S_r = ann_M(r)^k are subgroups of M^k.  `count_zero_sums` over the
-tables of `scalar_tables` counts |H_r| and |H_r & S_r| with the kernel's
-split, about |M|^(k/2) vector sums per r instead of |M|^k actions, and
-H_r = S_r exactly when both equal |ann_M(r)|^k.  Summed over all of M, the
+and S_r = ann_M(r)^k are subgroups of M^k.  S_r is spanned by the single-slot
+vectors v x^basis[s] with v in ann_M(r), so S_r <= H_r exactly when each of
+them has m * r = 0, a lookup in the tables of `scalar_tables`.
+`count_zero_sums` over those tables counts |H_r| with the kernel's split,
+about |M|^(k/2) vector sums per r instead of |M|^k actions, and then
+H_r = S_r exactly when |H_r| = |ann_M(r)|^k.  Summed over all of M, the
 same tables give `scalar_action`, the slice's own action table, which the
 reduced and twist-compatibility scans of `properties` read as M's.
 """
@@ -320,18 +324,17 @@ class BoundedContext:
         return self._rep
 
     def kernel(self, max_space: int = DEFAULT_MAX_SPACE) -> dict:
-        """act-annihilator rows: {m_idx: tuple of f_idx with act(m,f)=0}.
+        """act-annihilator rows: {m_idx: frozenset of f_idx with act(m,f)=0}.
 
-        Rows are ascending.  act(m, f) is the sum over slot pairs (s, t) of
-        m_s applied to the coefficients of x^basis[s] * f_t * x^basis[t], so
-        with L_m[t][b] the G-vector sum over s of m_s applied to T[s][t][b]
-        (see `structure_tensor`), act(m, f) = sum over t of L_m[t][f_t].
-        Each row is then found by a meet-in-the-middle split of the slots:
-        the sums over the low slots h..k-1 (h = k // 2), one per suffix, are
+        act(m, f) is the sum over slot pairs (s, t) of m_s applied to the
+        coefficients of x^basis[s] * f_t * x^basis[t], so with L_m[t][b] the
+        G-vector sum over s of m_s applied to T[s][t][b] (see
+        `structure_tensor`), act(m, f) = sum over t of L_m[t][f_t].  Each
+        row is then found by a meet-in-the-middle split of the slots: the
+        sums over the low slots h..k-1 (h = k // 2), one per suffix, are
         indexed by value, and the negated sums over the high slots 0..h-1,
-        one per prefix, look themselves up.  f with prefix index p and
-        suffix index j has index p * q^(k-h) + j, so walking the prefixes in
-        order, each with its ascending suffix list, emits the row ascending.
+        one per prefix, look themselves up; f with prefix index p and suffix
+        index j has index p * q^(k-h) + j.
 
         Both lists of half sums are additive in m, as L_m is.  So they are
         tabulated once per slot s and value v, for m = v at slot s alone
@@ -341,7 +344,7 @@ class BoundedContext:
         from the first changed digit on; sums compare as `bytes` slices.
         K_{n * m} = K_m for n prime to the exponent of (M, +), as act(n * m,
         f) = n * act(m, f), so a row is split out only at an orbit minimum
-        of `orbit_rep` and every other m shares its minimum's tuple.
+        of `orbit_rep` and every other m shares its minimum's row.
 
         The guard still measures the pair space |M|^k * |R|^k the rows
         cover, not the smaller work done here: a guard on the work would
@@ -387,8 +390,8 @@ class BoundedContext:
             suffixes = {}
             for j, i in suffix_at:
                 suffixes.setdefault(b[i:i + step], []).append(j)
-            rows[m_idx] = tuple([base + j for base, i in prefix_at
-                                 for j in suffixes.get(b[i:i + step], ())])
+            rows[m_idx] = frozenset([base + j for base, i in prefix_at
+                                     for j in suffixes.get(b[i:i + step], ())])
         self._kernel = rows
         return rows
 
@@ -411,11 +414,11 @@ class BoundedContext:
         The middles are `middle_factors()`, over the additive generators of
         R only (Z4 needs r = 1 alone).  A constant middle r keeps m * r
         inside the slice and act(m, r f) = act(m * r, f), so f passes it
-        exactly when f lies in the kernel row of `scalar_action()[m][r]`: a
-        set lookup, and at degree 0, where every middle is constant, each
-        row is a meet of kernel rows.  For the other middles the terms of
-        (r x^gamma) * f are computed once per (middle, f), on first use, and
-        acted on by each m whose row still holds f.
+        exactly when f lies in the kernel row of `scalar_action()[m][r]`:
+        the constant middles meet kernel rows, and at degree 0, where every
+        middle is constant, that meet is the row.  For the other middles the
+        terms of (r x^gamma) * f are computed once per (middle, f), on first
+        use, and acted on by each m whose row still holds f.
 
         The row of a single term m x^alpha also answers the quasi-Armendariz
         mixed products: (m x^alpha)(r x^t)(b x^beta), additive in r, is 0 for
@@ -423,7 +426,7 @@ class BoundedContext:
 
         A_{n * m} = A_m for n prime to the exponent of (M, +), as n is
         injective on M, so as in `kernel` each row is found only at an orbit
-        minimum of `orbit_rep` and shared, as one tuple, by its orbit.
+        minimum of `orbit_rep` and shared, as one frozenset, by its orbit.
         """
         if self._ann_am is not None:
             return self._ann_am
@@ -435,8 +438,6 @@ class BoundedContext:
         middles = [(gamma, r) for r, gamma in self.middle_factors()[1:]
                    if gamma != const]
         action = self.scalar_action() if scalars else None
-        zero_m = self.m_term_index(const, self.module.zero)
-        kern_sets = {}
         products = {}   # (middle, f_idx) -> terms of (r x^gamma) * f
         rows = {}
         for m_idx in range(self.m_space):
@@ -447,12 +448,8 @@ class BoundedContext:
             if not mt:
                 rows[m_idx] = kern[m_idx]
                 continue
-            keep = kern[m_idx]
-            for m_r in {action[m_idx][r] for r in scalars} - {m_idx, zero_m}:
-                row = kern_sets.get(m_r)
-                if row is None:
-                    row = kern_sets[m_r] = frozenset(kern[m_r])
-                keep = [f_idx for f_idx in keep if f_idx in row]
+            keep = kern[m_idx].intersection(
+                *(kern[action[m_idx][r]] for r in scalars))
             for middle in middles:
                 passed = []
                 for f_idx in keep:
@@ -466,7 +463,9 @@ class BoundedContext:
                     if self.act_is_zero(mt, terms):
                         passed.append(f_idx)
                 keep = passed
-            rows[m_idx] = tuple(keep)
+            # a row the middles left whole is the kernel row's own object
+            whole = len(keep) == len(kern[m_idx])
+            rows[m_idx] = kern[m_idx] if whole else frozenset(keep)
         self._ann_am = rows
         return rows
 

@@ -34,7 +34,6 @@ needs it reads "<name> not evaluated", and its side is not run.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import product
 
@@ -239,14 +238,13 @@ def idempotent_stability(P: SkewPbwPresentation) -> PropertyVerdict:
 
 
 def _first_outside(ctx: BoundedContext, max_space: int, family):
-    """The first (key, frozenset row) of `family`, (key, row) pairs, whose
+    """The first (key, row) of `family`, (key, frozenset row) pairs, whose
     row is no e A_{<=d}, or None.  The family is consumed after those sets
     are built, so its guards (lattice, submodule cap) refuse after theirs."""
     R = ctx.presentation.ring
     inv = {ctx.coeff_set(principal_right_ideal(R, e), max_space)
            for e in idempotents(R)}
-    return next(((key, frozenset(row)) for key, row in family
-                 if frozenset(row) not in inv), None)
+    return next(((key, row) for key, row in family if row not in inv), None)
 
 
 def _meet_closure(seeds: dict, limit: int) -> dict:
@@ -294,7 +292,7 @@ def _quasi_baer_family(ctx: BoundedContext, max_space: int,
     def family():
         for sub in all_submodules(ctx.module, max_order):
             yield sub, frozenset.intersection(*(
-                frozenset(kern[ctx.m_index(vec)])
+                kern[ctx.m_index(vec)]
                 for vec in product(sorted(sub.elements), repeat=ctx.k)))
 
     return _first_outside(ctx, max_space, family())
@@ -308,7 +306,7 @@ def _baer_family(ctx: BoundedContext, max_space: int):
     def family():
         seeds: dict = {}
         for m_idx in range(ctx.m_space):
-            seeds.setdefault(frozenset(kern[m_idx]), frozenset({m_idx}))
+            seeds.setdefault(kern[m_idx], frozenset({m_idx}))
         cands = _meet_closure(seeds, 4096)
         for s in sorted(cands, key=lambda x: (len(x), sorted(x))):
             yield cands[s], s
@@ -364,7 +362,7 @@ def _armendariz_scan(ctx: BoundedContext, prop: str, exact: bool,
                      max_space: int) -> PropertyVerdict:
     """Each kernel row must lie in coeff_set(ann_R(m0)), m0 the constant
     coefficient of m: one set per block of m sharing m0.  The witness is the
-    first f outside it and its first term b with m0 * b != 0.  Only orbit
+    least f outside it and its first term b with m0 * b != 0.  Only orbit
     minima are visited, as ann_R(n * m0) = ann_R(m0) (`orbit_rep`)."""
     M = ctx.module
     R = ctx.presentation.ring
@@ -380,7 +378,7 @@ def _armendariz_scan(ctx: BoundedContext, prop: str, exact: bool,
         for m_idx in range(m0 * stride, (m0 + 1) * stride):
             if rep[m_idx] != m_idx:
                 continue
-            f_idx = next((f for f in kern[m_idx] if f not in allowed), None)
+            f_idx = min(kern[m_idx] - allowed, default=None)
             if f_idx is None:
                 continue
             beta, b = next((beta, b) for beta, b in ctx.fterms(f_idx)
@@ -413,34 +411,39 @@ def is_linearly_skew_armendariz(M: RightModule, P: SkewPbwPresentation,
 
 
 def _quasi_armendariz_failure(ctx: BoundedContext, rows: dict, max_space: int):
-    """The witness of the first m, f in rows[m], term of m and term of f
-    with a mixed product m_i x^alpha_i · r x^t · b_j x^beta_j != 0, or None:
-    b_j x^beta_j outside the `ann_am_rows` row of m_i x^alpha_i (see there).
-    Only that pair is acted on, for its first r, then t in basis order."""
+    """The witness of the first m, the least f in rows[m], then the first
+    term of m and of f with a mixed product m_i x^alpha_i · r x^t · b_j
+    x^beta_j != 0, or None: b_j x^beta_j outside the `ann_am_rows` row of
+    m_i x^alpha_i (see there).  Only that pair is acted on, for its first r,
+    then t in basis order."""
     M, P, R = ctx.module, ctx.presentation, ctx.presentation.ring
     ann = ctx.ann_am_rows(max_space)
     vanish = {}   # term of m -> the terms b x^beta in its ann(mA) row
     for m_idx in range(ctx.m_space):
         mts = ctx.mterms(m_idx)
+        failing = []   # (f_idx, its first failing term pair)
         for f_idx in rows[m_idx] if mts else ():
             fts = ctx.fterms(f_idx)
             for term in mts if fts else ():
                 if term not in vanish:
-                    row = frozenset(ann[ctx.m_term_index(*term)])
+                    row = ann[ctx.m_term_index(*term)]
                     vanish[term] = {
                         g for g in product(ctx.basis, R.elements())
                         if ctx.f_term_index(*g) in row}
                 bad = [g for g in fts if g not in vanish[term]]
                 if bad:
-                    (beta, b), single = bad[0], module_poly(M, P, [term])
-                    r, t = next(
-                        (r, t) for r, t in product(R.elements(), ctx.basis)
+                    failing.append((f_idx, term, bad[0]))
+                    break
+        if failing:
+            f_idx, term, (beta, b) = min(failing)
+            single = module_poly(M, P, [term])
+            r, t = next((r, t) for r, t in product(R.elements(), ctx.basis)
                         if not act(single, P.monomial_poly(t, r)
                                    * P.monomial_poly(beta, b)).is_zero())
-                    return {"m": ctx.m_poly(m_idx).to_json(M.name),
-                            "f": ctx.f_poly(f_idx).to_json(R.name),
-                            "i_exp": list(term[0]), "j_exp": list(beta),
-                            "r": R.name(r), "t": list(t)}
+            return {"m": ctx.m_poly(m_idx).to_json(M.name),
+                    "f": ctx.f_poly(f_idx).to_json(R.name),
+                    "i_exp": list(term[0]), "j_exp": list(beta),
+                    "r": R.name(r), "t": list(t)}
     return None
 
 
@@ -581,22 +584,21 @@ def _coefficientwise_scalar(ctx: BoundedContext, max_space: int):
     """act_scalar(m, r) = 0 iff every coefficient of m annihilates r.
 
     For each r this says H_r = S_r, with H_r = {m : m * r = 0} and
-    S_r = ann_M(r)^k.  Two `count_zero_sums` counts over
-    `ctx.scalar_tables()` decide it: |H_r| over all of M per slot and
-    |H_r & S_r| over ann_M(r) per slot; H_r = S_r exactly when both equal
-    |ann_M(r)|^k.  Only when some r fails does `_coefficientwise_scalar_scan`
-    act on every (m, r), to return the first witness in index order.  The
-    guard measures the m_space * |R| pairs decided, as that scan does.
+    S_r = ann_M(r)^k.  S_r is spanned by the single-slot vectors v x^alpha_s
+    with v in ann_M(r), so S_r <= H_r exactly when each maps to the packed 0
+    in `ctx.scalar_tables()`; then one `count_zero_sums` count of |H_r| over
+    the same tables decides H_r = S_r, as |S_r| = |ann_M(r)|^k.  Only when
+    some r fails does `_coefficientwise_scalar_scan` act on every (m, r), to
+    return the first witness in index order.  The guard measures the
+    m_space * |R| pairs decided, as that scan does.
     """
     M = ctx.module
     ctx.guard(ctx.m_space * ctx.ring_size, max_space,
               "module-poly/scalar space")
     for r, phi in enumerate(ctx.scalar_tables()):
         ann = [v for v in M.elements() if M.action_table[v][r] == M.zero]
-        kept = [[row[v] for v in ann] for row in phi]
-        if not (count_zero_sums(phi, ctx.vectors)
-                == count_zero_sums(kept, ctx.vectors)
-                == len(ann) ** ctx.k):
+        if (any(row[v] for row in phi for v in ann)
+                or count_zero_sums(phi, ctx.vectors) != len(ann) ** ctx.k):
             return _coefficientwise_scalar_scan(ctx)
     return True, None
 
@@ -654,10 +656,9 @@ def _annihilator_correspondence(ctx: BoundedContext, max_space: int):
     """Bounded form of the extension correspondence: the annihilator of any
     bounded module polynomial in A_{<=d} is exactly the coefficientwise
     annihilator extended over the monomial basis.  The coeff_set of ann_R(C)
-    is found once per distinct coefficient set C of m; an ascending kernel
-    row equals that set when it has its size and lies in it.  Constant
-    subsets follow, as coeff_set(I & J) = coeff_set(I) & coeff_set(J).
-    Only orbit minima are visited, as ann_R(n * C) = ann_R(C)."""
+    is found once per distinct coefficient set C of m and compared with the
+    kernel row.  Constant subsets follow, as coeff_set(I & J) =
+    coeff_set(I) & coeff_set(J).  Only orbit minima are visited, as ann_R(n * C) = ann_R(C)."""
     M = ctx.module
     R = ctx.presentation.ring
     kern = ctx.kernel(max_space)
@@ -671,9 +672,9 @@ def _annihilator_correspondence(ctx: BoundedContext, max_space: int):
             ideals[coeffs] = ctx.coeff_set(ann_in_r(M, coeffs).elements,
                                            max_space)
         pred, row = ideals[coeffs], kern[m_idx]
-        if len(row) != len(pred) or not pred.issuperset(row):
+        if row != pred:
             return False, {"m": ctx.m_poly(m_idx).to_json(M.name),
-                           "f": ctx.f_poly(min(pred ^ frozenset(row))).to_json(R.name),
+                           "f": ctx.f_poly(min(pred ^ row)).to_json(R.name),
                            "side": "single"}
     return True, None
 
@@ -681,8 +682,9 @@ def _annihilator_correspondence(ctx: BoundedContext, max_space: int):
 def _torsion_constant(ctx: BoundedContext, max_space: int):
     """Every bounded torsion pair act(m, f) = 0 with f != 0 already has the
     constant annihilator lc(f), read off f's terms (decoded once per
-    context) and checked in the slice's `scalar_action` table.  Only orbit
-    minima are visited, as (n * m) * c = n * (m * c) is 0 iff m * c is."""
+    context) and checked in the slice's `scalar_action` table; the witness
+    is the first failing m and its least failing f.  Only orbit minima are
+    visited, as (n * m) * c = n * (m * c) is 0 iff m * c is."""
     M = ctx.module
     R = ctx.presentation.ring
     kern = ctx.kernel(max_space)
@@ -691,15 +693,16 @@ def _torsion_constant(ctx: BoundedContext, max_space: int):
     for m_idx in range(ctx.m_space):
         if m_idx == zero or rep[m_idx] != m_idx:
             continue
+        failing = []   # (f_idx, lc(f))
         for f_idx in kern[m_idx]:
             fts = ctx.fterms(f_idx)
-            if not fts:
-                continue
-            lead = fts[-1][1]
-            if action[m_idx][lead] != zero:
-                return False, {"m": ctx.m_poly(m_idx).to_json(M.name),
-                               "f": ctx.f_poly(f_idx).to_json(R.name),
-                               "c": R.name(lead)}
+            if fts and action[m_idx][fts[-1][1]] != zero:
+                failing.append((f_idx, fts[-1][1]))
+        if failing:
+            f_idx, lead = min(failing)
+            return False, {"m": ctx.m_poly(m_idx).to_json(M.name),
+                           "f": ctx.f_poly(f_idx).to_json(R.name),
+                           "c": R.name(lead)}
     return True, None
 
 
@@ -712,9 +715,9 @@ def _mixed_annihilator(M: RightModule, coeffs) -> frozenset:
 
 
 def _mixed_products_failure(ctx: BoundedContext, rows: dict, max_space: int):
-    """The witness of the first m, and f in its row, with a mixed product
-    (m_i * r) * a_j != 0, or None: f outside coeff_set(good(C)), one set per
-    distinct C, and r the first over m's terms, then f's, then R."""
+    """The witness of the first m, and the least f in its row, with a mixed
+    product (m_i * r) * a_j != 0, or None: f outside coeff_set(good(C)), one
+    set per distinct C, and r the first over m's terms, then f's, then R."""
     M = ctx.module
     R = ctx.presentation.ring
     act_t = M.action_table
@@ -726,7 +729,7 @@ def _mixed_products_failure(ctx: BoundedContext, rows: dict, max_space: int):
         C = frozenset(c for _, c in mts)
         if C not in good:
             good[C] = ctx.coeff_set(_mixed_annihilator(M, C), max_space)
-        f_idx = next((f for f in rows[m_idx] if f not in good[C]), None)
+        f_idx = min(rows[m_idx] - good[C], default=None)
         if f_idx is not None:
             r = next(r for _, mi in mts for _, aj in ctx.fterms(f_idx)
                      for r in R.elements() if act_t[act_t[mi][r]][aj] != M.zero)
@@ -752,15 +755,12 @@ def _quasi_commutative_annihilator(ctx: BoundedContext, max_space: int,
     for m_idx in range(ctx.m_space):
         if rep[m_idx] != m_idx:
             continue
-        row = rows[m_idx]   # ascending, so membership is a bisection
-        consts = frozenset(r for r, f_idx in constants
-                           if (i := bisect_left(row, f_idx)) < len(row)
-                           and row[i] == f_idx)
+        row = rows[m_idx]
+        consts = frozenset(r for r, f_idx in constants if f_idx in row)
         if a_wit is None:
             if consts not in spans:
                 spans[consts] = ctx.coeff_set(consts, max_space)
-            span = spans[consts]
-            if len(row) != len(span) or not span.issuperset(row):
+            if row != spans[consts]:
                 a_wit = {"part": "constants-generate",
                          "m": ctx.m_poly(m_idx).to_json(M.name)}
         if constant_gap is None and len(row) > 1 and consts == {R.zero}:

@@ -636,8 +636,6 @@ def validate_presentation(ring: FiniteRing, sigmas, deltas, relations=None,
                           order: MonomialOrder | None = None, label: str = "",
                           expect_quasi_commutative: bool | None = None,
                           expect_bijective: bool | None = None,
-                          consistency_bound: int = 4,
-                          consistency_samples: int = 20,
                           seed: int = 0) -> SkewPbwPresentation:
     """Cross-validate presentation data and certify rewriting consistency.
 
@@ -699,8 +697,7 @@ def validate_presentation(ring: FiniteRing, sigmas, deltas, relations=None,
 
     P = SkewPbwPresentation(ring, sigmas, deltas, c, d_const, d_linear, order,
                             quasi_commutative, bijective, label=label)
-    report = check_consistency(P, bound=consistency_bound,
-                               samples=consistency_samples, seed=seed)
+    report = check_consistency(P, seed=seed)
     if not report.certified:
         raise ValidationError("inconsistent_presentation", witness=report.witness)
     P.consistency_certificate = report.bound

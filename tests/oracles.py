@@ -2,8 +2,8 @@
 
 Everything here recomputes results from raw Cayley tables with naive
 algorithms, deliberately sharing no code with the engine under test.  The
-exceptions are `slice_scalar_action`, `ann_am_reference` and
-`mixed_failure`, which act on bounded module polynomials through
+exceptions are `slice_scalar_action`, `ann_am_reference`, `mixed_failure`
+and `torsion_failure`, which act on bounded module polynomials through
 `polymodule.act`, the generic action path, so they share nothing with the
 tables the bounded context builds; the row-scan references read only a
 context's sizes, basis and given rows.
@@ -189,8 +189,8 @@ def slice_scalar_action(ctx, rows) -> dict:
 
 
 def ann_am_reference(ctx) -> dict:
-    """{m_idx: ascending f_idx with act(m, (r x^gamma) f) = 0 for every r in
-    R and gamma in the basis}, on the degree <= d slice of `ctx`, through
+    """{m_idx: frozenset of f_idx with act(m, (r x^gamma) f) = 0 for every r
+    in R and gamma in the basis}, on the degree <= d slice of `ctx`, through
     `polymodule.act` and `skewpbw.mul`; the identity middle goes first, so
     an f outside the kernel row costs one act."""
     from spbw.polymodule import act
@@ -205,7 +205,7 @@ def ann_am_reference(ctx) -> dict:
     out = {}
     for m_idx in range(ctx.m_space):
         mp = ctx.m_poly(m_idx)
-        out[m_idx] = tuple(
+        out[m_idx] = frozenset(
             f_idx for f_idx, prods in enumerate(products)
             if all(act(mp, g).is_zero() for g in prods))
     return out
@@ -264,7 +264,7 @@ def armendariz_failure(ctx, rows):
         m0 = _digits(m_idx, M.order, ctx.k)[0]
         if m0 == M.zero:
             continue
-        for f_idx in rows[m_idx]:
+        for f_idx in sorted(rows[m_idx]):
             for beta, b in _coefficients(ctx, f_idx, R.order, R.zero):
                 if M.action_table[m0][b] != M.zero:
                     return m_idx, f_idx, m0, beta, b
@@ -279,7 +279,7 @@ def mixed_products_failure(ctx, rows):
     act_t = M.action_table
     for m_idx in range(ctx.m_space):
         mts = _coefficients(ctx, m_idx, M.order, M.zero)
-        for f_idx in rows[m_idx]:
+        for f_idx in sorted(rows[m_idx]):
             for _, mi in mts:
                 for _, aj in _coefficients(ctx, f_idx, R.order, R.zero):
                     for r in range(R.order):
@@ -314,7 +314,7 @@ def quasi_armendariz_failure(ctx, rows):
     memo = {}
     for m_idx in range(ctx.m_space):
         mts = _coefficients(ctx, m_idx, M.order, M.zero)
-        for f_idx in rows[m_idx]:
+        for f_idx in sorted(rows[m_idx]):
             for alpha, m in mts:
                 for beta, b in _coefficients(ctx, f_idx, R.order, R.zero):
                     key = alpha, m, beta, b
@@ -322,6 +322,25 @@ def quasi_armendariz_failure(ctx, rows):
                         memo[key] = mixed_failure(ctx, *key)
                     if memo[key] is not None:
                         return (m_idx, f_idx, alpha, beta, *memo[key])
+    return None
+
+
+def torsion_failure(ctx, rows):
+    """The first (m_idx, f_idx, c), m then f in index order, with m != 0,
+    f != 0 in rows[m_idx] and m * c != 0 for c the coefficient of f's last
+    nonzero slot, through `polymodule.act_scalar`; None if there is none."""
+    from spbw.polymodule import act_scalar
+
+    M, R = ctx.module, ctx.presentation.ring
+    for m_idx in range(ctx.m_space):
+        mp = ctx.m_poly(m_idx)
+        if mp.is_zero():
+            continue
+        kills = {c: act_scalar(mp, c).is_zero() for c in range(R.order)}
+        for f_idx in sorted(rows[m_idx]):
+            coeffs = _coefficients(ctx, f_idx, R.order, R.zero)
+            if coeffs and not kills[coeffs[-1][1]]:
+                return m_idx, f_idx, coeffs[-1][1]
     return None
 
 
@@ -344,7 +363,7 @@ def correspondence_failure(ctx, rows):
         ann = brute_annihilator(M, coeffs)
         pred = {f_idx for f_idx in range(ctx.f_space)
                 if all(b in ann for b in _digits(f_idx, R.order, ctx.k))}
-        diff = pred ^ set(rows[m_idx])
+        diff = pred ^ rows[m_idx]
         if diff:
             return m_idx, min(diff)
     return None

@@ -172,7 +172,7 @@ def _assert_kernel_matches_reference(ctx):
     assert sorted(kern) == list(range(ctx.m_space))
     for m_idx in range(ctx.m_space):
         row = kern[m_idx]
-        assert list(row) == sorted(set(row))
+        assert isinstance(row, frozenset)
         got = {tuple(sorted(ctx.f_poly(f).terms.items())) for f in row}
         want = {tuple(sorted(f.terms.items()))
                 for f in ann_in_a_bounded([ctx.m_poly(m_idx)], ctx.degree)}
@@ -393,7 +393,8 @@ def test_single_term_lookup_matches_the_mixed_reference():
             seen.add(passes)
             if hit is not None:
                 wit = _quasi_armendariz_failure(
-                    ctx, defaultdict(tuple, {m_idx: (f_idx,)}), ctx.pair_space)
+                    ctx, defaultdict(frozenset, {m_idx: frozenset({f_idx})}),
+                    ctx.pair_space)
                 assert (wit["r"], wit["t"]) == (R.name(hit[0]), list(hit[1])), \
                     (case, alpha, m, beta, b)
     assert seen == {True, False}
@@ -527,7 +528,7 @@ def test_orbit_rep_is_the_least_index_of_each_orbit(monkeypatch):
     ("z4-regular", 4, 528), ("z3-trivial", 2, 365), ("z2xz2-swap", 4, 1024)])
 def test_kernel_builds_one_row_per_orbit(name, degree, built):
     # a fresh context builds one kernel and one ann(mA) row per orbit, each
-    # shared as one tuple by its orbit; (Z2 x Z2, +) has exponent 2, so
+    # shared as one frozenset by its orbit; (Z2 x Z2, +) has exponent 2, so
     # z2xz2-swap has no unit but 1 and builds every row
     inst = parse_instance(corpus.load(name))
     ctx = context(inst.module, inst.presentation, degree)
@@ -569,4 +570,4 @@ def test_kernel_rows_over_the_zero_ring():
                               {}, label="0[x]")
     for d in (0, 2):
         ctx = context(regular_module(ring), P, d)
-        assert ctx.kernel() == ctx.ann_am_rows() == {0: (0,)}
+        assert ctx.kernel() == ctx.ann_am_rows() == {0: frozenset({0})}

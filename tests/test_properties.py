@@ -284,9 +284,9 @@ def test_degree_zero_rows_are_annihilators_in_r():
         ctx = context(M, None, 0)
         kern, ann_am = ctx.kernel(), ctx.ann_am_rows()
         for m in M.elements():
-            assert frozenset(kern[m]) == ann_in_r(M, {m}).elements, (name, m)
+            assert kern[m] == ann_in_r(M, {m}).elements, (name, m)
             cyc = cyclic_submodule(M, m).elements
-            assert frozenset(ann_am[m]) == ann_in_r(M, cyc).elements, (name, m)
+            assert ann_am[m] == ann_in_r(M, cyc).elements, (name, m)
 
 
 @pytest.mark.filterwarnings("ignore:ring of order 64")
@@ -338,7 +338,7 @@ def test_bounded_baer_witness_lists_every_generator(name):
     for struct in wit["subset"]:
         mp = _mpoly_from_struct(M, P, struct)
         vec = tuple(mp.coefficient(alpha) for alpha in ctx.basis)
-        rows.append(frozenset(kern[ctx.m_index(vec)]))
+        rows.append(kern[ctx.m_index(vec)])
     meet = frozenset.intersection(*rows)
     assert meet == _baer_family(ctx, DEFAULT_MAX_SPACE)[1]
     R = P.ring
@@ -827,11 +827,12 @@ def test_row_scans_match_the_per_f_references(monkeypatch):
         seen.add(("armendariz", hit is None))
 
         # a row one short of its set must fail too
-        shrunk = {m_idx: row[:-1] for m_idx, row in kern.items()}
+        shrunk = {m_idx: row - {max(row)} for m_idx, row in kern.items()}
         for rows in (kern, shrunk):
             with monkeypatch.context() as patch:
                 patch.setattr(ctx, "kernel", lambda *args: rows)
                 ok, wit = _annihilator_correspondence(ctx, DEFAULT_MAX_SPACE)
+                torsion = _torsion_constant(ctx, DEFAULT_MAX_SPACE)
             hit = oracles.correspondence_failure(ctx, rows)
             if hit is None:
                 assert ok, case
@@ -839,6 +840,14 @@ def test_row_scans_match_the_per_f_references(monkeypatch):
                 assert (ok, wit) == (False, {**poly(*hit), "side": "single"}), \
                     case
             seen.add(("correspondence", rows is shrunk, hit is None))
+            hit = oracles.torsion_failure(ctx, rows)
+            if hit is None:
+                assert torsion == (True, None), case
+            else:
+                m_idx, f_idx, c = hit
+                assert torsion == (False, {**poly(m_idx, f_idx),
+                                           "c": R.name(c)}), case
+            seen.add(("torsion", hit is None))
 
         for rows in (ctx.ann_am_rows(), kern):
             hit = oracles.mixed_products_failure(ctx, rows)
@@ -855,6 +864,7 @@ def test_row_scans_match_the_per_f_references(monkeypatch):
             assert _mixed_annihilator(M, C) == \
                 oracles.mixed_annihilator(M, C), (case, C)
     assert seen >= {("armendariz", True), ("armendariz", False),
+                    ("torsion", True), ("torsion", False),
                     ("correspondence", False, True),
                     ("correspondence", False, False),
                     ("correspondence", True, False),
