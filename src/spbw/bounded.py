@@ -28,9 +28,12 @@ additive in m and so tabulated once per slot and module value.  Only two
 facts are used: act is the sum over term pairs that `term_products`
 computes, and (M, +) is an abelian group (`validate_module` checks it).
 `ann_am_rows` refines the kernel rows over the middle factors r x^gamma
-with r an additive generator of R; no per-pair answer is kept.  Rows are
-frozensets of f_idx, so the scans ask set questions of them and take the
-least index as the witness f.
+with r an additive generator of R; no per-pair answer is kept.  A middle
+mu that commutes with the slice is dropped, as act(m, mu f) = act(act(m,
+f), mu) = 0 for f in the kernel row when A is associative and M a right
+R-module; over a commutative slice the ann(mA) rows are the kernel rows.
+Rows are frozensets of f_idx, so the scans ask set questions of them and
+take the least index as the witness f.
 
 For n prime to the exponent of (M, +), m -> n * m is an automorphism and
 act(n * m, f) = n * act(m, f), so the m of one orbit share their kernel and
@@ -407,18 +410,45 @@ class BoundedContext:
                 if (r, gamma) != (ring.one, const)]
         return self._middles
 
+    def acting_middles(self) -> list:
+        """The middles mu = r x^gamma of `middle_factors()[1:]` that do not
+        commute with the slice: mu * b x^beta != b x^beta * mu for some
+        additive generator b of R and some beta in the basis.  Both sides
+        are r (resp. b) times a normal form of `structure_tensor`, read off
+        the triple cache.  A middle that commutes with every such b x^beta
+        commutes with every f of the slice, by additivity."""
+        ring, triple = self.presentation.ring, self.presentation.triple
+        mul, zero = ring.mul_table, ring.zero
+        gens = [b for b, _ in cyclic_factors(ring)[0]]
+
+        def scaled(c, terms):
+            return {(g, mul[c][w]) for g, w in terms if mul[c][w] != zero}
+
+        return [(r, gamma) for r, gamma in self.middle_factors()[1:]
+                if any(scaled(r, triple(gamma, b, beta))
+                       != scaled(b, triple(beta, r, gamma))
+                       for b in gens for beta in self.basis)]
+
     def ann_am_rows(self, max_space: int = DEFAULT_MAX_SPACE) -> dict:
         """Bounded annihilator of m*A: f with act(m, r x^gamma f) = 0 for all
         middle factors.  Always a subset of the kernel row (identity factor).
 
         The middles are `middle_factors()`, over the additive generators of
-        R only (Z4 needs r = 1 alone).  A constant middle r keeps m * r
-        inside the slice and act(m, r f) = act(m * r, f), so f passes it
-        exactly when f lies in the kernel row of `scalar_action()[m][r]`:
-        the constant middles meet kernel rows, and at degree 0, where every
-        middle is constant, that meet is the row.  For the other middles the
-        terms of (r x^gamma) * f are computed once per (middle, f), on first
-        use, and acted on by each m whose row still holds f.
+        R only (Z4 needs r = 1 alone), and of those only the
+        `acting_middles` act: a middle mu that commutes with the slice has
+        mu f = f mu, so for f in the kernel row act(m, mu f) = act(act(m,
+        f), mu) = act(0, mu) = 0.  That rests on two premises: A is
+        associative, which `check_consistency` certifies, and M is a right
+        R-module, so M<X> is a right A-module.  With no middle left the rows
+        are the kernel's own dict, and no product is formed.
+
+        A constant middle r keeps m * r inside the slice and act(m, r f) =
+        act(m * r, f), so f passes it exactly when f lies in the kernel row
+        of `scalar_action()[m][r]`: the constant middles meet kernel rows,
+        and at degree 0, where every middle is constant, that meet is the
+        row.  For the other middles the terms of (r x^gamma) * f are
+        computed once per (middle, f), on first use, and acted on by each m
+        whose row still holds f.
 
         The row of a single term m x^alpha also answers the quasi-Armendariz
         mixed products: (m x^alpha)(r x^t)(b x^beta), additive in r, is 0 for
@@ -434,9 +464,12 @@ class BoundedContext:
         rep = self.orbit_rep()
         P, ring = self.presentation, self.presentation.ring
         const = self.basis[0]
-        scalars = [r for r, gamma in self.middle_factors()[1:] if gamma == const]
-        middles = [(gamma, r) for r, gamma in self.middle_factors()[1:]
-                   if gamma != const]
+        acting = self.acting_middles()
+        if not acting:
+            self._ann_am = kern
+            return kern
+        scalars = [r for r, gamma in acting if gamma == const]
+        middles = [(gamma, r) for r, gamma in acting if gamma != const]
         action = self.scalar_action() if scalars else None
         products = {}   # (middle, f_idx) -> terms of (r x^gamma) * f
         rows = {}

@@ -410,6 +410,18 @@ def is_linearly_skew_armendariz(M: RightModule, P: SkewPbwPresentation,
                             True, max_space)
 
 
+def _orbit_repeat(ctx: BoundedContext, rows: dict, m_idx: int) -> bool:
+    """Whether m is not its orbit's minimum (`orbit_rep`) and has that
+    minimum's row.
+    The mixed-product conditions of the two scans below are orbit-invariant
+    ((n * m_i) r a = n * (m_i r a), n injective on M), so such an m fails
+    exactly when its minimum, visited first, does: the first failing m and
+    its witness stay.  Rows from `ann_am_rows` share one object per orbit."""
+    rep = ctx.orbit_rep()[m_idx]
+    return rep != m_idx and (rows[m_idx] is rows[rep]
+                             or rows[m_idx] == rows[rep])
+
+
 def _quasi_armendariz_failure(ctx: BoundedContext, rows: dict, max_space: int):
     """The witness of the first m, the least f in rows[m], then the first
     term of m and of f with a mixed product m_i x^alpha_i · r x^t · b_j
@@ -420,6 +432,8 @@ def _quasi_armendariz_failure(ctx: BoundedContext, rows: dict, max_space: int):
     ann = ctx.ann_am_rows(max_space)
     vanish = {}   # term of m -> the terms b x^beta in its ann(mA) row
     for m_idx in range(ctx.m_space):
+        if _orbit_repeat(ctx, rows, m_idx):
+            continue
         mts = ctx.mterms(m_idx)
         failing = []   # (f_idx, its first failing term pair)
         for f_idx in rows[m_idx] if mts else ():
@@ -723,6 +737,8 @@ def _mixed_products_failure(ctx: BoundedContext, rows: dict, max_space: int):
     act_t = M.action_table
     good = {}   # coefficient set C of m -> coeff_set(good(C))
     for m_idx in range(ctx.m_space):
+        if _orbit_repeat(ctx, rows, m_idx):
+            continue
         mts = ctx.mterms(m_idx)
         if not mts:
             continue

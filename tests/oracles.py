@@ -5,8 +5,9 @@ algorithms, deliberately sharing no code with the engine under test.  The
 exceptions are `slice_scalar_action`, `ann_am_reference`, `mixed_failure`
 and `torsion_failure`, which act on bounded module polynomials through
 `polymodule.act`, the generic action path, so they share nothing with the
-tables the bounded context builds; the row-scan references read only a
-context's sizes, basis and given rows.
+tables the bounded context builds, and `commuting_middles`, which
+multiplies through `skewpbw.mul`; the row-scan references read only a
+context's sizes, basis, middles and given rows.
 """
 
 from __future__ import annotations
@@ -208,6 +209,24 @@ def ann_am_reference(ctx) -> dict:
         out[m_idx] = frozenset(
             f_idx for f_idx, prods in enumerate(products)
             if all(act(mp, g).is_zero() for g in prods))
+    return out
+
+
+def commuting_middles(ctx) -> set:
+    """The middles (r, gamma) of `ctx.middle_factors()[1:]` with r x^gamma
+    * b x^beta == b x^beta * r x^gamma for every b in R, not only the
+    additive generators, and every beta in the basis, through
+    `skewpbw.mul`."""
+    from spbw.skewpbw import mul
+
+    P = ctx.presentation
+    slice_terms = [P.from_terms(((beta, b),)) for beta in ctx.basis
+                   for b in P.ring.elements()]
+    out = set()
+    for r, gamma in ctx.middle_factors()[1:]:
+        mu = P.from_terms(((gamma, r),))
+        if all(mul(mu, g).terms == mul(g, mu).terms for g in slice_terms):
+            out.add((r, gamma))
     return out
 
 

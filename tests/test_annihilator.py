@@ -288,14 +288,21 @@ def test_kernel_tabulates_instead_of_acting_per_pair(monkeypatch):
     assert calls["act_is_zero"] == 0
 
 
+def _z4_quantum_plane():
+    return parse_instance('{"ring":"Z4","variables":2,'
+                          '"relations":{"1,2":{"c":"3"}}}')
+
+
 def test_kernel_and_ann_am_rows_count_their_work(monkeypatch):
     # the kernel calls half_sums only to build its per-slot tables, never
     # once per m, and ann(mA) forms each product (r x^gamma) * f at most
     # once, for non-constant middles with r an additive generator of R
-    # only, however many rows hold f
-    inst = parse_instance(corpus.load("z4-regular"))
+    # only, however many rows hold f.  On the Z4 quantum plane x2 x1 =
+    # 3 x1 x2 the middles x1 and x2 do not commute with the slice, so
+    # `ann_am_rows` keeps them and forms products
+    inst = _z4_quantum_plane()
     P, M = inst.presentation, inst.module
-    ctx = context(M, P, 3)
+    ctx = context(M, P, 1)
     calls = {"half_sums": 0, "act_is_zero": 0}
     products = Counter()
     acting = [False]
@@ -341,6 +348,80 @@ def test_kernel_and_ann_am_rows_count_their_work(monkeypatch):
     # several m act on the same product
     assert calls["act_is_zero"] > len(products)
     assert rows == oracles.ann_am_reference(ctx)
+
+
+@pytest.mark.parametrize("name,degree", [
+    ("z3-trivial", 2), ("z4-regular", 4), ("z6-commutative", 1)])
+def test_commuting_middles_leave_the_kernel_rows(monkeypatch, name, degree):
+    # over a commutative slice every middle commutes with every f, so the
+    # ann(mA) rows are the kernel's own dict: no product is formed, no m
+    # is acted on and no scalar action table is built for the meet
+    inst = parse_instance(corpus.load(name))
+    ctx = context(inst.module, inst.presentation, degree)
+    kern = ctx.kernel()
+    calls = Counter()
+    monkeypatch.setattr(bounded, "term_products",
+                        lambda *args: calls.update(["term_products"]))
+    monkeypatch.setattr(ctx, "act_is_zero",
+                        lambda *args: calls.update(["act_is_zero"]))
+    assert ctx.acting_middles() == []
+    assert ctx.ann_am_rows() is kern
+    assert not calls and ctx._action is None
+
+
+def _middle_contexts():
+    """weyl-dual-quotient at d = 2..5, z2xz2-swap at d <= 3, the three
+    commutative corpus cases, UT(2,Z2) at d <= 2 and the Z4 quantum plane
+    x2 x1 = 3 x1 x2 at d <= 2."""
+    for name, degrees in (("weyl-dual-quotient", range(2, 6)),
+                          ("z2xz2-swap", range(4)), ("z3-trivial", (2,)),
+                          ("z4-regular", (4,)), ("z6-commutative", (1,))):
+        inst = parse_instance(corpus.load(name))
+        for d in degrees:
+            yield f"{name} d={d}", context(inst.module, inst.presentation, d)
+    for name, inst in (("UT(2,Z2)",
+                        parse_instance('{"ring":"UT(2,Z2)","variables":1}')),
+                       ("Z4 quantum plane", _z4_quantum_plane())):
+        for d in range(3):
+            yield f"{name} d={d}", context(inst.module, inst.presentation, d)
+
+
+def test_acting_middles_are_those_that_do_not_commute():
+    # the middles `ann_am_rows` drops are exactly those commuting, through
+    # skewpbw.mul, with every b x^beta of the slice, b over all of R; the
+    # rest keep their order.  On z2xz2-swap x commutes with 1 but not with
+    # (1,0), and on the quantum plane x1 commutes with R but not with x2
+    seen = set()
+    for case, ctx in _middle_contexts():
+        middles = ctx.middle_factors()[1:]
+        dropped = oracles.commuting_middles(ctx)
+        assert ctx.acting_middles() == [mu for mu in middles
+                                        if mu not in dropped], case
+        if middles:
+            seen.add(len(dropped) / len(middles))
+    assert {0, 1} < seen
+
+
+def test_ann_am_rows_with_acting_middles_match_the_reference(monkeypatch):
+    # where some middle does not commute the rows still equal the reference,
+    # also on UT(2,Z2), whose constants do not commute; at weyl-dual-quotient
+    # d=5, where the reference takes seconds, they equal the rows built with
+    # every middle acting
+    weyl = parse_instance(corpus.load("weyl-dual-quotient"))
+    ut = parse_instance('{"ring":"UT(2,Z2)","variables":1}')
+    for inst, d in ([(weyl, 2), (weyl, 3), (weyl, 4), (ut, 0), (ut, 1),
+                     (ut, 2), (_z4_quantum_plane(), 1)]):
+        ctx = context(inst.module, inst.presentation, d)
+        assert ctx.acting_middles(), (ctx.presentation, d)
+        assert ctx.ann_am_rows() == oracles.ann_am_reference(ctx), \
+            (ctx.presentation, d)
+    ctx = context(ut.module, ut.presentation, 2)
+    assert any(gamma == ctx.basis[0] for _, gamma in ctx.acting_middles())
+    ctx = context(weyl.module, weyl.presentation, 5)
+    fresh = bounded.BoundedContext(weyl.module, weyl.presentation, 5)
+    monkeypatch.setattr(fresh, "acting_middles",
+                        lambda: fresh.middle_factors()[1:])
+    assert ctx.ann_am_rows() == fresh.ann_am_rows()
 
 
 def _mixed_product_contexts():

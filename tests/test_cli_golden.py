@@ -6,7 +6,8 @@ corpus instance under `validate`, `check P --degree 1` for every property,
 unknown-property error, plus eight `theorems` runs whose budgets make
 reports skip (every skip conclusion text the corpus reaches) and the
 `theorems` runs one degree past each frontier at the default budget (every
-instance but weyl-dual-quotient, whose frontier is past d=5).  The digests
+instance but weyl-dual-quotient, whose frontier is past d=5), and three
+runs at the deepest degree without a skip.  The digests
 were recorded before the refactors of the verification layers they guard;
 such a refactor must leave every one of them unchanged.  Regenerate the
 table, with this file's `__main__` block, only for an intended change of
@@ -240,6 +241,13 @@ GOLDEN = [
      '09b8853ffb096c9e8f60cc28efec6d75b03b217fd8a24ea06ecc3714827dbc39'),
     ('z2xz2-swap theorems --degree 5', 0,
      '5a7b4d5c2487bb8359f0d04f3b6a5fa11f8d396b93786d27fdb31f822100b6ea'),
+    # at the deepest degree without a skip, where most rows are built
+    ('z3-trivial theorems --degree 2', 0,
+     '8f2d9a88d07d328881af13b54095b9eba5a419b30c13d42084bad839437ebe4c'),
+    ('z4-regular theorems --degree 4', 0,
+     '772e9550dff6c9fa047a8a8d8dba038a8291f3feaff581030578f192ff450b87'),
+    ('weyl-dual-quotient theorems --degree 5', 0,
+     '49341fb82db0db40d12c251a4bf8e0c4fd4998bbcfa3164d7fb1a189308e410a'),
 ]
 
 
