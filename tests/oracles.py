@@ -386,3 +386,38 @@ def correspondence_failure(ctx, rows):
         if diff:
             return m_idx, min(diff)
     return None
+
+
+def _row_constants(ctx, row) -> set:
+    """The r with the constant polynomial r in `row`: digit r in slot 0 and
+    the ring's zero in every other slot."""
+    R = ctx.presentation.ring
+    rest = sum(R.zero * R.order ** s for s in range(ctx.k - 1))
+    return {r for r in range(R.order)
+            if r * R.order ** (ctx.k - 1) + rest in row}
+
+
+def constants_generate_failure(ctx, rows):
+    """The first m_idx, in index order, whose row is not the set of f with
+    every coefficient among that row's constants; None if there is none."""
+    R = ctx.presentation.ring
+    for m_idx in range(ctx.m_space):
+        consts = _row_constants(ctx, rows[m_idx])
+        span = {f_idx for f_idx in range(ctx.f_space)
+                if set(_digits(f_idx, R.order, ctx.k)) <= consts}
+        if span != rows[m_idx]:
+            return m_idx
+    return None
+
+
+def nonzero_constant_failure(ctx, rows):
+    """The first m_idx, in index order, whose row holds a nonzero f but no
+    nonzero constant; None if there is none."""
+    R = ctx.presentation.ring
+    for m_idx in range(ctx.m_space):
+        row = rows[m_idx]
+        nonzero = [f_idx for f_idx in row
+                   if set(_digits(f_idx, R.order, ctx.k)) != {R.zero}]
+        if nonzero and _row_constants(ctx, row) <= {R.zero}:
+            return m_idx
+    return None

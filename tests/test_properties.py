@@ -5,6 +5,7 @@ import hashlib
 import json
 import weakref
 from collections import Counter
+from itertools import product
 
 import pytest
 
@@ -43,6 +44,7 @@ from spbw.properties import (
     _mpoly_from_struct,
     _poly_from_struct,
     _quasi_armendariz_failure,
+    _quasi_commutative_annihilator,
     _torsion_constant,
     idempotent_stability,
     is_abelian,
@@ -870,6 +872,56 @@ def test_row_scans_match_the_per_f_references(monkeypatch):
                     ("correspondence", True, False),
                     ("mixed", False, True), ("mixed", True, True),
                     ("mixed", True, False)}
+
+
+def test_quasi_commutative_parts_match_the_row_references(monkeypatch):
+    # the constants-generate and nonzero-constant parts, each against its
+    # per-m reference, with the mixed-products side patched to pass or to
+    # fail: the claim fails where the two sides disagree, at the first row
+    # that is not the span of its constants; where they agree and
+    # quasi-Armendariz is given as holding, at the first row with a nonzero
+    # f and no nonzero constant.  Such a row is never the span of its
+    # constants, so that part shows only beside a mixed-products failure.
+    # On the ann(mA) rows, on those rows less their largest non-constant f
+    # (strictly inside the span of their constants, so only the equality
+    # test fails them), and on the kernel rows, each patched in
+    holds = PropertyVerdict("skew_quasi_armendariz", HOLDS_UP_TO_BOUND)
+    mixed_wit = {"part": "mixed-products"}
+    seen = set()
+    for case, ctx in _scan_contexts():
+        ann, kern = ctx.ann_am_rows(), ctx.kernel()
+        constants = {ctx.f_term_index(ctx.basis[0], r)
+                     for r in ctx.presentation.ring.elements()}
+        shrunk = {m_idx: row - {max(row - constants, default=None)}
+                  for m_idx, row in ann.items()}
+
+        def wit(part, m_idx):
+            return {"part": part,
+                    "m": ctx.m_poly(m_idx).to_json(ctx.module.name)}
+
+        for (kind, rows), mixed in product(
+                (("ann", ann), ("shrunk", shrunk), ("kernel", kern)),
+                (None, mixed_wit)):
+            gen = oracles.constants_generate_failure(ctx, rows)
+            gap = oracles.nonzero_constant_failure(ctx, rows)
+            with monkeypatch.context() as patch:
+                patch.setattr(ctx, "ann_am_rows", lambda *args: rows)
+                patch.setattr(properties, "_mixed_products_failure",
+                              lambda *args: mixed)
+                got = [_quasi_commutative_annihilator(ctx, DEFAULT_MAX_SPACE,
+                                                      quasi)
+                       for quasi in (None, holds)]
+            gen_wit = None if gen is None else wit("constants-generate", gen)
+            if (gen is None) != (mixed is None):
+                want = [(False, gen_wit or mixed)] * 2
+            elif gap is not None:
+                want = [(None, None), (False, wit("nonzero-constant", gap))]
+            else:
+                want = [(None, None), (True, None)]
+            assert got == want, case
+            seen.add((kind, gen is None, gap is None))
+    assert seen >= {("ann", True, True), ("shrunk", False, True),
+                    ("kernel", False, False)}
 
 
 def test_quasi_armendariz_scan_matches_the_reference():
