@@ -12,8 +12,10 @@ The expensive artifact is the kernel map m -> {f : act(m, f) = 0}.  It is
 computed once per (module, presentation, degree) triple and shared by every
 check that needs annihilators, via the `context` factory below.  The module
 owns its contexts: they are cached on the RightModule and live exactly as
-long as it does, so there is no process-wide cache.  M<X>_{<=0} is M, so
-the exact Baer-family deciders on M use the slice `context(M, None, 0)`.
+long as it does, so there is no process-wide cache.  Each read of a cached
+kernel, ann(mA) or coeff_set is guarded against the caller's budget, as a
+fresh one is.  M<X>_{<=0} is M, so the exact Baer-family deciders on M use
+the slice `context(M, None, 0)`.
 
 Module values are summed only as `PackedVectors`: (M, +) is coded once
 per module as Z/n_1 x .. x Z/n_r, and a vector is one int with an 8-bit
@@ -38,8 +40,10 @@ take the least index as the witness f.
 For n prime to the exponent of (M, +), m -> n * m is an automorphism and
 act(n * m, f) = n * act(m, f), so the m of one orbit share their kernel and
 ann(mA) rows.  Each row is built once per orbit, at its least index
-(`orbit_rep`), and the scans whose condition is orbit-invariant visit only
-those minima: the first failing m in index order is one, so witnesses stay.
+(`orbit_rep`), and every m of the orbit holds that one row: the row scans
+of `properties` rest on this contract.  Their conditions are all
+orbit-invariant, so every row scan visits the minima only; the first
+failing m in index order is one, so witnesses stay.
 
 The scalar action m * r is additive in m, so H_r = {m in M^k : m * r = 0}
 and S_r = ann_M(r)^k are subgroups of M^k.  S_r is spanned by the single-slot
@@ -354,9 +358,9 @@ class BoundedContext:
         decide reports that are skipped today, changing reports and the cost
         of the frontier cases, so it is left for a change of its own.
         """
+        self.guard(self.pair_space, max_space, "module-poly/poly pair space")
         if self._kernel is not None:
             return self._kernel
-        self.guard(self.pair_space, max_space, "module-poly/poly pair space")
         M, q, k = self.module, self.ring_size, self.k
         rep = self.orbit_rep()
         tensor, G = self.structure_tensor()
@@ -458,9 +462,9 @@ class BoundedContext:
         injective on M, so as in `kernel` each row is found only at an orbit
         minimum of `orbit_rep` and shared, as one frozenset, by its orbit.
         """
+        kern = self.kernel(max_space)
         if self._ann_am is not None:
             return self._ann_am
-        kern = self.kernel(max_space)
         rep = self.orbit_rep()
         P, ring = self.presentation, self.presentation.ring
         const = self.basis[0]
@@ -507,16 +511,14 @@ class BoundedContext:
         elements containing 0); this is (allowed)*A cut to degree <= d when
         allowed is a right ideal.  Built slot by slot, |result| * k indices,
         and kept per `allowed`; the guard measures the polynomial space."""
-        key = frozenset(allowed)
-        cached = self._coeff_sets.get(key)
-        if cached is not None:
-            return cached
         self.guard(self.f_space, max_space, "polynomial space")
-        out = [0]   # the indices of the vectors over `allowed`, slot by slot
-        for _ in range(self.k):
-            out = [f_idx * self.ring_size + b for f_idx in out for b in key]
-        result = self._coeff_sets[key] = frozenset(out)
-        return result
+        key = frozenset(allowed)
+        if key not in self._coeff_sets:
+            out = [0]   # the indices of the vectors over `allowed`, by slot
+            for _ in range(self.k):
+                out = [f_idx * self.ring_size + b for f_idx in out for b in key]
+            self._coeff_sets[key] = frozenset(out)
+        return self._coeff_sets[key]
 
 
 def context(module: RightModule, presentation: SkewPbwPresentation | None,

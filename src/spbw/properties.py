@@ -284,13 +284,13 @@ def _pq_baer_family(ctx: BoundedContext, max_space: int):
     return _first_outside(ctx, max_space, ctx.ann_am_rows(max_space).items())
 
 
-def _quasi_baer_family(ctx: BoundedContext, max_space: int,
-                       max_order: int = DEFAULT_MAX_SUBMODULE_ORDER):
-    """The meet of the kernel rows over N^k, keyed by the submodule N."""
+def _quasi_baer_family(ctx: BoundedContext, max_space: int):
+    """The meet of the kernel rows over N^k, keyed by the submodule N, for
+    the submodules of M up to DEFAULT_MAX_SUBMODULE_ORDER elements."""
     kern = ctx.kernel(max_space)
 
     def family():
-        for sub in all_submodules(ctx.module, max_order):
+        for sub in all_submodules(ctx.module, DEFAULT_MAX_SUBMODULE_ORDER):
             yield sub, frozenset.intersection(*(
                 kern[ctx.m_index(vec)]
                 for vec in product(sorted(sub.elements), repeat=ctx.k)))
@@ -314,13 +314,12 @@ def _baer_family(ctx: BoundedContext, max_space: int):
     return _first_outside(ctx, max_space, family())
 
 
-def _exact_verdict(prop: str, M: RightModule, family, witness,
-                   *args) -> PropertyVerdict:
-    """family(ctx, budget, *args) on context(M, None, 0), where m_idx and
-    f_idx are elements of M and R; the budget is its pair space, so no guard
+def _exact_verdict(prop: str, M: RightModule, family, witness) -> PropertyVerdict:
+    """family(ctx, budget) on context(M, None, 0), where m_idx and f_idx
+    are elements of M and R; the budget is its pair space, so no guard
     refuses.  Fails with witness(ctx, key) and the annihilator."""
     ctx = context(M, None, 0)
-    found = family(ctx, ctx.pair_space, *args)
+    found = family(ctx, ctx.pair_space)
     if found is None:
         return PropertyVerdict(prop, HOLDS)
     return PropertyVerdict(prop, FAILS, {
@@ -338,10 +337,8 @@ def is_pq_baer(M: RightModule) -> PropertyVerdict:
                           lambda ctx, m: {"m": M.name(m)})
 
 
-def is_quasi_baer(M: RightModule,
-                  max_order: int = DEFAULT_MAX_SUBMODULE_ORDER) -> PropertyVerdict:
-    return _exact_verdict("quasi_baer", M, _quasi_baer_family,
-                          _submodule_json, max_order)
+def is_quasi_baer(M: RightModule) -> PropertyVerdict:
+    return _exact_verdict("quasi_baer", M, _quasi_baer_family, _submodule_json)
 
 
 def is_baer(M: RightModule) -> PropertyVerdict:
@@ -358,38 +355,55 @@ def _submodule_json(ctx: BoundedContext, sub) -> dict:
 # bounded deciders
 
 
+def _row_failure(ctx: BoundedContext, rows: dict, key, allowed,
+                 max_space: int, exact: bool = False):
+    """(m_idx, least f) at the first orbit minimum m (`orbit_rep`), in index
+    order, whose row is not inside coeff_set(allowed(key(m))), or not equal
+    to it when `exact`; None if there is none.  An m with key(m) None is
+    skipped, and each distinct key's set is built once.
+
+    Visiting the minima only rests on two premises: `rows` shares one row
+    per orbit, as `kernel()` and `ann_am_rows()` do, and the condition is
+    orbit-invariant.  Then the first failing m is a minimum, and its witness
+    is the one a scan of every m would find."""
+    sets = {}   # key -> coeff_set(allowed(key))
+    for m_idx, rep in enumerate(ctx.orbit_rep()):
+        k = key(m_idx) if rep == m_idx else None
+        if k is None:
+            continue
+        if k not in sets:
+            sets[k] = ctx.coeff_set(allowed(k), max_space)
+        row, target = rows[m_idx], sets[k]
+        if (row != target) if exact else not (row <= target):
+            return m_idx, min(row ^ target if exact else row - target)
+    return None
+
+
 def _armendariz_scan(ctx: BoundedContext, prop: str, exact: bool,
                      max_space: int) -> PropertyVerdict:
     """Each kernel row must lie in coeff_set(ann_R(m0)), m0 the constant
-    coefficient of m: one set per block of m sharing m0.  The witness is the
-    least f outside it and its first term b with m0 * b != 0.  Only orbit
-    minima are visited, as ann_R(n * m0) = ann_R(m0) (`orbit_rep`)."""
+    coefficient of m, nonzero: `_row_failure` keyed by m0, as ann_R(n * m0)
+    = ann_R(m0).  The witness is the least f outside it and its first term
+    b with m0 * b != 0."""
     M = ctx.module
     R = ctx.presentation.ring
-    kern = ctx.kernel(max_space)
-    rep = ctx.orbit_rep()
     stride = ctx.m_space // ctx.mod_size   # the m_idx with one m0
-    for m0 in M.elements():
-        if m0 == M.zero:
-            continue
-        row = M.action_table[m0]
-        allowed = ctx.coeff_set([b for b in R.elements() if row[b] == M.zero],
-                                max_space)
-        for m_idx in range(m0 * stride, (m0 + 1) * stride):
-            if rep[m_idx] != m_idx:
-                continue
-            f_idx = min(kern[m_idx] - allowed, default=None)
-            if f_idx is None:
-                continue
-            beta, b = next((beta, b) for beta, b in ctx.fterms(f_idx)
-                           if row[b] != M.zero)
-            witness = {"m": ctx.m_poly(m_idx).to_json(M.name),
-                       "f": ctx.f_poly(f_idx).to_json(R.name),
-                       "exp": list(beta), "m0": M.name(m0),
-                       "coeff": R.name(b)}
-            return PropertyVerdict(prop, FAILS, witness, bound=ctx.degree)
-    status = HOLDS if exact else HOLDS_UP_TO_BOUND
-    return PropertyVerdict(prop, status, bound=ctx.degree)
+    keys = [None if m0 == M.zero else m0 for m0 in M.elements()]
+    found = _row_failure(
+        ctx, ctx.kernel(max_space), lambda m_idx: keys[m_idx // stride],
+        lambda m0: [b for b in R.elements() if M.action_table[m0][b] == M.zero],
+        max_space)
+    if found is None:
+        status = HOLDS if exact else HOLDS_UP_TO_BOUND
+        return PropertyVerdict(prop, status, bound=ctx.degree)
+    m_idx, f_idx = found
+    m0 = m_idx // stride
+    beta, b = next((beta, b) for beta, b in ctx.fterms(f_idx)
+                   if M.action_table[m0][b] != M.zero)
+    witness = {"m": ctx.m_poly(m_idx).to_json(M.name),
+               "f": ctx.f_poly(f_idx).to_json(R.name),
+               "exp": list(beta), "m0": M.name(m0), "coeff": R.name(b)}
+    return PropertyVerdict(prop, FAILS, witness, bound=ctx.degree)
 
 
 def is_skew_armendariz_bounded(M: RightModule, P: SkewPbwPresentation,
@@ -410,29 +424,19 @@ def is_linearly_skew_armendariz(M: RightModule, P: SkewPbwPresentation,
                             True, max_space)
 
 
-def _orbit_repeat(ctx: BoundedContext, rows: dict, m_idx: int) -> bool:
-    """Whether m is not its orbit's minimum (`orbit_rep`) and has that
-    minimum's row.
-    The mixed-product conditions of the two scans below are orbit-invariant
-    ((n * m_i) r a = n * (m_i r a), n injective on M), so such an m fails
-    exactly when its minimum, visited first, does: the first failing m and
-    its witness stay.  Rows from `ann_am_rows` share one object per orbit."""
-    rep = ctx.orbit_rep()[m_idx]
-    return rep != m_idx and (rows[m_idx] is rows[rep]
-                             or rows[m_idx] == rows[rep])
-
-
 def _quasi_armendariz_failure(ctx: BoundedContext, rows: dict, max_space: int):
     """The witness of the first m, the least f in rows[m], then the first
     term of m and of f with a mixed product m_i x^alpha_i · r x^t · b_j
     x^beta_j != 0, or None: b_j x^beta_j outside the `ann_am_rows` row of
     m_i x^alpha_i (see there).  Only that pair is acted on, for its first r,
-    then t in basis order."""
+    then t in basis order.  Only orbit minima are visited, as in
+    `_row_failure`: (n * m_i) r a = n * (m_i r a), n injective on M."""
     M, P, R = ctx.module, ctx.presentation, ctx.presentation.ring
     ann = ctx.ann_am_rows(max_space)
+    rep = ctx.orbit_rep()
     vanish = {}   # term of m -> the terms b x^beta in its ann(mA) row
     for m_idx in range(ctx.m_space):
-        if _orbit_repeat(ctx, rows, m_idx):
+        if rep[m_idx] != m_idx:
             continue
         mts = ctx.mterms(m_idx)
         failing = []   # (f_idx, its first failing term pair)
@@ -669,28 +673,21 @@ def _bounded_sigma_reduced(ctx: BoundedContext, max_space: int):
 def _annihilator_correspondence(ctx: BoundedContext, max_space: int):
     """Bounded form of the extension correspondence: the annihilator of any
     bounded module polynomial in A_{<=d} is exactly the coefficientwise
-    annihilator extended over the monomial basis.  The coeff_set of ann_R(C)
-    is found once per distinct coefficient set C of m and compared with the
-    kernel row.  Constant subsets follow, as coeff_set(I & J) =
-    coeff_set(I) & coeff_set(J).  Only orbit minima are visited, as ann_R(n * C) = ann_R(C)."""
+    annihilator extended over the monomial basis.  `_row_failure` keyed by
+    the coefficient set C of m compares each kernel row with the coeff_set
+    of ann_R(C), as ann_R(n * C) = ann_R(C).  Constant subsets follow, as
+    coeff_set(I & J) = coeff_set(I) & coeff_set(J)."""
     M = ctx.module
-    R = ctx.presentation.ring
-    kern = ctx.kernel(max_space)
-    rep = ctx.orbit_rep()
-    ideals = {}   # coefficient set C of m -> coeff_set(ann_R(C))
-    for m_idx in range(ctx.m_space):
-        if rep[m_idx] != m_idx:
-            continue
-        coeffs = frozenset(c for _, c in ctx.mterms(m_idx))
-        if coeffs not in ideals:
-            ideals[coeffs] = ctx.coeff_set(ann_in_r(M, coeffs).elements,
-                                           max_space)
-        pred, row = ideals[coeffs], kern[m_idx]
-        if row != pred:
-            return False, {"m": ctx.m_poly(m_idx).to_json(M.name),
-                           "f": ctx.f_poly(min(pred ^ row)).to_json(R.name),
-                           "side": "single"}
-    return True, None
+    found = _row_failure(
+        ctx, ctx.kernel(max_space),
+        lambda m_idx: frozenset(c for _, c in ctx.mterms(m_idx)),
+        lambda C: ann_in_r(M, C).elements, max_space, exact=True)
+    if found is None:
+        return True, None
+    m_idx, f_idx = found
+    return False, {"m": ctx.m_poly(m_idx).to_json(M.name),
+                   "f": ctx.f_poly(f_idx).to_json(ctx.presentation.ring.name),
+                   "side": "single"}
 
 
 def _torsion_constant(ctx: BoundedContext, max_space: int):
@@ -730,65 +727,51 @@ def _mixed_annihilator(M: RightModule, coeffs) -> frozenset:
 
 def _mixed_products_failure(ctx: BoundedContext, rows: dict, max_space: int):
     """The witness of the first m, and the least f in its row, with a mixed
-    product (m_i * r) * a_j != 0, or None: f outside coeff_set(good(C)), one
-    set per distinct C, and r the first over m's terms, then f's, then R."""
+    product (m_i * r) * a_j != 0, or None: `_row_failure` keyed by the
+    coefficient set C of m != 0, f outside coeff_set(good(C)), and r the
+    first over m's terms, then f's, then R."""
     M = ctx.module
     R = ctx.presentation.ring
     act_t = M.action_table
-    good = {}   # coefficient set C of m -> coeff_set(good(C))
-    for m_idx in range(ctx.m_space):
-        if _orbit_repeat(ctx, rows, m_idx):
-            continue
-        mts = ctx.mterms(m_idx)
-        if not mts:
-            continue
-        C = frozenset(c for _, c in mts)
-        if C not in good:
-            good[C] = ctx.coeff_set(_mixed_annihilator(M, C), max_space)
-        f_idx = min(rows[m_idx] - good[C], default=None)
-        if f_idx is not None:
-            r = next(r for _, mi in mts for _, aj in ctx.fterms(f_idx)
-                     for r in R.elements() if act_t[act_t[mi][r]][aj] != M.zero)
-            return {"part": "mixed-products",
-                    "m": ctx.m_poly(m_idx).to_json(M.name),
-                    "f": ctx.f_poly(f_idx).to_json(R.name), "r": R.name(r)}
-    return None
+    found = _row_failure(
+        ctx, rows,
+        lambda m_idx: frozenset(c for _, c in ctx.mterms(m_idx)) or None,
+        lambda C: _mixed_annihilator(M, C), max_space)
+    if found is None:
+        return None
+    m_idx, f_idx = found
+    r = next(r for _, mi in ctx.mterms(m_idx) for _, aj in ctx.fterms(f_idx)
+             for r in R.elements() if act_t[act_t[mi][r]][aj] != M.zero)
+    return {"part": "mixed-products", "m": ctx.m_poly(m_idx).to_json(M.name),
+            "f": ctx.f_poly(f_idx).to_json(R.name), "r": R.name(r)}
 
 
 def _quasi_commutative_annihilator(ctx: BoundedContext, max_space: int,
                                    quasi_verdict):
     """Structure of bounded ann(mA): generated by its constants exactly when
     all mixed products m_i R a_j vanish (`_mixed_products_failure`); plus
-    the nonzero-constant guarantee for quasi-Armendariz modules.  Both row
-    tests read the row alone, so only orbit minima are visited."""
-    M = ctx.module
+    the nonzero-constant guarantee for quasi-Armendariz modules.  The first
+    is `_row_failure` keyed by the row's constants, the second the first
+    orbit minimum whose row holds a nonzero f and no nonzero constant."""
     R = ctx.presentation.ring
     rows = ctx.ann_am_rows(max_space)
-    rep = ctx.orbit_rep()
-    a_wit = constant_gap = None
     constants = [(r, ctx.f_term_index(ctx.basis[0], r)) for r in R.elements()]
-    spans = {}   # the constants of a row -> their coeff_set
-    for m_idx in range(ctx.m_space):
-        if rep[m_idx] != m_idx:
-            continue
-        row = rows[m_idx]
-        consts = frozenset(r for r, f_idx in constants if f_idx in row)
-        if a_wit is None:
-            if consts not in spans:
-                spans[consts] = ctx.coeff_set(consts, max_space)
-            if row != spans[consts]:
-                a_wit = {"part": "constants-generate",
-                         "m": ctx.m_poly(m_idx).to_json(M.name)}
-        if constant_gap is None and len(row) > 1 and consts == {R.zero}:
-            constant_gap = {"part": "nonzero-constant",
-                            "m": ctx.m_poly(m_idx).to_json(M.name)}
+
+    def consts(m_idx):
+        return frozenset(r for r, f_idx in constants if f_idx in rows[m_idx])
+
+    found = _row_failure(ctx, rows, consts, lambda c: c, max_space, exact=True)
+    a_wit = found and {"part": "constants-generate", **_m_json(ctx, found[0])}
     b_wit = _mixed_products_failure(ctx, rows, max_space)
     if (a_wit is None) != (b_wit is None):
         return False, (a_wit or b_wit)
     if quasi_verdict is None:
         return None, None
-    if quasi_verdict.holds and constant_gap is not None:
-        return False, constant_gap
+    rep = ctx.orbit_rep()
+    for m_idx in range(ctx.m_space) if quasi_verdict.holds else ():
+        if (rep[m_idx] == m_idx and len(rows[m_idx]) > 1
+                and consts(m_idx) == {R.zero}):
+            return False, {"part": "nonzero-constant", **_m_json(ctx, m_idx)}
     return True, None
 
 

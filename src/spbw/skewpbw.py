@@ -35,7 +35,6 @@ command line layer is 1-based.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 

@@ -458,7 +458,9 @@ def test_single_term_lookup_matches_the_mixed_reference():
     # when the single term b x^beta lies in the ann(mA) row of m x^alpha;
     # the reference acts on each (r, t) through polymodule.act.  A failing
     # pair, scanned alone, names the reference's first (r, t), r in ring
-    # order first (on z2xz2-swap t in basis order first would differ)
+    # order first (on z2xz2-swap t in basis order first would differ).  The
+    # scan visits orbit minima only, so the pair is keyed at m x^alpha's
+    # minimum (n * m) x^alpha, whose (r, t) is m's as n is injective on M
     seen = set()
     for case, ctx in _mixed_product_contexts():
         M, R = ctx.module, ctx.presentation.ring
@@ -473,9 +475,9 @@ def test_single_term_lookup_matches_the_mixed_reference():
             assert passes is (hit is None), (case, alpha, m, beta, b)
             seen.add(passes)
             if hit is not None:
+                rows = {ctx.orbit_rep()[m_idx]: frozenset({f_idx})}
                 wit = _quasi_armendariz_failure(
-                    ctx, defaultdict(frozenset, {m_idx: frozenset({f_idx})}),
-                    ctx.pair_space)
+                    ctx, defaultdict(frozenset, rows), ctx.pair_space)
                 assert (wit["r"], wit["t"]) == (R.name(hit[0]), list(hit[1])), \
                     (case, alpha, m, beta, b)
     assert seen == {True, False}

@@ -226,9 +226,10 @@ def test_pp_fails_on_z4_with_witness(z4):
     assert replay(z4.module, z4.presentation, v4)
 
 
-def test_quasi_baer_order_guard(z6):
+def test_quasi_baer_order_guard(z6, monkeypatch):
+    monkeypatch.setattr(properties, "DEFAULT_MAX_SUBMODULE_ORDER", 4)
     with pytest.raises(TooLarge):
-        is_quasi_baer(z6.module, max_order=4)
+        is_quasi_baer(z6.module)
 
 
 # sha256 of json.dumps([v.to_json() for v in (pp, pq_baer, quasi_baer, baer)])
@@ -292,12 +293,12 @@ def test_degree_zero_rows_are_annihilators_in_r():
 
 
 @pytest.mark.filterwarnings("ignore:ring of order 64")
-def test_exact_baer_family_decides_z64_without_a_budget():
+def test_exact_baer_family_decides_z64_without_a_budget(monkeypatch):
     # no guard of the degree-0 families refuses an exact verdict; the
-    # submodule cap is a separate, explicit parameter
+    # submodule cap is a separate constant, raised here
+    monkeypatch.setattr(properties, "DEFAULT_MAX_SUBMODULE_ORDER", 64)
     M = regular_module(zmod(64))
-    verdicts = [is_pp(M), is_pq_baer(M), is_quasi_baer(M, max_order=64),
-                is_baer(M)]
+    verdicts = [is_pp(M), is_pq_baer(M), is_quasi_baer(M), is_baer(M)]
     assert [v.status for v in verdicts] == [FAILS] * 4
     assert verdicts[0].witness == {"m": "2", "annihilator": ["0", "32"]}
     assert all(replay(M, None, v) for v in verdicts)
@@ -767,6 +768,24 @@ def test_bounded_sigma_reduced_matches_the_act_scalar_oracle(monkeypatch):
             if ctx.pair_space <= DEFAULT_MAX_SPACE:  # reads the table too
                 _torsion_constant(ctx, DEFAULT_MAX_SPACE)
     assert seen == {"refused", "sigma_compatible", "reduced"}
+
+
+def test_cached_rows_are_guarded_on_every_read():
+    # the kernel, ann(mA) and coeff_set caches of a context guard each read:
+    # after a lifted run on one module, a default-budget run gives the
+    # reports of a fresh module, refusals included (z4-regular at d = 5)
+    def reports(inst, **budget):
+        return [r.to_json() for r in theorem_suite(
+            inst.module, inst.presentation, 5, inst.embedding, **budget)]
+
+    want = reports(parse_instance(corpus.load("z4-regular")))
+    assert Counter(r["status"] for r in want) == {
+        CONFIRMED: 5, SKIPPED: 8, HYPOTHESIS_NOT_MET: 4}
+    inst = parse_instance(corpus.load("z4-regular"))
+    lifted = reports(inst, max_space=10 ** 12)
+    assert Counter(r["status"] for r in lifted) == {
+        CONFIRMED: 13, HYPOTHESIS_NOT_MET: 4}
+    assert reports(inst) == want
 
 
 def test_context_lives_exactly_as_long_as_its_module():
