@@ -45,8 +45,10 @@ _UT_RE = re.compile(r"UT\((\d+),\s*Z(\d+)\)$", re.ASCII)
 _VAR_RE = re.compile(r"x(\d+)(?:\^(\d+))?$", re.ASCII)
 _PAIR_RE = re.compile(r"(\d+)\s*,\s*(\d+)$", re.ASCII)
 
-# Fixed ceiling on the total degree of one term of a polynomial literal:
-# the rewriting pass builds the full word, so x1^99999999 would not return.
+# Fixed ceiling on the total degree of one term of a polynomial literal.
+# The normal-form tables fill x^alpha * r through one nested call per letter
+# of alpha, so the cap bounds that recursion: x1^99999999 * x2 would exhaust
+# the stack.
 HARD_DEGREE_CAP = 64
 
 _INSTANCE_KEYS = {"label", "ring", "variables", "sigma", "delta", "relations",
@@ -301,7 +303,7 @@ def _small(digits: str) -> int:
 
 def _check_degree(term_txt: str, factors) -> None:
     """Refuse a term whose factors x<i>^<k> have total degree over
-    HARD_DEGREE_CAP, before any word is built."""
+    HARD_DEGREE_CAP, before any monomial is built."""
     degree = 0
     for factor in factors:
         mv = _VAR_RE.fullmatch(factor)

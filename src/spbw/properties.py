@@ -752,7 +752,9 @@ def _quasi_commutative_annihilator(ctx: BoundedContext, max_space: int,
     all mixed products m_i R a_j vanish (`_mixed_products_failure`); plus
     the nonzero-constant guarantee for quasi-Armendariz modules.  The first
     is `_row_failure` keyed by the row's constants, the second the first
-    orbit minimum whose row holds a nonzero f and no nonzero constant."""
+    orbit minimum whose row holds a nonzero f and no nonzero constant.  The
+    second can fire only after the first has: a row equal to the span of
+    the constant 0 alone is {0}."""
     R = ctx.presentation.ring
     rows = ctx.ann_am_rows(max_space)
     constants = [(r, ctx.f_term_index(ctx.basis[0], r)) for r in R.elements()]
@@ -768,7 +770,7 @@ def _quasi_commutative_annihilator(ctx: BoundedContext, max_space: int,
     if quasi_verdict is None:
         return None, None
     rep = ctx.orbit_rep()
-    for m_idx in range(ctx.m_space) if quasi_verdict.holds else ():
+    for m_idx in range(ctx.m_space) if quasi_verdict.holds and a_wit else ():
         if (rep[m_idx] == m_idx and len(rows[m_idx]) > 1
                 and consts(m_idx) == {R.zero}):
             return False, {"part": "nonzero-constant", **_m_json(ctx, m_idx)}

@@ -11,16 +11,22 @@ together with the coefficient commutation law
     x_i r  =  sigma_i(r) x_i  +  delta_i(r)                         (r in R).
 
 Every element of the extension has a unique normal form: a left R-linear
-combination of sorted monomials x_1^a1 .. x_n^an.  Normal forms are computed
-by a rewriting pass over generator words.  Each rewrite step either merges
-two adjacent coefficients, pushes a coefficient left through a variable
-(splitting into a sigma branch of equal degree and a delta branch of lower
-degree), or swaps an out-of-order variable pair (one equal-degree branch plus
-lower-degree branches).  The lexicographic measure (degree, inversion count,
-coefficient displacement, word length) strictly decreases at each step, so
-the pass terminates; validated presentations are checked for confluence by
-:func:`check_consistency`, so the result is independent of strategy.  The
-strategy itself is fixed (leftmost redex first) and deterministic.
+combination of sorted monomials x_1^a1 .. x_n^an.  Normal forms come from
+memoized tables filled one rewriting rule at a time.  With j the last
+variable of x^alpha, :meth:`SkewPbwPresentation.push` rewrites x^alpha r as
+x^(alpha - e_j) (sigma_j(r) x_j + delta_j(r)).  The one-letter entries of
+:meth:`SkewPbwPresentation.mono_prod` rewrite x^gamma x_j, for a last
+variable l > j of gamma, as x^(gamma - e_l) (c_jl x_j x_l + sum_k r^k_jl x_k
++ r^0_jl).  Each summand word is then folded left to right, one token at a
+time, through smaller entries (:func:`_fold`); longer monomial products and
+:func:`normalize` are the same fold.  A push entry of degree d reads push
+entries of degree d - 1 and one-letter entries of product degree at most d;
+a one-letter entry of product degree d reads push entries of degree d - 2,
+one-letter entries of product degree at most d - 1, and sorted
+concatenations, which are their own normal forms.  So the tables fill on
+every presentation.  Each step rewrites one subword by one rule, so on a
+presentation that :func:`check_consistency` certifies confluent the tables
+give the unique normal form, whatever the order of the steps.
 
 Polynomials are term dicts on sorted monomials; :class:`TermPoly` holds
 what ring and module polynomials share (comparison, addition, degree and
@@ -47,14 +53,6 @@ from .monomial import MonomialOrder, default_order
 # Most variables a presentation may have.  Validation scans O(n^3) overlap
 # words and O(n^2) relations, which stays within seconds up to this cap.
 HARD_VARIABLE_CAP = 64
-
-
-def word_of_term(coefficient: int, alpha) -> list:
-    """Generator word for the term coefficient * x^alpha."""
-    w = [("c", coefficient)]
-    for i, e in enumerate(alpha):
-        w.extend([("v", i)] * e)
-    return w
 
 
 class SkewPbwPresentation:
@@ -85,6 +83,8 @@ class SkewPbwPresentation:
         self._push_cache = {}
         self._prod_cache = {}
         self._triple_cache = {}
+        self.units = tuple(tuple(int(i == k) for k in range(self.n))
+                           for i in range(self.n))
 
     # -- polynomial constructors ------------------------------------------
 
@@ -127,23 +127,46 @@ class SkewPbwPresentation:
         return r
 
     def push(self, alpha, r: int):
-        """Normal form of x^alpha * r as a sorted tuple of (exponent, coeff)."""
+        """Normal form of x^alpha * r as a sorted tuple of (exponent, coeff).
+
+        With j the last variable of alpha, one rule application gives
+        x^alpha r = x^(alpha - e_j) (sigma_j(r) x_j + delta_j(r)), and
+        :func:`_fold` reads both summands off shorter entries."""
         key = (alpha, r)
         hit = self._push_cache.get(key)
         if hit is None:
-            word = word_of_term(self.ring.one, alpha)[1:] + [("c", r)]
-            hit = tuple(sorted(_normalize_terms(self, word).items()))
+            j = _last_variable(alpha)
+            if r == self.ring.zero:
+                hit = ()
+            elif j < 0:
+                hit = ((alpha, r),)
+            else:
+                hit = _fold(self, _drop(alpha, j),
+                            _rewrite_once(self, [("v", j), ("c", r)], 0))
             self._push_cache[key] = hit
         return hit
 
     def mono_prod(self, alpha, beta):
-        """Normal form of x^alpha * x^beta, same shape as :meth:`push`."""
+        """Normal form of x^alpha * x^beta, same shape as :meth:`push`.
+
+        A sorted concatenation is its own normal form.  For one letter x_j
+        after a last variable l > j of alpha, one rule application gives
+        x^alpha x_j = x^(alpha - e_l) (c_jl x_j x_l + sum_k r^k_jl x_k +
+        r^0_jl).  A longer beta is folded letter by letter, in one loop, from
+        the one-letter entries."""
         key = (alpha, beta)
         hit = self._prod_cache.get(key)
         if hit is None:
-            word = word_of_term(self.ring.one, alpha)[1:] + \
-                word_of_term(self.ring.one, beta)[1:]
-            hit = tuple(sorted(_normalize_terms(self, word).items()))
+            l = _last_variable(alpha)
+            j = next((i for i, e in enumerate(beta) if e), self.n)
+            if l <= j:
+                hit = ((monomial.add(alpha, beta), self.ring.one),)
+            elif sum(beta) == 1:
+                hit = _fold(self, _drop(alpha, l),
+                            _rewrite_once(self, [("v", l), ("v", j)], 0))
+            else:
+                hit = _fold(self, alpha, [[("v", i) for i, e in enumerate(beta)
+                                           for _ in range(e)]])
             self._prod_cache[key] = hit
         return hit
 
@@ -168,109 +191,53 @@ class SkewPbwPresentation:
 
 
 # ---------------------------------------------------------------------------
-# the rewriting pass
+# one-letter rewriting
 
 
-def _normalize_terms(P: SkewPbwPresentation, word) -> dict:
-    """Rewrite a generator word to normal form; returns exponent -> coeff.
+def _last_variable(alpha) -> int:
+    """Index of the last variable of x^alpha; -1 for alpha = 0."""
+    j = len(alpha) - 1
+    while j >= 0 and not alpha[j]:
+        j -= 1
+    return j
 
-    The worklist holds (tokens, scan_start) pairs; rewriting a redex at
-    position p cannot create a new redex left of p - 1, so scanning resumes
-    there.  Words acquiring a zero coefficient are dropped immediately.
-    """
+
+def _drop(alpha, j: int) -> tuple:
+    """alpha - e_j."""
+    return alpha[:j] + (alpha[j] - 1,) + alpha[j + 1:]
+
+
+def _fold(P: SkewPbwPresentation, head, words) -> tuple:
+    """Normal form of the sum of x^head * w over the generator words w, as
+    sorted (exponent, coeff) pairs.  Each word is a left fold over its
+    tokens: ("c", r) right-multiplies every term through :meth:`push`,
+    ("v", i) through the one-letter entries of :meth:`mono_prod`."""
     R = P.ring
-    zero = R.zero
-    add_t = R.add_table
-    mul_t = R.mul_table
-    sig = P.sigma_tables
-    dlt = P.delta_tables
-    n = P.n
-    terms = {}
-
-    first = list(word)
-    for kind, v in first:
-        if kind == "c":
-            if not 0 <= v < R.order:
-                raise ValidationError("bad_coefficient", witness=v)
-        elif kind == "v":
-            if not 0 <= v < n:
-                raise ValidationError("bad_variable", witness=v)
-        else:
-            raise ValidationError("bad_word", witness=(kind, v))
-    if any(kind == "c" and v == zero for kind, v in first):
-        return terms
-
-    stack = [(first, 0)]
-    while stack:
-        w, i = stack.pop()
-        if i:
-            i -= 1
-        dead = False
-        while i < len(w) - 1:
-            k1, v1 = w[i]
-            k2, v2 = w[i + 1]
-            if k1 == "c":
-                if k2 == "c":
-                    m = mul_t[v1][v2]
-                    if m == zero:
-                        dead = True
-                        break
-                    w[i:i + 2] = [("c", m)]
-                    if i:
-                        i -= 1
-                    continue
-                i += 1
-                continue
-            if k2 == "c":
-                # x_v1 * r  ->  sigma(r) x_v1  +  delta(r)
-                d = dlt[v1][v2]
-                if d != zero:
-                    stack.append((w[:i] + [("c", d)] + w[i + 2:], i))
-                w[i:i + 2] = [("c", sig[v1][v2]), ("v", v1)]
-                if i:
-                    i -= 1
-                continue
-            j, lo = v1, v2
-            if j <= lo:
-                i += 1
-                continue
-            # x_j x_lo  ->  c x_lo x_j  +  sum_k r^k x_k  +  r^0   (lo < j)
-            pair = (lo, j)
-            lin = P.d_linear[pair]
-            for k in range(n):
-                rk = lin[k]
-                if rk != zero:
-                    stack.append((w[:i] + [("c", rk), ("v", k)] + w[i + 2:], i))
-            r0 = P.d_const[pair]
-            if r0 != zero:
-                stack.append((w[:i] + [("c", r0)] + w[i + 2:], i))
-            w[i:i + 2] = [("c", P.c[pair]), ("v", lo), ("v", j)]
-            if i:
-                i -= 1
-        if dead:
-            continue
-        # irreducible: at most one coefficient, at the front, then sorted vars
-        if w and w[0][0] == "c":
-            a = w[0][1]
-            vs = w[1:]
-        else:
-            a = R.one
-            vs = w
-        alpha = [0] * n
-        for _, v in vs:
-            alpha[v] += 1
-        key = tuple(alpha)
-        s = add_t[terms.get(key, zero)][a]
-        if s == zero:
-            terms.pop(key, None)
-        else:
-            terms[key] = s
-    return terms
+    add_t, mul_t, zero = R.add_table, R.mul_table, R.zero
+    total = {}
+    for word in words:
+        terms = {head: R.one}
+        for kind, v in word:
+            if kind == "c":
+                table, arg = P.push, v
+            else:
+                table, arg = P.mono_prod, P.units[v]
+            out = {}
+            for theta, t in terms.items():
+                if t != zero:
+                    row = mul_t[t]
+                    for eta, u in table(theta, arg):
+                        out[eta] = add_t[out.get(eta, zero)][row[u]]
+            terms = out
+        for eta, t in terms.items():
+            total[eta] = add_t[total.get(eta, zero)][t]
+    return tuple(sorted((g, v) for g, v in total.items() if v != zero))
 
 
 def normalize(P: SkewPbwPresentation, word) -> "SkewPoly":
-    """Normal form of a single generator word as a polynomial."""
-    return SkewPoly(P, _normalize_terms(P, word))
+    """Normal form of a single generator word as a polynomial, folded
+    token by token through the tables."""
+    return SkewPoly(P, dict(_fold(P, (0,) * P.n, [word])))
 
 
 def _rewrite_once(P: SkewPbwPresentation, word, pos: int) -> list:
@@ -561,13 +528,6 @@ class ConsistencyReport:
     witness: dict | None = None
 
 
-def _sum_normal_forms(P, words) -> SkewPoly:
-    total = P.zero_poly()
-    for w in words:
-        total = add(total, normalize(P, w))
-    return total
-
-
 def check_consistency(P: SkewPbwPresentation, bound: int = 4,
                       samples: int = 20, seed: int = 0) -> ConsistencyReport:
     """Confluence scan for the rewriting system of a presentation.
@@ -587,14 +547,13 @@ def check_consistency(P: SkewPbwPresentation, bound: int = 4,
                 for k in range(n) for j in range(k) for i in range(j)]
     overlaps += [[("v", j), ("v", i), ("c", r)]
                  for j in range(n) for i in range(j) for r in R.elements()]
+    origin = (0,) * n
     for w in overlaps:
-        a = _sum_normal_forms(P, _rewrite_once(P, w, 0))
-        b = _sum_normal_forms(P, _rewrite_once(P, w, 1))
+        a, b = (list(_fold(P, origin, _rewrite_once(P, w, pos)))
+                for pos in (0, 1))
         if a != b:
             return ConsistencyReport(False, bound, {
-                "word": word_repr(w),
-                "first": sorted(a.terms.items()),
-                "second": sorted(b.terms.items())})
+                "word": word_repr(w), "first": a, "second": b})
 
     rng = random.Random(seed)
 

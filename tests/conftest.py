@@ -7,6 +7,25 @@ import pytest
 from spbw import corpus
 from spbw.cli import parse_instance
 
+# Presentations beyond the corpus, as instance text: the first Weyl algebra
+# A1(Z5) (constant relation term), U(sl2) and U(osp(1,2)) over Z3 (linear
+# relation terms; Lezama & Reyes, Comm. Algebra 42, 2014), and the Z3
+# perturbation of U(sl2)'s shape that is not a skew PBW extension.
+WEYL_A1_Z5 = """{"ring": "Z5", "variables": 2,
+  "relations": {"1,2": {"c": "1", "const": "1"}}}"""
+LIE_Z3 = """{"ring": "Z3", "variables": 3, "relations": {
+  "1,2": {"c": "1", "linear": ["0", "0", "2"]},
+  "1,3": {"c": "1", "linear": ["2", "0", "0"]},
+  "2,3": {"c": "1", "linear": ["0", "1", "0"]}}}"""
+OSP_Z3 = """{"ring": "Z3", "variables": 3, "relations": {
+  "1,2": {"c": "1", "linear": ["2", "0", "0"]},
+  "1,3": {"c": "2", "linear": ["0", "1", "0"]},
+  "2,3": {"c": "1", "linear": ["0", "0", "2"]}}}"""
+PERTURBED_Z3 = """{"ring": "Z3", "variables": 3, "relations": {
+  "1,2": {"c": "1", "linear": ["0", "0", "1"]},
+  "1,3": {"c": "2"}, "2,3": {"c": "1"}}}"""
+
+
 # (number, description, passed, detail) tuples, printed in the terminal summary
 ACCEPTANCE_RESULTS = []
 

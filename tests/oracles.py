@@ -53,6 +53,60 @@ def closed_form_push(ring, sigma_table, delta_table, a: int, r: int) -> dict:
     return poly
 
 
+def word_normal_form(P, word) -> dict:
+    """Normal form {exponent: coeff} of a generator word of ("c", r) and
+    ("v", i) tokens, by rewriting whole words leftmost redex first with the
+    presentation's raw tables: merge two coefficients, push a coefficient
+    left through a variable (sigma branch plus delta branch), or swap an
+    out-of-order variable pair (c_ij branch plus linear and constant
+    branches).  Every branch is split off as a separate word, so the cost
+    grows exponentially with the degree."""
+    R = P.ring
+    zero, add_t, mul_t = R.zero, R.add_table, R.mul_table
+    terms: dict = {}
+    stack = [(list(word), 0)]
+    while stack:
+        w, i = stack.pop()
+        i = max(i - 1, 0)
+        dead = False
+        while i < len(w) - 1:
+            (k1, v1), (k2, v2) = w[i], w[i + 1]
+            if k1 == "c" and k2 == "c":
+                m = mul_t[v1][v2]
+                if m == zero:
+                    dead = True
+                    break
+                w[i:i + 2] = [("c", m)]
+            elif k1 == "c" or (k2 == "v" and v1 <= v2):
+                i += 1
+                continue
+            elif k2 == "c":
+                d = P.delta_tables[v1][v2]
+                if d != zero:
+                    stack.append((w[:i] + [("c", d)] + w[i + 2:], i))
+                w[i:i + 2] = [("c", P.sigma_tables[v1][v2]), ("v", v1)]
+            else:
+                pair = (v2, v1)
+                for k, rk in enumerate(P.d_linear[pair]):
+                    if rk != zero:
+                        stack.append((w[:i] + [("c", rk), ("v", k)]
+                                      + w[i + 2:], i))
+                if P.d_const[pair] != zero:
+                    stack.append((w[:i] + [("c", P.d_const[pair])]
+                                  + w[i + 2:], i))
+                w[i:i + 2] = [("c", P.c[pair]), ("v", v2), ("v", v1)]
+            i = max(i - 1, 0)
+        if dead:
+            continue
+        a, vs = (w[0][1], w[1:]) if w and w[0][0] == "c" else (R.one, w)
+        alpha = [0] * P.n
+        for _, v in vs:
+            alpha[v] += 1
+        key = tuple(alpha)
+        terms[key] = add_t[terms.get(key, zero)][a]
+    return {e: c for e, c in terms.items() if c != zero}
+
+
 def brute_idempotents(ring) -> list:
     return [e for e in range(ring.order) if ring.mul_table[e][e] == e]
 

@@ -1,6 +1,9 @@
 """Instance files, polynomial literals, command reports, exit codes."""
 
+import importlib.util
 import json
+import time
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +20,8 @@ from spbw.cli import (
     serialize_instance,
 )
 from spbw.properties import TheoremReport, VIOLATION
+
+from conftest import LIE_Z3, WEYL_A1_Z5
 
 
 # -- instance parsing -------------------------------------------------------
@@ -284,6 +289,33 @@ def test_main_missing_file_exit_two(capsys):
     assert payload["error"]["type"] == "ParseError"
 
 
+def _weyl_closed_form(a, b):
+    """x2^a * x1^b in A1(Z5), read from the benchmark's closed form."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "arith.py"
+    spec = importlib.util.spec_from_file_location("spbw_bench_arith", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.closed_form("weyl-a1-z5", a, b)
+
+
+@pytest.mark.parametrize("text,left,right", [
+    (WEYL_A1_Z5, "x2^64", "x1^64"), (LIE_Z3, "x3^64", "x1^64")],
+    ids=["weyl-a1-z5", "u-sl2-z3"])
+def test_main_mul_at_the_degree_cap(text, left, right, tmp_path, capsys):
+    # whole-word rewriting did not return on either; the one-letter tables
+    # fill without deep recursion
+    path = tmp_path / "instance.json"
+    path.write_text(text, encoding="utf-8")
+    start = time.monotonic()
+    assert main([str(path), "mul", left, right, "--json-only"]) == 0
+    assert time.monotonic() - start < 30
+    product = json.loads(capsys.readouterr().out)["result"]["product"]
+    terms = {tuple(alpha): int(c) for alpha, c in product["terms"]}
+    assert terms
+    if text == WEYL_A1_Z5:
+        assert terms == _weyl_closed_form(64, 64)
+
+
 @pytest.mark.parametrize("case", ["directory", "not-utf8", "nul-byte"])
 def test_main_unreadable_instance_path_exit_two(case, tmp_path, capsys):
     # a directory, a file that is not UTF-8 and a path with a NUL byte each
@@ -481,8 +513,8 @@ def test_huge_shapes_answer(data, tmp_path, capsys):
 ], ids=["mul-huge-exponent", "mul-degree-65-term", "act-module-term",
         "act-5000-digit-exponent", "mul-5000-digit-variable"])
 def test_polynomial_literals_past_the_degree_cap_exit_two(argv, capsys):
-    # refused before any word is built; without the cap the first argv
-    # does not return
+    # refused before any monomial is built; without the cap the first argv
+    # would exhaust the stack in the normal-form tables
     assert main(["z3-trivial", *argv, "--json-only"]) == 2
     assert json.loads(capsys.readouterr().out)["error"]["type"] == "ParseError"
 

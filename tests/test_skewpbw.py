@@ -5,12 +5,16 @@ from itertools import product as iproduct
 
 import pytest
 
+from spbw import corpus
+from spbw.cli import parse_instance
 from spbw.errors import EngineInvariantError, ValidationError
 from spbw.finring import (
     dual_z2,
     dual_z2_derivation,
     identity_map,
     upper_triangular,
+    validate_endomorphism,
+    validate_sigma_derivation,
     zero_map,
     zmod,
     zmod_product,
@@ -24,12 +28,13 @@ from spbw.skewpbw import (
     monomial_product,
     mul,
     neg,
+    normalize,
     scalar_mul_left,
     validate_presentation,
 )
 
 import oracles
-from conftest import random_poly
+from conftest import LIE_Z3, OSP_Z3, PERTURBED_Z3, WEYL_A1_Z5, random_poly
 
 
 def quantum_plane():
@@ -260,7 +265,9 @@ def test_inconsistent_presentation_rejected():
     with pytest.raises(ValidationError) as err:
         validate_presentation(ring, [ident, ident], [zed, zed], {(0, 1): u})
     assert err.value.kind == "inconsistent_presentation"
-    assert err.value.witness is not None
+    assert err.value.witness == {"word": [["v", 1], ["v", 0], ["c", 1]],
+                                 "first": [((1, 1), 3)],
+                                 "second": [((1, 1), 1)]}
 
 
 def test_consistency_certificate_recorded():
@@ -297,3 +304,104 @@ def test_from_terms_merges_and_validates():
         P.from_terms({(1, 0): 9})
     with pytest.raises(ValidationError):
         P.monomial_poly((0, -1))
+
+
+def ut2_inner():
+    """UT(2,Z2) with sigma_1 conjugation by u = 1 + e12, the inner
+    sigma_1-derivation r -> e12 r - sigma_1(r) e12, and x2 x1 = x1 x2 + x1
+    + e12: nontrivial sigma and delta with linear and constant terms."""
+    R = upper_triangular(2, 2)
+    u, a = R.element_index("111"), R.element_index("010")
+    sigma = validate_endomorphism(R, [R.mul(R.mul(u, r), u)
+                                      for r in R.elements()])
+    delta = validate_sigma_derivation(
+        R, sigma, [R.add(R.mul(a, r), R.neg(R.mul(sigma.table[r], a)))
+                   for r in R.elements()])
+    return validate_presentation(
+        R, [sigma, identity_map(R)], [delta, zero_map(R)],
+        {(0, 1): (R.one, a, (R.one, R.zero))}, label="ut2-inner")
+
+
+# name -> fresh presentation.  The word rewriter is exponential in the
+# degree on A1(Z5) and U(sl2), so alpha and beta stay at degree <= 4.
+TABLE_CASES = {name: (lambda name=name: parse_instance(
+    corpus.load(name)).presentation) for name in corpus.names()}
+TABLE_CASES.update({
+    "weyl-a1-z5": lambda: parse_instance(WEYL_A1_Z5).presentation,
+    "u-sl2-z3": lambda: parse_instance(LIE_Z3).presentation,
+    "u-osp12-z3": lambda: parse_instance(OSP_Z3).presentation,
+    "ut2-z2-inner": ut2_inner,
+})
+TABLE_DEGREE = 4
+
+
+def _word(alpha, r=None, beta=()):
+    """The generator word x^alpha [r] x^beta."""
+    w = [("v", i) for i, e in enumerate(alpha) for _ in range(e)]
+    if r is not None:
+        w.append(("c", r))
+    return w + [("v", i) for i, e in enumerate(beta) for _ in range(e)]
+
+
+def test_table_cases_cover_every_rule_branch():
+    branches = set()
+    for factory in TABLE_CASES.values():
+        P = factory()
+        R = P.ring
+        if any(any(v != R.zero for v in t) for t in P.delta_tables):
+            branches.add("delta")
+        if any(any(v != R.zero for v in lin) for lin in P.d_linear.values()):
+            branches.add("linear")
+        if any(v != R.zero for v in P.d_const.values()):
+            branches.add("constant")
+    assert branches == {"delta", "linear", "constant"}
+
+
+@pytest.mark.parametrize("case", sorted(TABLE_CASES))
+def test_tables_match_the_word_rewriter(case):
+    P = TABLE_CASES[case]()
+    basis = enumerate_upto(P.n, TABLE_DEGREE, P.order)
+    for alpha in basis:
+        for r in P.ring.elements():
+            assert dict(P.push(alpha, r)) == \
+                oracles.word_normal_form(P, _word(alpha, r)), (alpha, r)
+        for beta in basis:
+            assert dict(P.mono_prod(alpha, beta)) == \
+                oracles.word_normal_form(P, _word(alpha, None, beta)), \
+                (alpha, beta)
+    small = enumerate_upto(P.n, TABLE_DEGREE - 1, P.order)
+    for alpha in small:
+        for beta in small:
+            for r in P.ring.elements():
+                assert dict(P.triple(alpha, r, beta)) == \
+                    oracles.word_normal_form(P, _word(alpha, r, beta))
+
+
+@pytest.mark.parametrize("case", sorted(TABLE_CASES))
+def test_normalize_matches_the_word_rewriter(case):
+    P = TABLE_CASES[case]()
+    rng = random.Random(case)
+    tokens = [("v", i) for i in range(P.n)] + [("c", r)
+                                               for r in P.ring.elements()]
+    for _ in range(60):
+        length = rng.randrange(2 * TABLE_DEGREE + 1)
+        word = [rng.choice(tokens) for _ in range(length)]
+        assert normalize(P, word).terms == \
+            oracles.word_normal_form(P, word), word
+
+
+def test_perturbed_lie_presentation_refused():
+    with pytest.raises(ValidationError) as err:
+        parse_instance(PERTURBED_Z3)
+    assert err.value.kind == "inconsistent_presentation"
+    assert err.value.witness == {
+        "word": [["v", 2], ["v", 1], ["v", 0]],
+        "first": [((0, 0, 2), 2), ((1, 1, 1), 2)],
+        "second": [((0, 0, 2), 1), ((1, 1, 1), 2)]}
+
+
+@pytest.mark.parametrize("text", [LIE_Z3, OSP_Z3], ids=["u-sl2", "u-osp12"])
+def test_lie_type_presentations_validate(text):
+    P = parse_instance(text).presentation
+    assert P.consistency_certificate == 4
+    assert not P.quasi_commutative

@@ -48,6 +48,9 @@ def test_tracer_installs_runs_and_uninstalls():
     spans = {"cli.parse_instance", "cli.run_command", "bounded.context",
              "bounded.kernel", "properties.theorem_suite"}
     spans |= {f"properties.{d}" for d in tracer_module.DECIDERS}
+    # the normal-form tables fill through the patched method names, so
+    # the layer-1 fill metrics do not read 0
+    spans |= {"skewpbw.push.fill", "skewpbw.mono_prod.fill"}
     assert {name for name in spans if tracer.calls.get(name)} == spans
     metrics = tracer.metrics(1)
     for key in ("skewpbw.triple.calls", "bounded.act_is_zero.calls",
