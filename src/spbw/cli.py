@@ -66,10 +66,6 @@ class InstanceFile:
     digest: str
 
 
-def _bad(message: str) -> ParseError:
-    return ParseError(message)
-
-
 def _number(digits: str) -> int:
     """A shorthand's number; over nine digits it is refused unread, as int()
     refuses 4,300 digits and more and any such order is past the cap."""
@@ -93,17 +89,17 @@ def _parse_ring(spec) -> FiniteRing:
         m = _ZMOD_RE.fullmatch(spec)
         if m:
             return zmod(_number(m.group(1)))
-        raise _bad(f"unknown ring shorthand {spec!r}")
+        raise ParseError(f"unknown ring shorthand {spec!r}")
     if isinstance(spec, dict):
         extra = set(spec) - {"add", "mul", "names", "label"}
         if extra:
-            raise _bad(f"unknown ring table keys {sorted(extra)}")
+            raise ParseError(f"unknown ring table keys {sorted(extra)}")
         if "add" not in spec or "mul" not in spec:
-            raise _bad("ring tables need both 'add' and 'mul'")
+            raise ParseError("ring tables need both 'add' and 'mul'")
         return validate_ring(spec["add"], spec["mul"],
                              label=spec.get("label", ""),
                              names=spec.get("names"))
-    raise _bad("ring spec must be a shorthand string or a table object")
+    raise ParseError("ring spec must be a shorthand string or a table object")
 
 
 def _parse_sigma(ring: FiniteRing, spec) -> RingMap:
@@ -113,7 +109,7 @@ def _parse_sigma(ring: FiniteRing, spec) -> RingMap:
         return swap_endomorphism(ring)
     if isinstance(spec, list):
         return validate_endomorphism(ring, spec)
-    raise _bad(f"unknown sigma spec {spec!r}")
+    raise ParseError(f"unknown sigma spec {spec!r}")
 
 
 def _parse_delta(ring: FiniteRing, sigma: RingMap, spec) -> RingMap:
@@ -121,7 +117,7 @@ def _parse_delta(ring: FiniteRing, sigma: RingMap, spec) -> RingMap:
         return zero_map(ring, sigma)
     if isinstance(spec, list):
         return validate_sigma_derivation(ring, sigma, spec)
-    raise _bad(f"unknown delta spec {spec!r}")
+    raise ParseError(f"unknown delta spec {spec!r}")
 
 
 def _canon_map(m: RingMap, shorthand) -> object:
@@ -133,29 +129,29 @@ def _canon_map(m: RingMap, shorthand) -> object:
 def _parse_relations(ring: FiniteRing, n: int, spec) -> tuple[dict, dict]:
     """Returns (0-based relations for the validator, canonical object)."""
     if not isinstance(spec, dict):
-        raise _bad("relations must be an object keyed by 'i,j' pairs")
+        raise ParseError("relations must be an object keyed by 'i,j' pairs")
     relations = {}
     canonical = {}
     for key in sorted(spec):
         m = _PAIR_RE.fullmatch(key)
         if not m:
-            raise _bad(f"bad relation key {key!r}, expected 'i,j'")
+            raise ParseError(f"bad relation key {key!r}, expected 'i,j'")
         i, j = int(m.group(1)), int(m.group(2))
         if not 1 <= i < j <= n:
-            raise _bad(f"relation key {key!r} needs 1 <= i < j <= {n}")
+            raise ParseError(f"relation key {key!r} needs 1 <= i < j <= {n}")
         val = spec[key]
         if isinstance(val, str):
             val = {"c": val}
         if not isinstance(val, dict) or "c" not in val:
-            raise _bad(f"relation {key!r} needs at least a 'c' entry")
+            raise ParseError(f"relation {key!r} needs at least a 'c' entry")
         extra = set(val) - {"c", "const", "linear"}
         if extra:
-            raise _bad(f"unknown relation keys {sorted(extra)} at {key!r}")
+            raise ParseError(f"unknown relation keys {sorted(extra)} at {key!r}")
         c = ring.element_index(val["c"])
         const = ring.element_index(val.get("const", ring.name(ring.zero)))
         linear_names = val.get("linear", [ring.name(ring.zero)] * n)
         if not isinstance(linear_names, list) or len(linear_names) != n:
-            raise _bad(f"relation {key!r} linear part needs {n} entries")
+            raise ParseError(f"relation {key!r} linear part needs {n} entries")
         linear = tuple(ring.element_index(x) for x in linear_names)
         relations[(i - 1, j - 1)] = (c, const, linear)
         canonical[f"{i},{j}"] = {
@@ -169,16 +165,16 @@ def _parse_module(ring: FiniteRing, spec) -> tuple[RightModule, object]:
         return regular_module(ring), "regular"
     if isinstance(spec, dict) and "quotient" in spec:
         if set(spec) != {"quotient"} or not isinstance(spec["quotient"], list):
-            raise _bad("quotient module spec takes only the generator list")
+            raise ParseError("quotient module spec takes only the generator list")
         gens = [ring.element_index(g) for g in spec["quotient"]]
         canonical = {"quotient": sorted(ring.name(g) for g in set(gens))}
         return quotient_module(ring, tuple(gens)), canonical
     if isinstance(spec, dict):
         extra = set(spec) - {"add", "action", "names", "label"}
         if extra:
-            raise _bad(f"unknown module table keys {sorted(extra)}")
+            raise ParseError(f"unknown module table keys {sorted(extra)}")
         if "add" not in spec or "action" not in spec:
-            raise _bad("module tables need both 'add' and 'action'")
+            raise ParseError("module tables need both 'add' and 'action'")
         M = validate_module(ring, spec["add"], spec["action"],
                             names=spec.get("names"),
                             label=spec.get("label", ""))
@@ -186,7 +182,7 @@ def _parse_module(ring: FiniteRing, spec) -> tuple[RightModule, object]:
                      "action": [list(r) for r in M.action_table],
                      "names": list(M.names)}
         return M, canonical
-    raise _bad("module spec must be 'regular', a quotient, or tables")
+    raise ParseError("module spec must be 'regular', a quotient, or tables")
 
 
 def _parse_embedding(ring: FiniteRing, M: RightModule, spec):
@@ -202,7 +198,7 @@ def _parse_embedding(ring: FiniteRing, M: RightModule, spec):
     if isinstance(spec, list):
         table = validate_embedding(ring, M, spec)
         return table, list(table)
-    raise _bad("embedding must be 'identity', {'generator': name}, or a table")
+    raise ParseError("embedding must be 'identity', {'generator': name}, or a table")
 
 
 def _parse_order(n: int, spec, override: str | None) -> MonomialOrder:
@@ -217,10 +213,10 @@ def _parse_order(n: int, spec, override: str | None) -> MonomialOrder:
         prec = spec.get("precedence", list(default_order(n).precedence))
         if not isinstance(prec, list) or \
                 any(type(v) is not int for v in prec):
-            raise _bad("order precedence must be a list of 0-based "
-                       "variable indices")
+            raise ParseError("order precedence must be a list of 0-based "
+                             "variable indices")
         return MonomialOrder(kind, tuple(prec))
-    raise _bad("order must be 'deglex', 'lex', or {kind, precedence}")
+    raise ParseError("order must be 'deglex', 'lex', or {kind, precedence}")
 
 
 def parse_instance(text: str, order_override: str | None = None,
@@ -235,15 +231,15 @@ def parse_instance(text: str, order_override: str | None = None,
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, exc.lineno, exc.colno) from None
     if not isinstance(data, dict):
-        raise _bad("instance file must be a JSON object")
+        raise ParseError("instance file must be a JSON object")
     extra = set(data) - _INSTANCE_KEYS
     if extra:
-        raise _bad(f"unknown instance keys {sorted(extra)}")
+        raise ParseError(f"unknown instance keys {sorted(extra)}")
     if "ring" not in data or "variables" not in data:
-        raise _bad("instance needs 'ring' and 'variables'")
+        raise ParseError("instance needs 'ring' and 'variables'")
     n = data["variables"]
     if not isinstance(n, int) or n < 1:
-        raise _bad("'variables' must be a positive integer")
+        raise ParseError("'variables' must be a positive integer")
     check_variable_cap(n)
     label = data.get("label", "")
     ring = _parse_ring(data["ring"])
@@ -251,9 +247,9 @@ def parse_instance(text: str, order_override: str | None = None,
     sig_spec = data.get("sigma", ["id"] * n)
     del_spec = data.get("delta", ["zero"] * n)
     if not isinstance(sig_spec, list) or len(sig_spec) != n:
-        raise _bad(f"'sigma' must list {n} maps")
+        raise ParseError(f"'sigma' must list {n} maps")
     if not isinstance(del_spec, list) or len(del_spec) != n:
-        raise _bad(f"'delta' must list {n} maps")
+        raise ParseError(f"'delta' must list {n} maps")
     sigmas = [_parse_sigma(ring, s) for s in sig_spec]
     deltas = [_parse_delta(ring, sigmas[i], d) for i, d in enumerate(del_spec)]
 
@@ -402,7 +398,7 @@ def run_command(inst: InstanceFile, command: str, args: list,
     }
     code = 0
     if args and command in ("validate", "theorems"):
-        raise _bad(f"{command} takes no arguments")
+        raise ParseError(f"{command} takes no arguments")
 
     if command == "validate":
         report["result"] = {
@@ -417,19 +413,19 @@ def run_command(inst: InstanceFile, command: str, args: list,
         }
     elif command == "mul":
         if len(args) != 2:
-            raise _bad("mul needs exactly two polynomial literals")
+            raise ParseError("mul needs exactly two polynomial literals")
         f, g = parse_poly(P, args[0]), parse_poly(P, args[1])
         report["result"] = {"factors": [f.to_string(), g.to_string()],
                             "product": mul(f, g).to_json(P.ring.safe_name)}
     elif command == "act":
         if len(args) != 2:
-            raise _bad("act needs a module polynomial and a polynomial")
+            raise ParseError("act needs a module polynomial and a polynomial")
         mp, f = parse_mpoly(M, P, args[0]), parse_poly(P, args[1])
         report["result"] = {"m": mp.to_string(), "f": f.to_string(),
                             "value": act(mp, f).to_json(M.safe_name)}
     elif command == "ann":
         if not args:
-            raise _bad("ann needs at least one module element name")
+            raise ParseError("ann needs at least one module element name")
         xs = [M.element_index(a) for a in args]
         ideal = ann_in_r(M, xs)
         e = idempotent_generator(inst.ring, ideal.elements)
@@ -439,7 +435,7 @@ def run_command(inst: InstanceFile, command: str, args: list,
             "idempotent": None if e is None else inst.ring.name(e)}
     elif command == "check":
         if len(args) != 1:
-            raise _bad("check needs exactly one property name")
+            raise ParseError("check needs exactly one property name")
         decide = DECIDERS.get(args[0])
         if decide is None:
             raise UnknownProperty(f"unknown property {args[0]!r}; "
@@ -459,7 +455,7 @@ def run_command(inst: InstanceFile, command: str, args: list,
         if any(r.status == VIOLATION for r in reports):
             code = 3
     else:
-        raise _bad(f"unknown command {command!r}")
+        raise ParseError(f"unknown command {command!r}")
     return report, code
 
 
@@ -511,16 +507,16 @@ def _load_instance_text(arg: str) -> str:
         try:
             return corpus.load(arg)
         except KeyError:
-            raise _bad(f"no such file or corpus instance: {arg!r}") from None
+            raise ParseError(f"no such file or corpus instance: {arg!r}") from None
     except UnicodeDecodeError as exc:
-        raise _bad(f"instance file {arg!r} is not UTF-8 text "
-                   f"(byte {exc.start})") from None
+        raise ParseError(f"instance file {arg!r} is not UTF-8 text "
+                         f"(byte {exc.start})") from None
     except OSError as exc:
-        raise _bad(f"cannot read instance file {arg!r}: "
-                   f"{exc.strerror}") from None
+        raise ParseError(f"cannot read instance file {arg!r}: "
+                         f"{exc.strerror}") from None
     except ValueError:
         # open() refuses a path with a NUL byte before touching the disk
-        raise _bad(f"instance path {arg!r} holds a NUL byte") from None
+        raise ParseError(f"instance path {arg!r} holds a NUL byte") from None
 
 
 class _ArgumentParser(argparse.ArgumentParser):

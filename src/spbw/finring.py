@@ -14,12 +14,15 @@ bounded property deciders grow very quickly in |R|.
 
 The module also provides validated ring endomorphisms and sigma-derivations
 (the twisting data of a skew PBW extension), finite closure monoids of such
-maps (used to quantify over all composite twists exactly), and a handful of
-shorthand constructors for the rings the test corpus uses.
+maps (used to quantify over all composite twists exactly), and shorthand
+constructors for Z_n, Z_a x Z_b, Z2[y]/(y^2) and UT(n, Z_p).  Each lists its
+elements in index order and hands them, with its two operations on them, to
+one table builder that validates the ring like any other.
 """
 
 from __future__ import annotations
 
+import itertools
 import re
 import warnings
 from dataclasses import dataclass, field
@@ -427,13 +430,20 @@ def closure_monoid(ring: FiniteRing, maps, labels=None) -> MapMonoid:
 # shorthand constructors
 
 
+def _ring_on(elements, add, mul, label: str, names) -> FiniteRing:
+    """The validated ring on `elements`, element i being elements[i], under
+    the operations add and mul on those elements."""
+    index = {e: i for i, e in enumerate(elements)}
+    add_table = [[index[add(a, b)] for b in elements] for a in elements]
+    mul_table = [[index[mul(a, b)] for b in elements] for a in elements]
+    return validate_ring(add_table, mul_table, label=label, names=names)
+
+
 def zmod(n: int) -> FiniteRing:
     """The ring of integers modulo n."""
     _check_order_cap(n)
-    rng = range(n)
-    add = [[(a + b) % n for b in rng] for a in rng]
-    mul = [[(a * b) % n for b in rng] for a in rng]
-    return validate_ring(add, mul, label=f"Z{n}", names=[str(a) for a in rng])
+    return _ring_on(range(n), lambda a, b: (a + b) % n, lambda a, b: a * b % n,
+                    f"Z{n}", [str(a) for a in range(n)])
 
 
 def zmod_product(a: int, b: int) -> FiniteRing:
@@ -441,21 +451,12 @@ def zmod_product(a: int, b: int) -> FiniteRing:
 
     Element (x, y) has index x*b + y.
     """
-    q = a * b
-    _check_order_cap(q)
-    def idx(x, y):
-        return x * b + y
-    add = [[0] * q for _ in range(q)]
-    mul = [[0] * q for _ in range(q)]
-    names = [""] * q
-    for x in range(a):
-        for y in range(b):
-            names[idx(x, y)] = f"({x},{y})"
-            for u in range(a):
-                for v in range(b):
-                    add[idx(x, y)][idx(u, v)] = idx((x + u) % a, (y + v) % b)
-                    mul[idx(x, y)][idx(u, v)] = idx((x * u) % a, (y * v) % b)
-    ring = validate_ring(add, mul, label=f"Z{a}xZ{b}", names=names)
+    _check_order_cap(a * b)
+    pairs = [(x, y) for x in range(a) for y in range(b)]
+    ring = _ring_on(pairs,
+                    lambda s, t: ((s[0] + t[0]) % a, (s[1] + t[1]) % b),
+                    lambda s, t: (s[0] * t[0] % a, s[1] * t[1] % b),
+                    f"Z{a}xZ{b}", [f"({x},{y})" for x, y in pairs])
     ring.product_factors = (a, b)
     return ring
 
@@ -467,28 +468,17 @@ def swap_endomorphism(ring: FiniteRing) -> RingMap:
         raise ValidationError("bad_table", witness="swap",
                               message="swap needs a product ring Z_a x Z_a")
     a = factors[0]
-    table = [0] * ring.order
-    for x in range(a):
-        for y in range(a):
-            table[x * a + y] = y * a + x
-    return validate_endomorphism(ring, table)
+    return validate_endomorphism(ring, [y * a + x for x in range(a)
+                                        for y in range(a)])
 
 
 def dual_z2() -> FiniteRing:
     """Z2[y] modulo y^2: elements a + b*y with a, b in Z2, index a + 2b."""
-    def idx(a, b):
-        return a + 2 * b
-    add = [[0] * 4 for _ in range(4)]
-    mul = [[0] * 4 for _ in range(4)]
-    for a in range(2):
-        for b in range(2):
-            for c in range(2):
-                for d in range(2):
-                    add[idx(a, b)][idx(c, d)] = idx((a + c) % 2, (b + d) % 2)
-                    # (a+by)(c+dy) = ac + (ad+bc) y   since y^2 = 0
-                    mul[idx(a, b)][idx(c, d)] = idx((a * c) % 2, (a * d + b * c) % 2)
-    return validate_ring(add, mul, label="Z2[y]/(y^2)",
-                         names=["0", "1", "y", "1+y"])
+    # (a+by)(c+dy) = ac + (ad+bc) y   since y^2 = 0
+    return _ring_on([(0, 0), (1, 0), (0, 1), (1, 1)],
+                    lambda s, t: ((s[0] + t[0]) % 2, (s[1] + t[1]) % 2),
+                    lambda s, t: (s[0] * t[0] % 2, (s[0] * t[1] + s[1] * t[0]) % 2),
+                    "Z2[y]/(y^2)", ["0", "1", "y", "1+y"])
 
 
 def dual_z2_derivation(ring: FiniteRing) -> RingMap:
@@ -512,35 +502,17 @@ def upper_triangular(n: int, p: int) -> FiniteRing:
     # With t = HARD_ORDER_CAP.bit_length(), p**min(k, t) is p**k when p < 2
     # or k < t and at least 2**t > HARD_ORDER_CAP otherwise, so a huge k is
     # neither raised to nor printed.
-    q = p ** min(k, HARD_ORDER_CAP.bit_length())
-    if q > HARD_ORDER_CAP:
+    if p ** min(k, HARD_ORDER_CAP.bit_length()) > HARD_ORDER_CAP:
         raise ValidationError("bad_table", witness=(n, p),
                               message=f"UT({n},Z{p}) has order {p}^{k} > {HARD_ORDER_CAP}")
     positions = [(i, j) for i in range(n) for j in range(i, n)]
+    at = {pos: s for s, pos in enumerate(positions)}
+    products = [[(at[r, t], at[t, c]) for t in range(r, c + 1)]
+                for r, c in positions]
 
-    def unpack(idx):
-        entries = {}
-        for pos in reversed(positions):
-            entries[pos] = idx % p
-            idx //= p
-        return entries
+    def mul(A, B):
+        return tuple(sum(A[s] * B[t] for s, t in terms) % p for terms in products)
 
-    def pack(entries):
-        idx = 0
-        for pos in positions:
-            idx = idx * p + entries[pos] % p
-        return idx
-
-    mats = [unpack(i) for i in range(q)]
-    add = [[0] * q for _ in range(q)]
-    mul = [[0] * q for _ in range(q)]
-    for i, A in enumerate(mats):
-        for j, B in enumerate(mats):
-            add[i][j] = pack({pos: A[pos] + B[pos] for pos in positions})
-            C = {}
-            for (r, c) in positions:
-                C[(r, c)] = sum(A.get((r, t), 0) * B.get((t, c), 0)
-                                for t in range(r, c + 1)) % p
-            mul[i][j] = pack(C)
-    names = ["".join(str(mats[i][pos]) for pos in positions) for i in range(q)]
-    return validate_ring(add, mul, label=f"UT({n},Z{p})", names=names)
+    mats = list(itertools.product(range(p), repeat=k))
+    return _ring_on(mats, lambda A, B: tuple((x + y) % p for x, y in zip(A, B)),
+                    mul, f"UT({n},Z{p})", ["".join(map(str, A)) for A in mats])

@@ -11,22 +11,26 @@ together with the coefficient commutation law
     x_i r  =  sigma_i(r) x_i  +  delta_i(r)                         (r in R).
 
 Every element of the extension has a unique normal form: a left R-linear
-combination of sorted monomials x_1^a1 .. x_n^an.  Normal forms come from
-memoized tables filled one rewriting rule at a time.  With j the last
-variable of x^alpha, :meth:`SkewPbwPresentation.push` rewrites x^alpha r as
-x^(alpha - e_j) (sigma_j(r) x_j + delta_j(r)).  The one-letter entries of
-:meth:`SkewPbwPresentation.mono_prod` rewrite x^gamma x_j, for a last
-variable l > j of gamma, as x^(gamma - e_l) (c_jl x_j x_l + sum_k r^k_jl x_k
-+ r^0_jl).  Each summand word is then folded left to right, one token at a
-time, through smaller entries (:func:`_fold`); longer monomial products and
-:func:`normalize` are the same fold.  A push entry of degree d reads push
-entries of degree d - 1 and one-letter entries of product degree at most d;
-a one-letter entry of product degree d reads push entries of degree d - 2,
-one-letter entries of product degree at most d - 1, and sorted
+combination of sorted monomials x_1^a1 .. x_n^an.  The two rules above are
+stated once, by :func:`_rewrite`: given a redex pair x_i r, or x_j x_i with
+j > i, it returns the nonzero summand words of the rule's right side.
+Normal forms come from memoized tables filled one rule at a time.  With j
+the last variable of x^alpha, :meth:`SkewPbwPresentation.push` rewrites
+x^alpha r as x^(alpha - e_j) (sigma_j(r) x_j + delta_j(r)).  The one-letter
+entries of :meth:`SkewPbwPresentation.mono_prod` rewrite x^gamma x_j, for a
+last variable l > j of gamma, as x^(gamma - e_l) (c_jl x_j x_l + sum_k
+r^k_jl x_k + r^0_jl).  Each summand word is then folded left to right, one
+token at a time, through smaller entries (:func:`_fold`); longer monomial
+products and :func:`normalize` are the same fold.  A push entry of degree d
+reads push entries of degree d - 1 and one-letter entries of product degree
+at most d; a one-letter entry of product degree d reads push entries of
+degree d - 2, one-letter entries of product degree at most d - 1, and sorted
 concatenations, which are their own normal forms.  So the tables fill on
 every presentation.  Each step rewrites one subword by one rule, so on a
 presentation that :func:`check_consistency` certifies confluent the tables
-give the unique normal form, whatever the order of the steps.
+give the unique normal form, whatever the order of the steps; that check
+rewrites each overlap word at its first and at its second letter through the
+same :func:`_rewrite`.
 
 Polynomials are term dicts on sorted monomials; :class:`TermPoly` holds
 what ring and module polynomials share (comparison, addition, degree and
@@ -142,7 +146,7 @@ class SkewPbwPresentation:
                 hit = ((alpha, r),)
             else:
                 hit = _fold(self, _drop(alpha, j),
-                            _rewrite_once(self, [("v", j), ("c", r)], 0))
+                            _rewrite(self, ("v", j), ("c", r)))
             self._push_cache[key] = hit
         return hit
 
@@ -163,7 +167,7 @@ class SkewPbwPresentation:
                 hit = ((monomial.add(alpha, beta), self.ring.one),)
             elif sum(beta) == 1:
                 hit = _fold(self, _drop(alpha, l),
-                            _rewrite_once(self, [("v", l), ("v", j)], 0))
+                            _rewrite(self, ("v", l), ("v", j)))
             else:
                 hit = _fold(self, alpha, [[("v", i) for i, e in enumerate(beta)
                                            for _ in range(e)]])
@@ -240,38 +244,20 @@ def normalize(P: SkewPbwPresentation, word) -> "SkewPoly":
     return SkewPoly(P, dict(_fold(P, (0,) * P.n, [word])))
 
 
-def _rewrite_once(P: SkewPbwPresentation, word, pos: int) -> list:
-    """Apply the single applicable rewrite rule at pos; returns summand words."""
-    R = P.ring
-    zero = R.zero
-    w = list(word)
-    k1, v1 = w[pos]
-    k2, v2 = w[pos + 1]
-    out = []
-    if k1 == "c" and k2 == "c":
-        m = R.mul_table[v1][v2]
-        if m != zero:
-            out.append(w[:pos] + [("c", m)] + w[pos + 2:])
-        return out
-    if k1 == "v" and k2 == "c":
-        s = P.sigma_tables[v1][v2]
-        d = P.delta_tables[v1][v2]
-        if s != zero:
-            out.append(w[:pos] + [("c", s), ("v", v1)] + w[pos + 2:])
-        if d != zero:
-            out.append(w[:pos] + [("c", d)] + w[pos + 2:])
-        return out
-    if k1 == "v" and k2 == "v" and v1 > v2:
-        pair = (v2, v1)
-        out.append(w[:pos] + [("c", P.c[pair]), ("v", v2), ("v", v1)] + w[pos + 2:])
-        lin = P.d_linear[pair]
-        for k in range(P.n):
-            if lin[k] != zero:
-                out.append(w[:pos] + [("c", lin[k]), ("v", k)] + w[pos + 2:])
-        if P.d_const[pair] != zero:
-            out.append(w[:pos] + [("c", P.d_const[pair])] + w[pos + 2:])
-        return out
-    raise EngineInvariantError(f"no redex at position {pos}")
+def _rewrite(P: SkewPbwPresentation, a, b) -> list:
+    """The nonzero summand words of the one rule for the redex a b:
+    x_i r = sigma_i(r) x_i + delta_i(r) for a = ("v", i), b = ("c", r), and
+    x_j x_i = c_ij x_i x_j + sum_k r^k_ij x_k + r^0_ij for a = ("v", j),
+    b = ("v", i), j > i."""
+    j, v = a[1], b[1]
+    if b[0] == "c":
+        out = [[("c", P.sigma_tables[j][v]), a], [("c", P.delta_tables[j][v])]]
+    else:
+        pair = (v, j)
+        out = [[("c", P.c[pair]), b, a]]
+        out += [[("c", r), ("v", k)] for k, r in enumerate(P.d_linear[pair])]
+        out.append([("c", P.d_const[pair])])
+    return [w for w in out if w[0][1] != P.ring.zero]
 
 
 # ---------------------------------------------------------------------------
@@ -549,8 +535,8 @@ def check_consistency(P: SkewPbwPresentation, bound: int = 4,
                  for j in range(n) for i in range(j) for r in R.elements()]
     origin = (0,) * n
     for w in overlaps:
-        a, b = (list(_fold(P, origin, _rewrite_once(P, w, pos)))
-                for pos in (0, 1))
+        a = list(_fold(P, origin, [s + w[2:] for s in _rewrite(P, *w[:2])]))
+        b = list(_fold(P, origin, [w[:1] + s for s in _rewrite(P, *w[1:])]))
         if a != b:
             return ConsistencyReport(False, bound, {
                 "word": word_repr(w), "first": a, "second": b})

@@ -1,6 +1,7 @@
 """Shared fixtures: parsed corpus instances and the acceptance result ledger."""
 
 import random
+from pathlib import Path
 
 import pytest
 
@@ -9,21 +10,22 @@ from spbw.cli import parse_instance
 
 # Presentations beyond the corpus, as instance text: the first Weyl algebra
 # A1(Z5) (constant relation term), U(sl2) and U(osp(1,2)) over Z3 (linear
-# relation terms; Lezama & Reyes, Comm. Algebra 42, 2014), and the Z3
-# perturbation of U(sl2)'s shape that is not a skew PBW extension.
+# relation terms; Lezama & Reyes, Comm. Algebra 42, 2014), read from their
+# instance files under tests/instances, and the Z3 perturbation of U(sl2)'s
+# shape that is not a skew PBW extension.
+INSTANCES = Path(__file__).parent / "instances"
 WEYL_A1_Z5 = """{"ring": "Z5", "variables": 2,
   "relations": {"1,2": {"c": "1", "const": "1"}}}"""
-LIE_Z3 = """{"ring": "Z3", "variables": 3, "relations": {
-  "1,2": {"c": "1", "linear": ["0", "0", "2"]},
-  "1,3": {"c": "1", "linear": ["2", "0", "0"]},
-  "2,3": {"c": "1", "linear": ["0", "1", "0"]}}}"""
-OSP_Z3 = """{"ring": "Z3", "variables": 3, "relations": {
-  "1,2": {"c": "1", "linear": ["2", "0", "0"]},
-  "1,3": {"c": "2", "linear": ["0", "1", "0"]},
-  "2,3": {"c": "1", "linear": ["0", "0", "2"]}}}"""
+LIE_Z3 = (INSTANCES / "lie-sl2-z3.json").read_text(encoding="utf-8")
+OSP_Z3 = (INSTANCES / "lie-osp12-z3.json").read_text(encoding="utf-8")
 PERTURBED_Z3 = """{"ring": "Z3", "variables": 3, "relations": {
   "1,2": {"c": "1", "linear": ["0", "0", "1"]},
   "1,3": {"c": "2"}, "2,3": {"c": "1"}}}"""
+# A Z8 presentation with the zero divisor c_12 = 4 and linear and constant
+# relation terms, found by random search: it fails skew_quasi_armendariz at
+# d=1, which no corpus instance does.
+Z8_QUASI_ARMENDARIZ_FAILS = """{"ring": "Z8", "variables": 2,
+  "relations": {"1,2": {"c": "4", "const": "2", "linear": ["6", "7"]}}}"""
 
 
 # (number, description, passed, detail) tuples, printed in the terminal summary

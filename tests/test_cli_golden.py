@@ -7,7 +7,9 @@ unknown-property error, plus eight `theorems` runs whose budgets make
 reports skip (every skip conclusion text the corpus reaches) and the
 `theorems` runs one degree past each frontier at the default budget (every
 instance but weyl-dual-quotient, whose frontier is past d=5), and three
-runs at the deepest degree without a skip.  The digests
+runs at the deepest degree without a skip.  A second table, `EXTENDED`,
+holds `validate` and `theorems --degree 1` on the instance files under
+tests/instances.  The digests
 were recorded before the refactors of the verification layers they guard;
 such a refactor must leave every one of them unchanged.  Regenerate the
 table, with this file's `__main__` block, only for an intended change of
@@ -20,6 +22,8 @@ import io
 import sys
 
 from spbw.cli import main
+
+from conftest import INSTANCES
 
 # (argv without --json-only, exit code, sha256 of stdout)
 GOLDEN = [
@@ -251,29 +255,73 @@ GOLDEN = [
 ]
 
 
-def test_cli_stdout_matches_golden_digests(capsys):
-    mismatches = []
-    for argv, want_code, want_digest in GOLDEN:
-        code = main(argv.split() + ["--json-only"])
+# The extended instances, beyond the corpus: U(sl2) and U(osp(1,2)) over Z3 (linear
+# relation terms; Lezama & Reyes, Comm. Algebra 42, 2014), UT(2,Z2), and a
+# 3-variable bijective Z2xZ2 instance with the swap twist and linear and
+# constant relation terms.  Recorded before the rewriting rules were
+# restated as one redex function.
+EXTENDED = [
+    ('lie-sl2-z3 validate', 0,
+     '50fcd30e96f866b2370ee418e15e0497d64678c0af9c093019423945fc1f0ce9'),
+    ('lie-sl2-z3 theorems --degree 1', 0,
+     '45de0b9329a3ae0e75e457872e50ce0741f52e3d09bc8a99a7a6ee5f115840c9'),
+    ('lie-osp12-z3 validate', 0,
+     'eb31bfc531b77c9ba1ad4c75a26fc362c38ee4dd6d2673f10b4bf8d37f118f80'),
+    ('lie-osp12-z3 theorems --degree 1', 0,
+     'a3911be25a16ac8efd248a814528c678d4dd041402f86f5a2a46e0aca23b3318'),
+    ('ut2-z2 validate', 0,
+     '38294a51ff7a69a6754e546f5ae317b7899106a178696f5a483323ab61ded61a'),
+    ('ut2-z2 theorems --degree 1', 0,
+     '231d3921459308b994a7409a5c3c5680454d80a7bde6e2937dba6e438b3dcd94'),
+    ('z2xz2-swap-3var validate', 0,
+     '038ecc9e907505980d1e857037ab4ebbf3cdd19bb495c9e37c7e1a4c4f8554b6'),
+    ('z2xz2-swap-3var theorems --degree 1', 0,
+     '94eb06adfdbdcf359b3d4e35248e37e290dd3ebf656dac32534205d9ac51032e'),
+]
+
+
+def _argv(line: str) -> list:
+    """A table entry's argv; its first word names a corpus instance or an
+    extended instance file under tests/instances."""
+    words = line.split()
+    path = INSTANCES / f"{words[0]}.json"
+    if path.exists():
+        words[0] = str(path)
+    return words + ["--json-only"]
+
+
+def _mismatches(table, capsys) -> list:
+    out = []
+    for argv, want_code, want_digest in table:
+        code = main(_argv(argv))
         digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
         if (code, digest) != (want_code, want_digest):
-            mismatches.append(f"{argv}: exit {code} (want {want_code}), "
-                              f"stdout sha256 {digest[:12]} "
-                              f"(want {want_digest[:12]})")
+            out.append(f"{argv}: exit {code} (want {want_code}), "
+                       f"stdout sha256 {digest[:12]} (want {want_digest[:12]})")
+    return out
+
+
+def test_cli_stdout_matches_golden_digests(capsys):
+    mismatches = _mismatches(GOLDEN, capsys)
+    assert not mismatches, "\n".join(mismatches)
+
+
+def test_extended_instances_match_golden_digests(capsys):
+    mismatches = _mismatches(EXTENDED, capsys)
     assert not mismatches, "\n".join(mismatches)
 
 
 def _golden_line(argv: str) -> str:
-    """Run `argv` the way the test does and format it as a GOLDEN entry."""
+    """Run `argv` the way the tests do and format it as a table entry."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = main(argv.split() + ["--json-only"])
+        code = main(_argv(argv))
     digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
     return f"    ({argv!r}, {code},\n     {digest!r}),"
 
 
 if __name__ == "__main__":
     # PYTHONPATH=src python tests/test_cli_golden.py 'z3-trivial theorems' ...
-    # prints one GOLDEN entry per argv, for an intended change of the table.
+    # prints one table entry per argv, for an intended change of a table.
     for arg in sys.argv[1:]:
         print(_golden_line(arg))

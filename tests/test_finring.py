@@ -1,5 +1,7 @@
 """Ring layer: builders, axiom validation, twist maps, element scans."""
 
+import hashlib
+import json
 import time
 
 import pytest
@@ -238,3 +240,32 @@ def test_oversized_shorthand_refused_before_building_tables(build):
         build()
     assert exc.value.kind == "bad_table"
     assert time.monotonic() - t0 < 0.1
+
+
+def _shorthand_rings():
+    """Every shorthand ring the table digest below pins, in a fixed order."""
+    rings = [zmod(n) for n in [*range(1, 17), 32, 64]]
+    rings += [zmod_product(a, b) for a in range(1, 17) for b in range(1, 17)
+              if a * b <= 16]
+    rings.append(dual_z2())
+    rings += [upper_triangular(n, p) for n, p in
+              [(0, 2), (1, 5), (2, 1), (2, 2), (2, 3), (2, 4), (3, 2), (5, 1)]]
+    return rings
+
+
+def test_shorthand_tables_are_pinned():
+    # sha256 of every shorthand ring's tables, names, zero, one, label and
+    # product_factors, and of the swap tables on Z2xZ2 and Z4xZ4, recorded
+    # before the shorthand constructors were rebuilt on one table builder
+    with pytest.warns(UserWarning) as caught:
+        rings = _shorthand_rings()
+    assert [str(w.message) for w in caught] == [
+        f"ring of order {q}: bounded deciders will be slow"
+        for q in (32, 64, 27, 64, 64)]
+    data = [[r.add_table, r.mul_table, r.names, r.zero, r.one, r.label,
+             r.product_factors] for r in rings]
+    data += [swap_endomorphism(zmod_product(a, a)).table for a in (2, 4)]
+    blob = json.dumps(data, separators=(",", ":")).encode()
+    assert len(rings) == 77
+    assert hashlib.sha256(blob).hexdigest() == (
+        "fc52dd3d46b1983cd06f0b14b2da9f76d90eef3e835f46437a2e4d68a58ee0bb")

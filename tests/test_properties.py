@@ -66,6 +66,7 @@ from spbw.properties import (
 from spbw.skewpbw import validate_presentation
 
 import oracles
+from conftest import Z8_QUASI_ARMENDARIZ_FAILS
 from test_annihilator import _z4_plus_z2
 
 SUITE_ORDER = [
@@ -573,12 +574,12 @@ def test_replay_detects_mismatched_witness(z4):
 def test_every_property_replays_a_fails_witness(instances):
     # one Fails witness per DECIDERS name, so a property added without a
     # replay rule fails here; UT(2,Z2) supplies the non-abelian module the
-    # corpus lacks
+    # corpus lacks, and a Z8 instance with a zero-divisor c_12 and linear
+    # and constant terms fails skew_quasi_armendariz at d=1
     sources = list(instances.values()) + [
-        parse_instance('{"ring":"UT(2,Z2)","variables":1}')]
+        parse_instance('{"ring":"UT(2,Z2)","variables":1}'),
+        parse_instance(Z8_QUASI_ARMENDARIZ_FAILS)]
     for prop, decide in DECIDERS.items():
-        if prop == "skew_quasi_armendariz":
-            continue
         for inst in sources:
             M, P = inst.module, inst.presentation
             v = decide(M, P, 1, DEFAULT_MAX_SPACE)
@@ -587,14 +588,32 @@ def test_every_property_replays_a_fails_witness(instances):
         else:
             pytest.fail(f"no source instance fails {prop}")
         assert replay(M, P, v) is True, prop
-    # no instance tried fails skew_quasi_armendariz, so its rule gets a
-    # forged witness: m = f = 1 over Z4 has m*1*f = 1 != 0
+    # a forged witness: m = f = 1 over Z4 has m*1*f = 1 != 0
     M, P = instances["z4-regular"].module, instances["z4-regular"].presentation
     one = {"text": "1", "terms": [[[0], "1"]]}
     forged = PropertyVerdict("skew_quasi_armendariz", FAILS,
                              {"m": one, "f": one, "i_exp": [0], "j_exp": [0],
                               "r": "1", "t": [0]}, bound=1)
     assert replay(M, P, forged) is False
+
+
+def test_skew_quasi_armendariz_witness_replays_and_tampering_fails():
+    inst = parse_instance(Z8_QUASI_ARMENDARIZ_FAILS)
+    M, P = inst.module, inst.presentation
+    v = is_skew_quasi_armendariz_bounded(M, P, 1)
+    assert v.to_json() == {
+        "property": "skew_quasi_armendariz", "status": FAILS, "bound": 1,
+        "witness": {"m": {"text": "1*x2", "terms": [[[0, 1], "1"]]},
+                    "f": {"text": "4*x1 + 4",
+                          "terms": [[[1, 0], "4"], [[0, 0], "4"]]},
+                    "i_exp": [0, 1], "j_exp": [0, 0], "r": "1", "t": [0, 0]}}
+    assert replay(M, P, v) is True
+    # r = 0 kills the single-term product; f = 1 is not annihilated by m
+    one = {"text": "1", "terms": [[[0, 0], "1"]]}
+    for tamper in ({"r": "0"}, {"f": one}):
+        forged = PropertyVerdict(v.prop, FAILS, {**v.witness, **tamper},
+                                 bound=1)
+        assert replay(M, P, forged) is False, tamper
 
 
 def _z3_zero_last():
