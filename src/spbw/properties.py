@@ -18,7 +18,8 @@ Each proved implication becomes a report with one of four statuses:
                        hypothesis and conclusion fail, which is the
                        contrapositive reading of the implication);
 * hypothesis_not_met - some hypothesis fails and the conclusion gives no
-                       contrapositive information;
+                       contrapositive information, or one holds only up
+                       to bound 0, a vacuous scan (state "vacuous");
 * violation          - hypotheses met, conclusion refuted.  On a validated,
                        consistency-certified instance this always means an
                        engine bug, never new mathematics;
@@ -51,6 +52,8 @@ from .skewpbw import SkewPbwPresentation, SkewPoly
 HOLDS = "holds"
 FAILS = "fails"
 HOLDS_UP_TO_BOUND = "holds_up_to_bound"
+# State of a bound-0 HOLDS_UP_TO_BOUND hypothesis: a scan of constants only.
+VACUOUS = "vacuous"
 
 CONFIRMED = "confirmed"
 HYPOTHESIS_NOT_MET = "hypothesis_not_met"
@@ -785,6 +788,8 @@ def _state(v) -> str:
     if v is None:
         return SKIPPED
     if isinstance(v, PropertyVerdict):
+        if v.status == HOLDS_UP_TO_BOUND and v.bound == 0:
+            return VACUOUS
         return v.status
     if isinstance(v, bool):
         return HOLDS if v else FAILS
@@ -800,12 +805,11 @@ def _implication(theorem: str, hyps, conclude, bound=None) -> TheoremReport:
         ok, desc, witness = conclude()
     except (SearchSpaceTooLarge, TooLarge) as exc:
         ok, desc, witness = None, f"not evaluated ({exc})", None
-    if hyp_failed:
-        if ok is False:
-            return TheoremReport(
-                theorem, CONFIRMED, entries,
-                desc + "; conclusion fails alongside the hypotheses",
-                None, bound)
+    if hyp_failed and ok is False:
+        return TheoremReport(
+            theorem, CONFIRMED, entries,
+            desc + "; conclusion fails alongside the hypotheses", None, bound)
+    if hyp_failed or VACUOUS in states:
         return TheoremReport(theorem, HYPOTHESIS_NOT_MET, entries, desc,
                              None, bound)
     if hyp_unknown or ok is None:

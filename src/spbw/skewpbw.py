@@ -38,6 +38,8 @@ leading data, printing), and :class:`SkewPoly` adds the product.  Products
 expand term pairs through one loop, :func:`term_products`, which the ring
 product, the module action (:func:`spbw.polymodule.act`) and the bounded
 searches (:mod:`spbw.bounded`) all call with their own scale and add tables.
+It reads the triple table itself, one lookup per term pair, and calls
+:meth:`SkewPbwPresentation.triple` only to fill a missing entry.
 
 Variables are 0-based in this API; the textual syntax x1..xn used by the
 command line layer is 1-based.
@@ -175,18 +177,27 @@ class SkewPbwPresentation:
         return hit
 
     def triple(self, alpha, r: int, beta):
-        """Normal form of x^alpha * r * x^beta, composed from the caches."""
+        """Normal form of x^alpha * r * x^beta, from the push row of x^alpha
+        r and the mono_prod rows of its terms.  :func:`term_products` reads
+        this table itself and calls here only to fill an entry."""
         key = (alpha, r, beta)
         hit = self._triple_cache.get(key)
         if hit is None:
             R = self.ring
             add_t, mul_t, zero = R.add_table, R.mul_table, R.zero
-            out = {}
-            for theta, t in self.push(alpha, r):
-                for gamma, u in self.mono_prod(theta, beta):
-                    prev = out.get(gamma, zero)
-                    out[gamma] = add_t[prev][mul_t[t][u]]
-            hit = tuple(sorted((g, v) for g, v in out.items() if v != zero))
+            row = self.push(alpha, r)
+            if len(row) == 1:   # a sorted row, scaled, keeps its order
+                (theta, t), = row
+                scale = mul_t[t]
+                hit = tuple((g, scale[u]) for g, u in self.mono_prod(theta, beta)
+                            if scale[u] != zero)
+            else:
+                out = {}
+                for theta, t in row:
+                    for gamma, u in self.mono_prod(theta, beta):
+                        out[gamma] = add_t[out.get(gamma, zero)][mul_t[t][u]]
+                hit = tuple(sorted((g, v) for g, v in out.items()
+                                   if v != zero))
             self._triple_cache[key] = hit
         return hit
 
@@ -442,13 +453,17 @@ def term_products(P: SkewPbwPresentation, left, right, scale, add,
     term pairs (alpha, a) of `left` and (beta, b) of `right`, as {gamma:
     sum} (zero sums kept).  a times a coefficient w is scale[a][w]: the
     ring's mul table gives the product in A, a module's action table the
-    action on M<X>."""
-    triple = P.triple
+    action on M<X>.  Each pair reads the triple table with one lookup and
+    calls :meth:`SkewPbwPresentation.triple` only to fill a missing entry."""
+    read, fill = P._triple_cache.get, P.triple
     out = {}
     for alpha, a in left:
         row = scale[a]
         for beta, b in right:
-            for gamma, w in triple(alpha, b, beta):
+            terms = read((alpha, b, beta))
+            if terms is None:
+                terms = fill(alpha, b, beta)
+            for gamma, w in terms:
                 out[gamma] = add[out.get(gamma, zero)][row[w]]
     return out
 

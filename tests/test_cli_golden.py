@@ -9,7 +9,7 @@ reports skip (every skip conclusion text the corpus reaches) and the
 instance but weyl-dual-quotient, whose frontier is past d=5), and three
 runs at the deepest degree without a skip.  A second table, `EXTENDED`,
 holds `validate` and `theorems --degree 1` on the instance files under
-tests/instances.  The digests
+tests/instances, and `theorems --degree 0` on UT(2,Z2).  The digests
 were recorded before the refactors of the verification layers they guard;
 such a refactor must leave every one of them unchanged.  Regenerate the
 table, with this file's `__main__` block, only for an intended change of
@@ -259,7 +259,9 @@ GOLDEN = [
 # relation terms; Lezama & Reyes, Comm. Algebra 42, 2014), UT(2,Z2), and a
 # 3-variable bijective Z2xZ2 instance with the swap twist and linear and
 # constant relation terms.  Recorded before the rewriting rules were
-# restated as one redex function.
+# restated as one redex function.  UT(2,Z2) at degree 0, where the
+# skew-Armendariz hypothesis is vacuous, was recorded when a bound-0 scan
+# stopped counting as a met hypothesis (before, it exited 3).
 EXTENDED = [
     ('lie-sl2-z3 validate', 0,
      '50fcd30e96f866b2370ee418e15e0497d64678c0af9c093019423945fc1f0ce9'),
@@ -273,6 +275,8 @@ EXTENDED = [
      '38294a51ff7a69a6754e546f5ae317b7899106a178696f5a483323ab61ded61a'),
     ('ut2-z2 theorems --degree 1', 0,
      '231d3921459308b994a7409a5c3c5680454d80a7bde6e2937dba6e438b3dcd94'),
+    ('ut2-z2 theorems --degree 0', 0,
+     'c72799757f0144683a21a8eb8e9b3c6ce181b636d7616bfa0417b01088eb6310'),
     ('z2xz2-swap-3var validate', 0,
      '038ecc9e907505980d1e857037ab4ebbf3cdd19bb495c9e37c7e1a4c4f8554b6'),
     ('z2xz2-swap-3var theorems --degree 1', 0,

@@ -27,6 +27,7 @@ from spbw.properties import (
     HOLDS_UP_TO_BOUND,
     HYPOTHESIS_NOT_MET,
     SKIPPED,
+    VACUOUS,
     VIOLATION,
     PropertyVerdict,
     _annihilator_correspondence,
@@ -66,7 +67,7 @@ from spbw.properties import (
 from spbw.skewpbw import validate_presentation
 
 import oracles
-from conftest import Z8_QUASI_ARMENDARIZ_FAILS
+from conftest import INSTANCES, Z8_QUASI_ARMENDARIZ_FAILS
 from test_annihilator import _z4_plus_z2
 
 SUITE_ORDER = [
@@ -530,6 +531,29 @@ def test_theorem_suite_refused_decider_is_not_evaluated():
     rep = reports["quasi_baer_polynomial_transfer"]
     assert rep.status == SKIPPED
     assert rep.conclusion == "is_quasi_baer not evaluated"
+
+
+def test_degree_zero_armendariz_hypothesis_is_vacuous():
+    # UT(2,Z2) is not abelian, but at degree 0 every polynomial is a
+    # constant and the skew-Armendariz scan holds vacuously: it is no
+    # evidence for a hypothesis, so the reports that assume it are not met
+    text = (INSTANCES / "ut2-z2.json").read_text(encoding="utf-8")
+    inst = parse_instance(text)
+    reports = theorem_suite(inst.module, inst.presentation, degree=0,
+                            embedding=inst.embedding)
+    assumes = {r.theorem for r in reports
+               if ("skew_armendariz", VACUOUS) in r.hypotheses}
+    assert assumes == {"armendariz_abelian", "pp_polynomial_transfer",
+                       "baer_polynomial_transfer"}
+    by_name = {r.theorem: r for r in reports}
+    assert all(by_name[t].status == HYPOTHESIS_NOT_MET for t in assumes)
+    assert by_name["armendariz_abelian"].conclusion == "abelian fails"
+    assert Counter(r.status for r in reports) == {CONFIRMED: 10,
+                                                  HYPOTHESIS_NOT_MET: 7}
+    # a bound-1 verdict still counts: the d=1 run fails skew_armendariz
+    d1 = {r.theorem: r for r in theorem_suite(
+        inst.module, inst.presentation, degree=1, embedding=inst.embedding)}
+    assert ("skew_armendariz", FAILS) in d1["armendariz_abelian"].hypotheses
 
 
 def test_theorem_suite_no_violations_across_corpus(instances):

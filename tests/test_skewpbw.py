@@ -377,6 +377,45 @@ def test_tables_match_the_word_rewriter(case):
                     oracles.word_normal_form(P, _word(alpha, r, beta))
 
 
+# Degree of the factors in the product read-path test: the word rewriter
+# sees words up to twice this degree.
+PRODUCT_DEGREE = 3
+
+
+@pytest.mark.parametrize("case", sorted(TABLE_CASES))
+def test_products_read_the_triple_table_cold_and_warm(case):
+    # mul reads each term pair's x^alpha b x^beta entry itself and calls
+    # `triple` only to fill a missing one: every read misses on an emptied
+    # triple table and hits on the second product
+    P = TABLE_CASES[case]()
+    R = P.ring
+    rng = random.Random(case)
+    basis = enumerate_upto(P.n, PRODUCT_DEGREE, P.order)
+    nonzero = [r for r in R.elements() if r != R.zero]
+    fill, fills = P.triple, []
+    P.triple = lambda *key: fills.append(key) or fill(*key)
+
+    def draw():
+        return P.from_terms({alpha: rng.choice(nonzero)
+                             for alpha in rng.sample(basis, 3)})
+
+    for _ in range(8):
+        f, g = draw(), draw()
+        expect = {}
+        for (alpha, a), (beta, b) in iproduct(f.terms.items(),
+                                              g.terms.items()):
+            word = [("c", a)] + _word(alpha, b, beta)
+            for gamma, w in oracles.word_normal_form(P, word).items():
+                expect[gamma] = R.add(expect.get(gamma, R.zero), w)
+        expect = {gamma: w for gamma, w in expect.items() if w != R.zero}
+        P._triple_cache.clear()
+        fills.clear()
+        assert mul(f, g).terms == expect
+        assert len(fills) == len(f.terms) * len(g.terms)
+        assert mul(f, g).terms == expect
+        assert len(fills) == len(f.terms) * len(g.terms)
+
+
 @pytest.mark.parametrize("case", sorted(TABLE_CASES))
 def test_normalize_matches_the_word_rewriter(case):
     P = TABLE_CASES[case]()
