@@ -26,8 +26,8 @@ lane per entry and factor, added or negated with a few int operations
 The kernel never acts pair by pair.  It tabulates the structure tensor
 x^basis[s] * b * x^basis[t] once (k^2 * |R| normal forms) and finds each
 row by a meet-in-the-middle split of the k slots, whose half sums are
-additive in m and so tabulated once per slot and module value.  Only two
-facts are used: act is the sum over term pairs that `term_products`
+additive in m and so tabulated per slot at the generators of (M, +).  Only
+two facts are used: act is the sum over term pairs that `term_products`
 computes, and (M, +) is an abelian group (`validate_module` checks it).
 `ann_am_rows` refines the kernel rows over the middle factors r x^gamma
 with r an additive generator of R; no per-pair answer is kept.  A middle
@@ -59,8 +59,10 @@ reduced and twist-compatibility scans of `properties` read as M's.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import product
+from functools import reduce
+from itertools import compress, product, repeat
 from math import gcd, lcm
+from struct import Struct
 
 from .errors import (EngineInvariantError, PresentationMismatch,
                      SearchSpaceTooLarge)
@@ -148,11 +150,12 @@ def half_sums(tables, vecs: PackedVectors):
 def count_zero_sums(tables, vecs: PackedVectors) -> int:
     """How many choices of one packed vector per table sum to 0, by the
     kernel's meet-in-the-middle split: a Counter of the sums over the low
-    tables h.. (h = len(tables) // 2), looked up by the negated sums over
-    the high tables, so the work is about the two halves' products."""
+    tables h.. (h = len(tables) // 2), looked up by the sums over the negated
+    high tables, so the work is about the two halves' products."""
     h = len(tables) // 2
     low = Counter(half_sums(tables[h:], vecs))
-    return sum(low[vecs.neg(x)] for x in half_sums(tables[:h], vecs))
+    return sum(map(low.get, half_sums([list(map(vecs.neg, t)) for t in
+                                       tables[:h]], vecs), repeat(0)))
 
 
 class BoundedContext:
@@ -337,18 +340,18 @@ class BoundedContext:
         coefficients of x^basis[s] * f_t * x^basis[t], so with L_m[t][b] the
         G-vector sum over s of m_s applied to T[s][t][b] (see
         `structure_tensor`), act(m, f) = sum over t of L_m[t][f_t].  Each
-        row is then found by a meet-in-the-middle split of the slots: the
-        sums over the low slots h..k-1 (h = k // 2), one per suffix, are
-        indexed by value, and the negated sums over the high slots 0..h-1,
-        one per prefix, look themselves up; f with prefix index p and suffix
-        index j has index p * q^(k-h) + j.
+        row is then found by a meet-in-the-middle split of the slots: with
+        h = k // 2, f with prefix index p (slots 0..h-1) and suffix index j
+        has index p * q^(k-h) + j and is in the row iff the negated sum over
+        its high slots equals the sum over its low slots.
 
-        Both lists of half sums are additive in m, as L_m is.  So they are
-        tabulated once per slot s and value v, for m = v at slot s alone
-        (2 * k * |M| `half_sums` calls), concatenated into one packed int,
-        and the lists of each m are the sum of its slots' tables: walking
-        the m in index order re-sums, one packed add each, only the slots
-        from the first changed digit on; sums compare as `bytes` slices.
+        Both lists of half sums are additive in m, as L_m is, so they are
+        tabulated in one packed int per slot s at each generator of (M, +)
+        (2 * k * r `half_sums` calls for r generators) and summed for the
+        other values.  Walking the blocks of m that share all digits but
+        the last re-sums only the slots from the first changed digit on.
+        One `struct` unpack cuts a row's int into chunks, and one set
+        intersection and one C-level pass per half list the matching pairs.
         K_{n * m} = K_m for n prime to the exponent of (M, +), as act(n * m,
         f) = n * act(m, f), so a row is split out only at an orbit minimum
         of `orbit_rep` and every other m shares its minimum's row.
@@ -368,37 +371,49 @@ class BoundedContext:
         high_size, low_size = q ** h, q ** (k - h)
         flat = PackedVectors(M, (high_size + low_size) * G)
         step = vec.width * G
+        chunks = Struct(f"{step}s" * (high_size + low_size)).unpack
+        gens, coords = cyclic_factors(M)
 
-        def sums_table(s, v):
-            # the negated prefix sums, then the suffix sums, of m = v at s
-            row = M.action_table[v]
-            L = [[vec.pack((g, row[w]) for g, w in terms) for terms in per_t]
-                 for per_t in tensor[s]]
-            sums = ([vec.neg(x) for x in half_sums(L[:h], vec)]
-                    + half_sums(L[h:], vec))
-            return int.from_bytes(b"".join([x.to_bytes(step, "big")
-                                            for x in sums]), "big")
+        def slot_table(s):
+            # the negated prefix sums, then the suffix sums, of m = g at s for
+            # each generator g; additive in m, so summed for every other value
+            mults = []
+            for g, n in gens:
+                row = M.action_table[g]
+                L = [[vec.pack((c, row[w]) for c, w in terms)
+                      for terms in per_t] for per_t in tensor[s]]
+                L[:h] = [list(map(vec.neg, per_t)) for per_t in L[:h]]
+                sums = half_sums(L[:h], vec) + half_sums(L[h:], vec)
+                mults.append([0, int.from_bytes(b"".join(
+                    [x.to_bytes(step, "big") for x in sums]), "big")])
+                while len(mults[-1]) < n:
+                    mults[-1].append(flat.add(mults[-1][-1], mults[-1][1]))
+            return [reduce(flat.add, map(list.__getitem__, mults, coords[v]),
+                           0) for v in M.elements()]
 
-        table = [[sums_table(s, v) for v in M.elements()] for s in range(k)]
-        suffix_at = list(enumerate(range(high_size * step, flat.nbytes, step)))
-        prefix_at = [(p * low_size, p * step) for p in range(high_size)]
-        rows = {}
-        # partial[s]: the flat sums of m's slots before s; going from m - 1
-        # to m resets every digit after the last nonzero one
-        partial = [0] * (k + 1)
-        for m_idx, digits in enumerate(product(M.elements(), repeat=k)):
-            first = max((s for s in range(k) if digits[s]), default=0)
-            for s in range(first, k):
-                partial[s + 1] = flat.add(partial[s], table[s][digits[s]])
-            if rep[m_idx] != m_idx:
-                rows[m_idx] = rows[rep[m_idx]]
-                continue
-            b = partial[k].to_bytes(flat.nbytes, "big")
+        def split(total):
+            # prefix chunk p meets suffix chunk j exactly when they are equal
+            parts = chunks(total.to_bytes(flat.nbytes, "big"))
+            pre, suf = parts[:high_size], parts[high_size:]
+            common = set(pre).intersection(suf).__contains__
             suffixes = {}
-            for j, i in suffix_at:
-                suffixes.setdefault(b[i:i + step], []).append(j)
-            rows[m_idx] = frozenset([base + j for base, i in prefix_at
-                                     for j in suffixes.get(b[i:i + step], ())])
+            for j in compress(range(low_size), map(common, suf)):
+                suffixes.setdefault(suf[j], []).append(j)
+            return frozenset([p * low_size + j for p in compress(
+                range(high_size), map(common, pre)) for j in suffixes[pre[p]]])
+
+        table = [slot_table(s) for s in range(k)]
+        out, partial = {}, [0] * k   # partial[s]: the flat sums of slots < s
+        for block, digits in enumerate(product(M.elements(), repeat=k - 1)):
+            # from the previous block, every digit after the last nonzero reset
+            first = max((s for s in range(k - 1) if digits[s]), default=0)
+            for s in range(first, k - 1):
+                partial[s + 1] = flat.add(partial[s], table[s][digits[s]])
+            base = block * M.order
+            for v in M.elements():
+                if rep[base + v] == base + v:
+                    out[base + v] = split(flat.add(partial[-1], table[-1][v]))
+        rows = {m_idx: out[r] for m_idx, r in enumerate(rep)}
         self._kernel = rows
         return rows
 

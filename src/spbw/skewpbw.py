@@ -26,11 +26,12 @@ reads push entries of degree d - 1 and one-letter entries of product degree
 at most d; a one-letter entry of product degree d reads push entries of
 degree d - 2, one-letter entries of product degree at most d - 1, and sorted
 concatenations, which are their own normal forms.  So the tables fill on
-every presentation.  Each step rewrites one subword by one rule, so on a
-presentation that :func:`check_consistency` certifies confluent the tables
-give the unique normal form, whatever the order of the steps; that check
-rewrites each overlap word at its first and at its second letter through the
-same :func:`_rewrite`.
+every presentation, with fills nested to a bounded depth (:func:`_fill`).
+Each step rewrites one subword by one rule, so on a presentation that
+:func:`check_consistency` certifies confluent the tables give the unique
+normal form, whatever the order of the steps; that check rewrites each
+overlap word at its first and at its second letter through the same
+:func:`_rewrite`.
 
 Polynomials are term dicts on sorted monomials; :class:`TermPoly` holds
 what ring and module polynomials share (comparison, addition, degree and
@@ -89,6 +90,7 @@ class SkewPbwPresentation:
         self._push_cache = {}
         self._prod_cache = {}
         self._triple_cache = {}
+        self._depth = 0   # nested fills running, see _fill
         self.units = tuple(tuple(int(i == k) for k in range(self.n))
                            for i in range(self.n))
 
@@ -147,7 +149,7 @@ class SkewPbwPresentation:
             elif j < 0:
                 hit = ((alpha, r),)
             else:
-                hit = _fold(self, _drop(alpha, j),
+                hit = _fill(self, self._push_cache, key, _drop(alpha, j),
                             _rewrite(self, ("v", j), ("c", r)))
             self._push_cache[key] = hit
         return hit
@@ -164,15 +166,17 @@ class SkewPbwPresentation:
         hit = self._prod_cache.get(key)
         if hit is None:
             l = _last_variable(alpha)
-            j = next((i for i, e in enumerate(beta) if e), self.n)
+            first = next(filter(None, beta), 0)   # first nonzero exponent
+            j = beta.index(first) if first else self.n
             if l <= j:
                 hit = ((monomial.add(alpha, beta), self.ring.one),)
             elif sum(beta) == 1:
-                hit = _fold(self, _drop(alpha, l),
+                hit = _fill(self, self._prod_cache, key, _drop(alpha, l),
                             _rewrite(self, ("v", l), ("v", j)))
             else:
-                hit = _fold(self, alpha, [[("v", i) for i, e in enumerate(beta)
-                                           for _ in range(e)]])
+                hit = _fill(self, self._prod_cache, key, alpha,
+                            [[("v", i) for i, e in enumerate(beta)
+                              for _ in range(e)]])
             self._prod_cache[key] = hit
         return hit
 
@@ -220,6 +224,43 @@ def _last_variable(alpha) -> int:
 def _drop(alpha, j: int) -> tuple:
     """alpha - e_j."""
     return alpha[:j] + (alpha[j] - 1,) + alpha[j + 1:]
+
+
+class _TooDeep(Exception):
+    """Raised by a fill nested `limit` deep, three Python frames each;
+    args: its (cache, key, head, words)."""
+    limit = 100
+
+
+def _fill(P: SkewPbwPresentation, cache: dict, key, head, words) -> tuple:
+    """Entry `key` of `cache`, the fold of (head, words); the caller keeps
+    it.  The fold fills missing entries by nested calls.  One nested too
+    deep is handed to the outermost fill, which keeps it and runs the
+    unfinished folds again: the call depth stays bounded, and the entries
+    are kept in the order of plain nested calls."""
+    if P._depth:
+        if P._depth == _TooDeep.limit:
+            raise _TooDeep(cache, key, head, words)
+        P._depth += 1
+        try:
+            return _fold(P, head, words)
+        finally:
+            P._depth -= 1
+    todo = []
+    while True:
+        P._depth = 1
+        try:
+            value = _fold(P, head, words)
+        except _TooDeep as deep:
+            todo.append((cache, key, head, words))
+            cache, key, head, words = deep.args
+            continue
+        finally:
+            P._depth = 0
+        if not todo:
+            return value
+        cache[key] = value
+        cache, key, head, words = todo.pop()
 
 
 def _fold(P: SkewPbwPresentation, head, words) -> tuple:

@@ -2,6 +2,7 @@
 
 import random
 from collections import Counter, defaultdict
+from functools import reduce
 from itertools import product
 from math import gcd
 
@@ -30,6 +31,7 @@ from spbw.properties import _quasi_armendariz_failure
 from spbw.skewpbw import validate_presentation
 
 import oracles
+from conftest import INSTANCES
 
 
 def test_ann_in_r_matches_oracle():
@@ -170,6 +172,8 @@ def _assert_kernel_matches_reference(ctx):
     # per-module-polynomial enumeration through polymodule.act
     kern = ctx.kernel()
     assert sorted(kern) == list(range(ctx.m_space))
+    zero = ctx.m_index([ctx.module.zero] * ctx.k)
+    assert kern[zero] == frozenset(range(ctx.f_space))
     for m_idx in range(ctx.m_space):
         row = kern[m_idx]
         assert isinstance(row, frozenset)
@@ -188,6 +192,50 @@ def test_kernel_rows_match_reference_on_the_corpus(name):
         _assert_kernel_matches_reference(ctx)
         d += 1
     assert d > 0
+
+
+@pytest.mark.parametrize("path", sorted(INSTANCES.glob("*.json")),
+                         ids=lambda path: path.stem)
+def test_kernel_rows_match_reference_on_the_test_instances(path):
+    # every degree whose polynomial space has at most 729 elements; the
+    # additive groups of ut2-z2 (Z2^3) and z2xz2-swap-3var (Z2^2) have
+    # several cyclic factors, so their slot tables are summed from several
+    # generators
+    inst = parse_instance(path.read_text(encoding="utf-8"))
+    factors = {"ut2-z2": 3, "z2xz2-swap-3var": 2}.get(path.stem, 1)
+    assert len(cyclic_factors(inst.module)[0]) == factors
+    d = 0
+    while (ctx := context(inst.module, inst.presentation, d)).f_space <= 729:
+        _assert_kernel_matches_reference(ctx)
+        d += 1
+    assert d > 0
+
+
+def test_count_zero_sums_matches_brute_force():
+    # the split count of zero sums over each r's scalar tables against
+    # summing every choice of one packed vector per table, on every context
+    # with |M|^k <= 10^4; k = 1 leaves the high half empty, and an odd k
+    # splits the tables unevenly
+    ks = set()
+    for case, ctx in _orbit_contexts():
+        vecs = ctx.vectors
+        for r, phi in enumerate(ctx.scalar_tables()):
+            want = sum(reduce(vecs.add, choice, 0) == 0
+                       for choice in product(*phi))
+            assert bounded.count_zero_sums(phi, vecs) == want, (case, r)
+        ks.add(ctx.k)
+    assert 1 in ks and any(k % 2 for k in ks if k > 1)
+    # the sums of those tables form subgroups, which negation fixes; seeded
+    # tables of arbitrary vectors over Z5 and Z4 + Z2 tell x from -x
+    rng = random.Random(5)
+    for M in (regular_module(zmod(5)), _z4_plus_z2()):
+        vecs = PackedVectors(M, 2)
+        for k in range(1, 6):
+            tables = [[vecs.pack(enumerate(rng.choices(M.elements(), k=2)))
+                       for _ in range(rng.randrange(1, 6))] for _ in range(k)]
+            want = sum(reduce(vecs.add, choice, 0) == 0
+                       for choice in product(*tables))
+            assert bounded.count_zero_sums(tables, vecs) == want, (M, k)
 
 
 def _assert_ann_am_matches_reference(ctx):
@@ -294,12 +342,13 @@ def _z4_quantum_plane():
 
 
 def test_kernel_and_ann_am_rows_count_their_work(monkeypatch):
-    # the kernel calls half_sums only to build its per-slot tables, never
-    # once per m, and ann(mA) forms each product (r x^gamma) * f at most
-    # once, for non-constant middles with r an additive generator of R
-    # only, however many rows hold f.  On the Z4 quantum plane x2 x1 =
-    # 3 x1 x2 the middles x1 and x2 do not commute with the slice, so
-    # `ann_am_rows` keeps them and forms products
+    # the kernel calls half_sums only to build its per-slot tables at the
+    # generators of (M, +), never once per m or module value, and ann(mA)
+    # forms each product (r x^gamma) * f at most once, for non-constant
+    # middles with r an additive generator of R only, however many rows
+    # hold f.  On the Z4 quantum plane x2 x1 = 3 x1 x2 the middles x1 and
+    # x2 do not commute with the slice, so `ann_am_rows` keeps them and
+    # forms products
     inst = _z4_quantum_plane()
     P, M = inst.presentation, inst.module
     ctx = context(M, P, 1)
@@ -331,7 +380,8 @@ def test_kernel_and_ann_am_rows_count_their_work(monkeypatch):
     monkeypatch.setattr(ctx, "act_is_zero", counted_act_is_zero)
     kern = ctx.kernel()
     assert len(kern) == ctx.m_space > 2 * ctx.k * M.order
-    assert 0 < calls["half_sums"] <= 2 * ctx.k * M.order
+    # two half_sums calls per slot and cyclic generator of (M, +)
+    assert calls["half_sums"] == 2 * ctx.k * len(cyclic_factors(M)[0])
     assert not products
     rows = ctx.ann_am_rows()
     assert products and max(products.values()) == 1

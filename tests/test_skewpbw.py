@@ -5,7 +5,7 @@ from itertools import product as iproduct
 
 import pytest
 
-from spbw import corpus
+from spbw import corpus, skewpbw
 from spbw.cli import parse_instance
 from spbw.errors import EngineInvariantError, ValidationError
 from spbw.finring import (
@@ -427,6 +427,59 @@ def test_normalize_matches_the_word_rewriter(case):
         word = [rng.choice(tokens) for _ in range(length)]
         assert normalize(P, word).terms == \
             oracles.word_normal_form(P, word), word
+
+
+# Far past the default recursion limit of 1000, were each letter of x^alpha
+# to cost nested calls.
+DEEP_DEGREE = 2000
+
+
+def test_high_degree_products_stay_within_the_recursion_limit():
+    # z3-trivial: sigma = id, delta = 0 and x2 x1 = x1 x2, so x1^N r =
+    # r x1^N and x2^N x1 = x1 x2^N, through chains of N push and N
+    # one-letter entries
+    P = parse_instance(corpus.load("z3-trivial")).presentation
+    R = P.ring
+    assert P.quasi_commutative and P.c[(0, 1)] == R.one
+    assert all(list(t) == list(R.elements()) for t in P.sigma_tables)
+    for r in R.elements():
+        got = mul(P.monomial_poly((DEEP_DEGREE, 0)), P.constant(r)).terms
+        assert got == ({(DEEP_DEGREE, 0): r} if r != R.zero else {})
+    assert mul(P.monomial_poly((0, DEEP_DEGREE)), P.variable(0)).terms == \
+        {(1, DEEP_DEGREE): R.one}
+
+
+def test_high_degree_push_matches_oracle():
+    # weyl-dual-quotient has a nonzero delta: x^N r has up to N + 1 terms
+    P = parse_instance(corpus.load("weyl-dual-quotient")).presentation
+    R = P.ring
+    for r in R.elements():
+        want = oracles.closed_form_push(R, P.sigma_tables[0],
+                                        P.delta_tables[0], DEEP_DEGREE, r)
+        got = mul(P.monomial_poly((DEEP_DEGREE,)), P.constant(r)).terms
+        assert {alpha[0]: v for alpha, v in got.items()} == want, r
+
+
+@pytest.mark.parametrize("case", sorted(TABLE_CASES))
+def test_fills_cut_into_pieces_keep_the_tables(case, monkeypatch):
+    # with nested fills capped at 2, chains are filled in pieces and the
+    # unfinished folds run again; the tables hold the same entries, kept in
+    # the same order, as under the default cap
+    def fill_tables(P):
+        basis = enumerate_upto(P.n, 5, P.order)
+        for alpha in basis:
+            for r in P.ring.elements():
+                mul(P.monomial_poly(alpha), P.constant(r))
+            for beta in basis[:10]:
+                mul(P.monomial_poly(alpha), P.monomial_poly(beta))
+        return [list(cache.items()) for cache in
+                (P._push_cache, P._prod_cache, P._triple_cache)]
+
+    want = fill_tables(TABLE_CASES[case]())
+    monkeypatch.setattr(skewpbw._TooDeep, "limit", 2)
+    P = TABLE_CASES[case]()
+    assert fill_tables(P) == want
+    assert P._depth == 0
 
 
 def test_perturbed_lie_presentation_refused():
