@@ -37,12 +37,16 @@ R-module; over a commutative slice the ann(mA) rows are the kernel rows.
 Rows are frozensets of f_idx, so the scans ask set questions of them and
 take the least index as the witness f.
 
-For n prime to the exponent of (M, +), m -> n * m is an automorphism and
-act(n * m, f) = n * act(m, f), so the m of one orbit share their kernel and
-ann(mA) rows.  Each row is built once per orbit, at its least index
-(`orbit_rep`), and every m of the orbit holds that one row: the row scans
-of `properties` rest on this contract.  Their conditions are all
-orbit-invariant, so every row scan visits the minima only; the first
+Rows are built once per orbit of a group G, generated by the integer units
+n mod the exponent of (M, +), as act(n * m, f) = n * act(m, f), and, when A
+is quasi-commutative, by the torus phi_lam: x_i -> lam_i x_i, lam_i central
+units fixed by every sigma_j.  phi_lam maps b x^beta to (b * lam^beta)
+x^beta in A and m x^alpha to (m * lam^alpha) x^alpha in M<X>; a product of
+terms is one term, so act(phi(m), phi(f)) = phi(act(m, f)), and g = (n,
+lam) gives K_{g * m} = phi_lam(K_m) and A_{g * m} = phi_lam(A_m).  A row is
+built at its orbit's least index (`orbit_rep`), every other m holds phi_lam
+of it (`_spread`), and the row scans of `properties`, whose conditions are
+G-invariant (`properties._row_failure`), visit the minima only: the first
 failing m in index order is one, so witnesses stay.
 
 The scalar action m * r is additive in m, so H_r = {m in M^k : m * r = 0}
@@ -59,13 +63,14 @@ reduced and twist-compatibility scans of `properties` read as M's.
 from __future__ import annotations
 
 from collections import Counter
-from functools import reduce
+from functools import cache, reduce
 from itertools import compress, product, repeat
 from math import gcd, lcm
 from struct import Struct
 
 from .errors import (EngineInvariantError, PresentationMismatch,
                      SearchSpaceTooLarge)
+from .finring import is_central
 from .monomial import default_order, enumerate_upto
 from .polymodule import ModulePoly, RightModule, module_poly
 from .skewpbw import SkewPbwPresentation, SkewPoly, term_products
@@ -138,6 +143,24 @@ class PackedVectors:
                    for i, v in pairs)
 
 
+def _generators(group, mul) -> list:
+    """Elements of the finite group `group` (its identity left out) that
+    generate it under `mul`, each outside the subgroup of those before."""
+    gens, seen = [], set()
+    for g in (g for g in group if g not in seen):
+        gens.append(g)
+        while more := {mul(x, h) for x in seen | {g} for h in gens} - seen:
+            seen |= more
+    return gens
+
+
+def _digit_image(maps, size: int) -> list:
+    """The index of each vector's image when digit v at slot s goes to
+    maps[s][v], in index order."""
+    return reduce(lambda image, digits: [x * size + w for x in image
+                                         for w in digits], maps, [0])
+
+
 def half_sums(tables, vecs: PackedVectors):
     """Every sum of one packed vector per table, in product order (the first
     table varies slowest), starting from the zero vector 0."""
@@ -178,7 +201,7 @@ class BoundedContext:
         self.pair_space = self.f_space * self.m_space
         self.vectors = PackedVectors(module, self.k)
         self._kernel = None
-        self._rep = None
+        self._rep = self._lam = None
         self._ann_am = None
         self._middles = None
         self._scalar = None
@@ -314,24 +337,63 @@ class BoundedContext:
         return tensor, max(len(pos), 1)
 
     def orbit_rep(self) -> list:
-        """rep[m_idx]: the least index of the orbit {n * m : gcd(n, e) = 1},
-        e the exponent of (M, +), the lcm of the packed factor orders.  Each
-        n * v is read off the add table and each image of the slice is listed
-        digit by digit, |M|^k indices per n; e <= 2 gives the identity."""
+        """rep[m_idx]: the least index of m's orbit under G (module
+        docstring).  A generator, n or x_i -> t x_i for n and t generators of
+        their groups, scales slot s by n * 1 or t^alpha_s[i]: one image list.
+        Each unvisited m, in index order, is its orbit's least and is closed
+        under those lists; `_lam[m_idx]` gets the slot scalars (lam^alpha_s)
+        of a torus element lam (None for 1) with m = n * phi_lam(rep)."""
         if self._rep is None:
-            M, k = self.module, self.k
-            e = lcm(*M._packing[1])
-            rep = list(range(self.m_space))
-            scaled = list(M.elements())   # n * v, for n = 1, 2, ..
-            for n in range(2, e):
-                scaled = [M.add_table[x][v] for v, x in enumerate(scaled)]
-                if gcd(n, e) == 1:
-                    image = [0]
-                    for _ in range(k):
-                        image = [x * M.order + w for x in image for w in scaled]
-                    rep = list(map(min, rep, image))
-            self._rep = rep
+            M, P, ring = self.module, self.presentation, self.presentation.ring
+            mul, e, one = ring.mul_table, lcm(*M._packing[1]), ring.one
+            gens = [([reduce(ring.add, [one] * n)] * self.k, None) for n in
+                    _generators([n for n in range(2, e) if gcd(n, e) == 1],
+                                lambda a, b: a * b % e)]
+            torus = _generators([t for t in ring.elements() if t != one and (
+                P.quasi_commutative and one in mul[t] and is_central(ring, t)
+                and all(s[t] == t for s in P.sigma_tables))],
+                lambda a, b: mul[a][b])
+            gens += [(c, c) for i, t in product(range(P.n), torus) for c in [
+                tuple(reduce(lambda x, _: mul[x][t], range(alpha[i]), one)
+                      for alpha in self.basis)]]
+            gens = [(_digit_image([[M.action_table[v][c] for v in
+                                    M.elements()] for c in cs], M.order), t)
+                    for cs, t in gens]
+            then = cache(lambda lam, t: lam if t is None else t if lam is None
+                         else tuple(map(lambda a, b: mul[a][b], lam, t)))
+            rep, lams = [None] * self.m_space, [None] * self.m_space
+            for m_idx in (m for m in range(self.m_space) if rep[m] is None):
+                rep[m_idx], todo = m_idx, [m_idx]
+                for x in todo:   # grows while it is walked
+                    for image, t in gens:
+                        if rep[y := image[x]] is None:
+                            rep[y], lams[y] = m_idx, then(lams[x], t)
+                            todo.append(y)
+            self._rep, self._lam = rep, lams
         return self._rep
+
+    def minima(self) -> list:
+        """The orbit minima of `orbit_rep`, in index order."""
+        return [m for m, r in enumerate(self.orbit_rep()) if m == r]
+
+    def _spread(self, at: dict) -> dict:
+        """{m_idx: row} from `at`, the rows of the orbit minima: m = n *
+        phi_lam(rep) holds phi_lam(at[rep]), mapped by one f-index
+        permutation per lam, built on first use, and kept per (rep, lam).
+        Where phi_lam fixes the row, as it fixes {0}, the row is shared."""
+        rows, images, perms, mul = {}, {}, {}, self.presentation.ring.mul_table
+        for m_idx, (r, lam) in enumerate(zip(self.orbit_rep(), self._lam)):
+            if lam is None or len(at[r]) == 1:
+                rows[m_idx] = at[r]
+                continue
+            if (r, lam) not in images:
+                if lam not in perms:
+                    perms[lam] = _digit_image([[mul[b][c] for b in range(
+                        self.ring_size)] for c in lam], self.ring_size)
+                moved = frozenset(map(perms[lam].__getitem__, at[r]))
+                images[r, lam] = at[r] if moved == at[r] else moved
+            rows[m_idx] = images[r, lam]
+        return rows
 
     def kernel(self, max_space: int = DEFAULT_MAX_SPACE) -> dict:
         """act-annihilator rows: {m_idx: frozenset of f_idx with act(m,f)=0}.
@@ -352,9 +414,9 @@ class BoundedContext:
         the last re-sums only the slots from the first changed digit on.
         One `struct` unpack cuts a row's int into chunks, and one set
         intersection and one C-level pass per half list the matching pairs.
-        K_{n * m} = K_m for n prime to the exponent of (M, +), as act(n * m,
-        f) = n * act(m, f), so a row is split out only at an orbit minimum
-        of `orbit_rep` and every other m shares its minimum's row.
+        K_{g * m} = phi_lam(K_m) for g = (n, lam) in G, so a row is split out
+        only at an orbit minimum of `orbit_rep`, and `_spread` gives every
+        other m phi_lam of its minimum's row.
 
         The guard still measures the pair space |M|^k * |R|^k the rows
         cover, not the smaller work done here: a guard on the work would
@@ -413,9 +475,8 @@ class BoundedContext:
             for v in M.elements():
                 if rep[base + v] == base + v:
                     out[base + v] = split(flat.add(partial[-1], table[-1][v]))
-        rows = {m_idx: out[r] for m_idx, r in enumerate(rep)}
-        self._kernel = rows
-        return rows
+        self._kernel = self._spread(out)
+        return self._kernel
 
     def middle_factors(self):
         """(r, gamma) pairs spanning A up to degree d additively, the
@@ -473,14 +534,13 @@ class BoundedContext:
         mixed products: (m x^alpha)(r x^t)(b x^beta), additive in r, is 0 for
         all r and t exactly when b x^beta lies in that row.
 
-        A_{n * m} = A_m for n prime to the exponent of (M, +), as n is
-        injective on M, so as in `kernel` each row is found only at an orbit
-        minimum of `orbit_rep` and shared, as one frozenset, by its orbit.
+        A_{g * m} = phi_lam(A_m) for g = (n, lam) in G, as phi_lam maps the
+        middles' span A_{<=d} onto itself, so as in `kernel` rows are found
+        at the orbit minima only and `_spread` gives the rest.
         """
         kern = self.kernel(max_space)
         if self._ann_am is not None:
             return self._ann_am
-        rep = self.orbit_rep()
         P, ring = self.presentation, self.presentation.ring
         const = self.basis[0]
         acting = self.acting_middles()
@@ -492,10 +552,7 @@ class BoundedContext:
         action = self.scalar_action() if scalars else None
         products = {}   # (middle, f_idx) -> terms of (r x^gamma) * f
         rows = {}
-        for m_idx in range(self.m_space):
-            if rep[m_idx] != m_idx:
-                rows[m_idx] = rows[rep[m_idx]]
-                continue
+        for m_idx in self.minima():
             mt = self.mterms(m_idx)
             if not mt:
                 rows[m_idx] = kern[m_idx]
@@ -518,8 +575,8 @@ class BoundedContext:
             # a row the middles left whole is the kernel row's own object
             whole = len(keep) == len(kern[m_idx])
             rows[m_idx] = kern[m_idx] if whole else frozenset(keep)
-        self._ann_am = rows
-        return rows
+        self._ann_am = self._spread(rows)
+        return self._ann_am
 
     def coeff_set(self, allowed, max_space: int = DEFAULT_MAX_SPACE) -> frozenset:
         """All f_idx whose coefficients lie in `allowed` (a set of ring

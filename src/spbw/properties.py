@@ -18,8 +18,9 @@ Each proved implication becomes a report with one of four statuses:
                        hypothesis and conclusion fail, which is the
                        contrapositive reading of the implication);
 * hypothesis_not_met - some hypothesis fails and the conclusion gives no
-                       contrapositive information, or one holds only up
-                       to bound 0, a vacuous scan (state "vacuous");
+                       contrapositive information, or a bounded verdict
+                       it reads (hypothesis, conclusion or agreement side)
+                       holds only up to bound 0, a vacuous scan;
 * violation          - hypotheses met, conclusion refuted.  On a validated,
                        consistency-certified instance this always means an
                        engine bug, never new mathematics;
@@ -30,7 +31,8 @@ hypotheses, conclusion, bound) rows.  A conclusion is built by one of three
 builders: `_verdict` (a decider verdict), `_claim` (an (ok, witness) check of
 a fixed statement) or `_agreement` (a verdict compared with a bounded side).
 A decider that a budget or size cap refuses yields None; a conclusion that
-needs it reads "<name> not evaluated", and its side is not run.
+needs it reads "<name> not evaluated", and its side is not run.  One that
+is vacuous reads "<name> vacuous", and its side is not run either.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ from .skewpbw import SkewPbwPresentation, SkewPoly
 HOLDS = "holds"
 FAILS = "fails"
 HOLDS_UP_TO_BOUND = "holds_up_to_bound"
-# State of a bound-0 HOLDS_UP_TO_BOUND hypothesis: a scan of constants only.
+# State of a bound-0 HOLDS_UP_TO_BOUND verdict: a scan of constants only.
 VACUOUS = "vacuous"
 
 CONFIRMED = "confirmed"
@@ -289,14 +291,16 @@ def _pq_baer_family(ctx: BoundedContext, max_space: int):
 
 def _quasi_baer_family(ctx: BoundedContext, max_space: int):
     """The meet of the kernel rows over N^k, keyed by the submodule N, for
-    the submodules of M up to DEFAULT_MAX_SUBMODULE_ORDER elements."""
+    the submodules of M up to DEFAULT_MAX_SUBMODULE_ORDER elements.  For
+    each f, {m : act(m, f) = 0} is a subgroup of M^k, so the meet is taken
+    over the k * |N| single-slot vectors v x^alpha, which span N^k."""
     kern = ctx.kernel(max_space)
 
     def family():
         for sub in all_submodules(ctx.module, DEFAULT_MAX_SUBMODULE_ORDER):
             yield sub, frozenset.intersection(*(
-                kern[ctx.m_index(vec)]
-                for vec in product(sorted(sub.elements), repeat=ctx.k)))
+                kern[ctx.m_term_index(alpha, v)]
+                for alpha in ctx.basis for v in sorted(sub.elements)))
 
     return _first_outside(ctx, max_space, family())
 
@@ -365,13 +369,18 @@ def _row_failure(ctx: BoundedContext, rows: dict, key, allowed,
     to it when `exact`; None if there is none.  An m with key(m) None is
     skipped, and each distinct key's set is built once.
 
-    Visiting the minima only rests on two premises: `rows` shares one row
-    per orbit, as `kernel()` and `ann_am_rows()` do, and the condition is
-    orbit-invariant.  Then the first failing m is a minimum, and its witness
-    is the one a scan of every m would find."""
+    Visiting the minima only rests on two premises: rows[g * m] =
+    phi_lam(rows[m]) for g = (n, lam) in G (`orbit_rep`), as `kernel()` and
+    `ann_am_rows()` give, and a G-invariant condition.  Then the first
+    failing m is a minimum, with the witness a scan of every m would find.
+    Invariance: Armendariz, m0 is in the constant slot, which lam^0 = 1
+    fixes; correspondence and mixed products, ann_R of a coefficient set is
+    kept by n and central units; constants, phi_lam fixes them;
+    quasi-Armendariz, term by term; torsion, lc(phi_lam f) is lc(f) times
+    a unit; ann(mA), phi_lam maps the middles' span onto itself."""
     sets = {}   # key -> coeff_set(allowed(key))
-    for m_idx, rep in enumerate(ctx.orbit_rep()):
-        k = key(m_idx) if rep == m_idx else None
+    for m_idx in ctx.minima():
+        k = key(m_idx)
         if k is None:
             continue
         if k not in sets:
@@ -385,8 +394,9 @@ def _row_failure(ctx: BoundedContext, rows: dict, key, allowed,
 def _armendariz_scan(ctx: BoundedContext, prop: str, exact: bool,
                      max_space: int) -> PropertyVerdict:
     """Each kernel row must lie in coeff_set(ann_R(m0)), m0 the constant
-    coefficient of m, nonzero: `_row_failure` keyed by m0, as ann_R(n * m0)
-    = ann_R(m0).  The witness is the least f outside it and its first term
+    coefficient of m, nonzero: `_row_failure` keyed by m0, which g = (n,
+    lam) sends to n * m0 (lam^0 = 1), and ann_R(n * m0) = ann_R(m0).  The
+    witness is the least f outside it and its first term
     b with m0 * b != 0."""
     M = ctx.module
     R = ctx.presentation.ring
@@ -433,14 +443,12 @@ def _quasi_armendariz_failure(ctx: BoundedContext, rows: dict, max_space: int):
     x^beta_j != 0, or None: b_j x^beta_j outside the `ann_am_rows` row of
     m_i x^alpha_i (see there).  Only that pair is acted on, for its first r,
     then t in basis order.  Only orbit minima are visited, as in
-    `_row_failure`: (n * m_i) r a = n * (m_i r a), n injective on M."""
+    `_row_failure`: g = (n, lam) maps the terms of m and f and their mixed
+    products term by term, injectively (`bounded` module docstring)."""
     M, P, R = ctx.module, ctx.presentation, ctx.presentation.ring
     ann = ctx.ann_am_rows(max_space)
-    rep = ctx.orbit_rep()
     vanish = {}   # term of m -> the terms b x^beta in its ann(mA) row
-    for m_idx in range(ctx.m_space):
-        if rep[m_idx] != m_idx:
-            continue
+    for m_idx in ctx.minima():
         mts = ctx.mterms(m_idx)
         failing = []   # (f_idx, its first failing term pair)
         for f_idx in rows[m_idx] if mts else ():
@@ -678,7 +686,8 @@ def _annihilator_correspondence(ctx: BoundedContext, max_space: int):
     bounded module polynomial in A_{<=d} is exactly the coefficientwise
     annihilator extended over the monomial basis.  `_row_failure` keyed by
     the coefficient set C of m compares each kernel row with the coeff_set
-    of ann_R(C), as ann_R(n * C) = ann_R(C).  Constant subsets follow, as
+    of ann_R(C), which scaling each c in C by n and a central unit keeps,
+    and which phi_lam fixes.  Constant subsets follow, as
     coeff_set(I & J) = coeff_set(I) & coeff_set(J)."""
     M = ctx.module
     found = _row_failure(
@@ -698,15 +707,13 @@ def _torsion_constant(ctx: BoundedContext, max_space: int):
     constant annihilator lc(f), read off f's terms (decoded once per
     context) and checked in the slice's `scalar_action` table; the witness
     is the first failing m and its least failing f.  Only orbit minima are
-    visited, as (n * m) * c = n * (m * c) is 0 iff m * c is."""
+    visited: lc(phi_lam f) = lc(f) * u for a central unit u, and (n *
+    phi_lam(m)) * (c * u) = n * phi_lam(m * c) * u is 0 iff m * c is."""
     M = ctx.module
     R = ctx.presentation.ring
     kern = ctx.kernel(max_space)
-    rep = ctx.orbit_rep()
     action, zero = ctx.scalar_action(), ctx.m_term_index(ctx.basis[0], M.zero)
-    for m_idx in range(ctx.m_space):
-        if m_idx == zero or rep[m_idx] != m_idx:
-            continue
+    for m_idx in (m for m in ctx.minima() if m != zero):
         failing = []   # (f_idx, lc(f))
         for f_idx in kern[m_idx]:
             fts = ctx.fterms(f_idx)
@@ -732,7 +739,8 @@ def _mixed_products_failure(ctx: BoundedContext, rows: dict, max_space: int):
     """The witness of the first m, and the least f in its row, with a mixed
     product (m_i * r) * a_j != 0, or None: `_row_failure` keyed by the
     coefficient set C of m != 0, f outside coeff_set(good(C)), and r the
-    first over m's terms, then f's, then R."""
+    first over m's terms, then f's, then R.  Scaling each c in C by n and a
+    central unit keeps good(C)."""
     M = ctx.module
     R = ctx.presentation.ring
     act_t = M.action_table
@@ -754,8 +762,9 @@ def _quasi_commutative_annihilator(ctx: BoundedContext, max_space: int,
     """Structure of bounded ann(mA): generated by its constants exactly when
     all mixed products m_i R a_j vanish (`_mixed_products_failure`); plus
     the nonzero-constant guarantee for quasi-Armendariz modules.  The first
-    is `_row_failure` keyed by the row's constants, the second the first
-    orbit minimum whose row holds a nonzero f and no nonzero constant.  The
+    is `_row_failure` keyed by the row's constants, which phi_lam fixes,
+    the second the first orbit minimum whose row holds a nonzero f and no
+    nonzero constant, as phi_lam is a bijection fixing constants.  The
     second can fire only after the first has: a row equal to the span of
     the constant 0 alone is {0}."""
     R = ctx.presentation.ring
@@ -772,10 +781,8 @@ def _quasi_commutative_annihilator(ctx: BoundedContext, max_space: int,
         return False, (a_wit or b_wit)
     if quasi_verdict is None:
         return None, None
-    rep = ctx.orbit_rep()
-    for m_idx in range(ctx.m_space) if quasi_verdict.holds and a_wit else ():
-        if (rep[m_idx] == m_idx and len(rows[m_idx]) > 1
-                and consts(m_idx) == {R.zero}):
+    for m_idx in ctx.minima() if quasi_verdict.holds and a_wit else ():
+        if len(rows[m_idx]) > 1 and consts(m_idx) == {R.zero}:
             return False, {"part": "nonzero-constant", **_m_json(ctx, m_idx)}
     return True, None
 
@@ -809,7 +816,7 @@ def _implication(theorem: str, hyps, conclude, bound=None) -> TheoremReport:
         return TheoremReport(
             theorem, CONFIRMED, entries,
             desc + "; conclusion fails alongside the hypotheses", None, bound)
-    if hyp_failed or VACUOUS in states:
+    if hyp_failed or VACUOUS in states or ok == VACUOUS:
         return TheoremReport(theorem, HYPOTHESIS_NOT_MET, entries, desc,
                              None, bound)
     if hyp_unknown or ok is None:
@@ -874,11 +881,13 @@ def _equivalence(M: RightModule, P: SkewPbwPresentation, red: PropertyVerdict,
 
 
 def _verdict(v, name: str):
-    """Conclusion: the decider verdict `v` itself (None when refused)."""
+    """Conclusion: the decider verdict `v` itself (None when refused), or
+    VACUOUS when it holds only up to bound 0."""
     def run():
         if v is None:
             return None, f"{name} not evaluated", None
-        return v.holds, f"{name} {v.status}", v.witness
+        ok = VACUOUS if _state(v) == VACUOUS else v.holds
+        return ok, f"{name} {_state(v)}", v.witness
     return run
 
 
@@ -896,11 +905,13 @@ def _claim(desc: str, check, *args):
 def _agreement(left, lname: str, rname: str, side, *args):
     """Conclusion: `left` (a verdict or a bool, None when refused) agrees
     with side(*args) -> (verdict or bool, witness).  The side runs only when
-    `left` was evaluated; a disagreement carries the side's witness, else the
-    left verdict's."""
+    `left` was evaluated and is not vacuous; a disagreement carries the
+    side's witness, else the left verdict's."""
     def run():
         if left is None:
             return None, f"{lname} not evaluated", None
+        if _state(left) == VACUOUS:
+            return VACUOUS, f"{lname} {VACUOUS}", None
         right, wit = side(*args)
         lv = left.holds if isinstance(left, PropertyVerdict) else left
         rv = right.holds if isinstance(right, PropertyVerdict) else right

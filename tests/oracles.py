@@ -7,12 +7,14 @@ and `torsion_failure`, which act on bounded module polynomials through
 `polymodule.act`, the generic action path, so they share nothing with the
 tables the bounded context builds, and `commuting_middles`, which
 multiplies through `skewpbw.mul`; the row-scan references read only a
-context's sizes, basis, middles and given rows.
+context's sizes, basis, middles and given rows, and the orbit references
+only its sizes, basis and raw tables.
 """
 
 from __future__ import annotations
 
 from itertools import product
+from math import gcd
 
 
 def commutative_mul(q: int, f: dict, g: dict) -> dict:
@@ -475,3 +477,76 @@ def nonzero_constant_failure(ctx, rows):
         if nonzero and _row_constants(ctx, row) <= {R.zero}:
             return m_idx
     return None
+
+
+# The symmetry group of the slice, listed element by element from the raw
+# tables: the integer units n mod the exponent e of (M, +) and, over a
+# quasi-commutative presentation, the torus x_i -> lam_i x_i with each lam_i
+# a central unit of R fixed by every sigma_j.  (n, lam) sends m_s x^alpha_s
+# to n * (m_s * lam^alpha_s) x^alpha_s and b x^beta in A to (b * lam^beta)
+# x^beta.
+
+
+def _times(M, n: int, v: int) -> int:
+    out = M.zero
+    for _ in range(n):
+        out = M.add_table[out][v]
+    return out
+
+
+def orbit_group(ctx) -> list:
+    """Every (n, lam) of the group, n in 1..e prime to e, lam a tuple with
+    one torus unit per variable (only the ones without the torus)."""
+    M, P = ctx.module, ctx.presentation
+    R = P.ring
+    mul = R.mul_table
+    e = next(n for n in range(1, M.order + 1)
+             if all(_times(M, n, v) == M.zero for v in M.elements()))
+    quasi = (all(v == R.zero for t in P.delta_tables for v in t)
+             and all(v == R.zero for v in P.d_const.values())
+             and all(x == R.zero for lin in P.d_linear.values() for x in lin))
+    torus = [t for t in R.elements()
+             if any(mul[t][u] == R.one == mul[u][t] for u in R.elements())
+             and all(mul[t][r] == mul[r][t] for r in R.elements())
+             and all(s[t] == t for s in P.sigma_tables)] if quasi else [R.one]
+    return [(n, lam) for n in range(1, e + 1) if gcd(n, e) == 1
+            for lam in product(torus, repeat=P.n)]
+
+
+def _power(R, lam, alpha) -> int:
+    out = R.one
+    for t, a in zip(lam, alpha):
+        for _ in range(a):
+            out = R.mul_table[out][t]
+    return out
+
+
+def _index(digits, size: int) -> int:
+    idx = 0
+    for v in digits:
+        idx = idx * size + v
+    return idx
+
+
+def group_image(ctx, g, m_idx: int) -> int:
+    """The index of (n, lam) applied to the module vector at m_idx."""
+    (n, lam), M = g, ctx.module
+    return _index([_times(M, n, M.action_table[v][_power(M.ring, lam, alpha)])
+                   for alpha, v in zip(ctx.basis,
+                                       _digits(m_idx, M.order, ctx.k))],
+                  M.order)
+
+
+def torus_image(ctx, lam, f_idx: int) -> int:
+    """The index of phi_lam applied to the polynomial at f_idx."""
+    R = ctx.presentation.ring
+    return _index([R.mul_table[b][_power(R, lam, alpha)]
+                   for alpha, b in zip(ctx.basis, _digits(f_idx, R.order, ctx.k))],
+                  R.order)
+
+
+def orbit_minima(ctx) -> list:
+    """For every m_idx, the least index of g * m over the whole group."""
+    group = orbit_group(ctx)
+    return [min(group_image(ctx, g, m_idx) for g in group)
+            for m_idx in range(ctx.m_space)]

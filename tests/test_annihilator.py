@@ -4,7 +4,6 @@ import random
 from collections import Counter, defaultdict
 from functools import reduce
 from itertools import product
-from math import gcd
 
 import pytest
 
@@ -510,7 +509,8 @@ def test_single_term_lookup_matches_the_mixed_reference():
     # pair, scanned alone, names the reference's first (r, t), r in ring
     # order first (on z2xz2-swap t in basis order first would differ).  The
     # scan visits orbit minima only, so the pair is keyed at m x^alpha's
-    # minimum (n * m) x^alpha, whose (r, t) is m's as n is injective on M
+    # minimum (m * c) x^alpha, c central and injective on M, whose (r, t)
+    # is m's
     seen = set()
     for case, ctx in _mixed_product_contexts():
         M, R = ctx.module, ctx.presentation.ring
@@ -608,15 +608,11 @@ def test_kernel_rows_with_mixed_moduli():
             oracles.slice_scalar_action(ctx, range(ctx.m_space))
 
 
-def _times(M, n, v):
-    out = M.zero
-    for _ in range(n):
-        out = M.add(out, v)
-    return out
-
-
 def _orbit_contexts():
-    """Every corpus context with m_space <= 10^4, then `_other_contexts`."""
+    """Every corpus context with m_space <= 10^4, then `_other_contexts`,
+    then Z3xZ3[x1, x2] with the swap at d <= 1, where the torus x_i -> -x_i
+    moves some kernel rows (every corpus row is a coefficient set, which it
+    fixes) and two of its generators compose."""
     for name in corpus.names():
         inst = parse_instance(corpus.load(name))
         d = 0
@@ -625,49 +621,93 @@ def _orbit_contexts():
             yield f"{name} d={d}", ctx
             d += 1
     yield from _other_contexts()
+    swap = parse_instance('{"ring":"Z3xZ3","variables":2,'
+                          '"sigma":["swap","swap"],"relations":{"1,2":"(1,1)"}}')
+    for d in range(2):
+        yield f"Z3xZ3 swap d={d}", context(swap.module, swap.presentation, d)
 
 
-def test_orbit_rep_is_the_least_index_of_each_orbit(monkeypatch):
-    # rep[m] is the least index of {n * m : gcd(n, e) = 1}, e the least
-    # n > 0 with n * M = 0, by brute force; where the pair space is within
-    # the default budget, the kernel and ann(mA) rows are shared across each
-    # orbit and equal the rows built for every m
-    seen = set()
+def test_orbit_rep_is_the_least_index_of_each_orbit():
+    # rep[m] is the least index of {g * m} over every (n, lam) of the group
+    # of integer units and, over a quasi-commutative presentation, the torus
+    # x_i -> lam_i x_i, listed by brute force; where the pair space is
+    # within the default budget, the rows equal those a fresh context builds
+    # with an identity orbit_rep, which splits a row out for every m
+    seen, torus = set(), set()
     for case, ctx in _orbit_contexts():
-        M = ctx.module
-        e = next(n for n in range(1, M.order + 1)
-                 if all(_times(M, n, v) == M.zero for v in M.elements()))
-        units = [n for n in range(1, e + 1) if gcd(n, e) == 1]
         rep = ctx.orbit_rep()
-        assert rep == [min(ctx.m_index([_times(M, n, v)
-                                        for v in ctx._vec(m_idx, M.order)])
-                           for n in units)
-                       for m_idx in range(ctx.m_space)], case
+        assert rep == oracles.orbit_minima(ctx), case
         seen.add(len(set(rep)) < ctx.m_space)
+        torus.add(any(ctx._lam))
         if ctx.pair_space > bounded.DEFAULT_MAX_SPACE:
             continue
         kern, ann = ctx.kernel(), ctx.ann_am_rows()
-        for m_idx, r in enumerate(rep):
-            assert kern[m_idx] is kern[r] and ann[m_idx] is ann[r], \
-                (case, m_idx)
-        fresh = bounded.BoundedContext(M, ctx.presentation, ctx.degree)
-        with monkeypatch.context() as patch:
-            patch.setattr(fresh, "orbit_rep", lambda: list(range(ctx.m_space)))
-            assert fresh.kernel() == kern and fresh.ann_am_rows() == ann, case
-    assert seen == {True, False}
+        fresh = bounded.BoundedContext(ctx.module, ctx.presentation,
+                                       ctx.degree)
+        fresh._rep, fresh._lam = list(range(ctx.m_space)), [None] * ctx.m_space
+        assert fresh.kernel() == kern and fresh.ann_am_rows() == ann, case
+    assert seen == {True, False} and torus == {True, False}
+
+
+def test_rows_move_with_the_group():
+    # K_{g * m} = phi_lam(K_m) and A_{g * m} = phi_lam(A_m) for every m and
+    # every (n, lam) of the group, on every context of the orbit test within
+    # the default budget
+    moved = set()
+    for case, ctx in _orbit_contexts():
+        if ctx.pair_space > bounded.DEFAULT_MAX_SPACE:
+            continue
+        kern, ann = ctx.kernel(), ctx.ann_am_rows()
+        for g in oracles.orbit_group(ctx):
+            phi = {f: oracles.torus_image(ctx, g[1], f)
+                   for f in range(ctx.f_space)}
+            for m_idx in range(ctx.m_space):
+                gm = oracles.group_image(ctx, g, m_idx)
+                assert kern[gm] == {phi[f] for f in kern[m_idx]}, (case, g)
+                assert ann[gm] == {phi[f] for f in ann[m_idx]}, (case, g)
+                moved.add(kern[gm] != kern[m_idx])
+    assert moved == {True, False}
+
+
+def test_torus_is_trivial_without_quasi_commutativity_or_units():
+    # weyl-dual-quotient has delta != 0, so x -> t x is no automorphism;
+    # Z2 x Z2 has one unit, so z2xz2-swap has no torus but the identity
+    for name, degree in (("weyl-dual-quotient", 3), ("z2xz2-swap", 3)):
+        inst = parse_instance(corpus.load(name))
+        ctx = context(inst.module, inst.presentation, degree)
+        ones = (inst.presentation.ring.one,) * inst.presentation.n
+        assert {lam for _, lam in oracles.orbit_group(ctx)} == {ones}
+        ctx.orbit_rep()
+        assert not any(ctx._lam), name
 
 
 @pytest.mark.parametrize("name,degree,built", [
-    ("z4-regular", 4, 528), ("z3-trivial", 2, 365), ("z2xz2-swap", 4, 1024)])
-def test_kernel_builds_one_row_per_orbit(name, degree, built):
-    # a fresh context builds one kernel and one ann(mA) row per orbit, each
-    # shared as one frozenset by its orbit; (Z2 x Z2, +) has exponent 2, so
-    # z2xz2-swap has no unit but 1 and builds every row
+    ("z4-regular", 4, 360), ("z3-trivial", 2, 125), ("z2xz2-swap", 4, 1024)])
+def test_kernel_builds_one_row_per_orbit(monkeypatch, name, degree, built):
+    # a fresh context splits out one kernel row per orbit and builds ann(mA)
+    # rows at the orbit minima only; an m with lam = 1 shares its minimum's
+    # frozenset.  (Z2 x Z2, +) has exponent 2 and Z2 x Z2 one unit, so
+    # z2xz2-swap has no group element but 1 and builds every row
+    splits, acted = [], set()
+
+    class Counted(bounded.Struct):
+        def unpack(self, buffer):
+            splits.append(1)
+            return super().unpack(buffer)
+
+    monkeypatch.setattr(bounded, "Struct", Counted)
     inst = parse_instance(corpus.load(name))
     ctx = context(inst.module, inst.presentation, degree)
-    assert len({id(row) for row in ctx.kernel().values()}) == built
-    assert len({id(row) for row in ctx.ann_am_rows().values()}) == built
-    assert len(set(ctx.orbit_rep())) == built
+    mterms = ctx.mterms
+    monkeypatch.setattr(ctx, "mterms", lambda m_idx: acted.add(m_idx) or
+                        mterms(m_idx))
+    kern, ann = ctx.kernel(), ctx.ann_am_rows()
+    rep = ctx.orbit_rep()
+    assert len(splits) == len(set(rep)) == built
+    assert acted <= set(rep)
+    for m_idx, r in enumerate(rep):
+        if ctx._lam[m_idx] is None:
+            assert kern[m_idx] is kern[r] and ann[m_idx] is ann[r]
 
 
 def test_degree_zero_action_is_the_modules_own(monkeypatch):

@@ -548,12 +548,47 @@ def test_degree_zero_armendariz_hypothesis_is_vacuous():
     by_name = {r.theorem: r for r in reports}
     assert all(by_name[t].status == HYPOTHESIS_NOT_MET for t in assumes)
     assert by_name["armendariz_abelian"].conclusion == "abelian fails"
-    assert Counter(r.status for r in reports) == {CONFIRMED: 10,
-                                                  HYPOTHESIS_NOT_MET: 7}
+    # the two bound-0 scans are no evidence as conclusions or agreement
+    # sides either, so 3 more reports are not met than when only hypotheses
+    # were read that way
+    concludes = {r.theorem for r in reports if r.conclusion.endswith(VACUOUS)}
+    assert concludes == {"reduced_compatible_armendariz",
+                         "armendariz_annihilator_extension",
+                         "quasi_baer_quasi_armendariz"}
+    assert all(by_name[t].status == HYPOTHESIS_NOT_MET for t in concludes)
+    assert Counter(r.status for r in reports) == {CONFIRMED: 8,
+                                                  HYPOTHESIS_NOT_MET: 9}
     # a bound-1 verdict still counts: the d=1 run fails skew_armendariz
     d1 = {r.theorem: r for r in theorem_suite(
         inst.module, inst.presentation, degree=1, embedding=inst.embedding)}
     assert ("skew_armendariz", FAILS) in d1["armendariz_abelian"].hypotheses
+    assert not any(r.conclusion.endswith(VACUOUS) for r in d1.values())
+
+
+@pytest.mark.parametrize("name", ["z3-trivial", "quantum-plane-z5",
+                                  "z4-regular"])
+def test_degree_zero_conclusions_are_vacuous(monkeypatch, name):
+    # at degree 0 the skew (quasi-)Armendariz scans see constants only: as a
+    # conclusion or an agreement side they confirm nothing, and the
+    # correspondence side is not run; at degree 1 the same reports read
+    # the scans' verdicts
+    inst = parse_instance(corpus.load(name))
+    with monkeypatch.context() as patch:
+        patch.setattr(properties, "_annihilator_correspondence", None)
+        d0 = {r.theorem: r for r in theorem_suite(
+            inst.module, inst.presentation, degree=0,
+            embedding=inst.embedding)}
+    d1 = {r.theorem: r for r in theorem_suite(
+        inst.module, inst.presentation, degree=1, embedding=inst.embedding)}
+    for theorem, scan in (("reduced_compatible_armendariz", "skew_armendariz"),
+                          ("armendariz_annihilator_extension",
+                           "skew_armendariz"),
+                          ("quasi_baer_quasi_armendariz",
+                           "skew_quasi_armendariz")):
+        assert d0[theorem].conclusion == f"{scan} {VACUOUS}", theorem
+        assert d0[theorem].status == HYPOTHESIS_NOT_MET, theorem
+        assert VACUOUS not in d1[theorem].conclusion, theorem
+    assert d1["armendariz_annihilator_extension"].status == CONFIRMED
 
 
 def test_theorem_suite_no_violations_across_corpus(instances):
