@@ -20,15 +20,14 @@ from .finring import (FiniteRing, RingMap, closure_monoid, dual_z2,
                       zmod_product)
 from .monomial import MonomialOrder, default_order, enumerate_upto
 from .skewpbw import (ConsistencyReport, SkewPbwPresentation, SkewPoly, add,
-                      alpha_commute, check_consistency, monomial_product, mul,
-                      neg, scalar_mul_left, validate_presentation)
+                      alpha_commute, check_consistency, mul, neg,
+                      validate_presentation)
 from .polymodule import (ModulePoly, RightModule, Submodule, act, act_scalar,
                          all_submodules, cyclic_submodule,
                          embedding_from_generator, module_poly, quotient_module,
                          regular_module, submodule_closure, validate_embedding,
-                         validate_module, zero_module)
-from .annihilator import (RightIdeal, ann_in_a_bounded, ann_in_r,
-                          idempotent_generator, is_idempotent_generated,
+                         validate_module)
+from .annihilator import (RightIdeal, ann_in_r, idempotent_generator,
                           principal_right_ideal)
 from .bounded import BoundedContext, context
 from .properties import (PropertyVerdict, TheoremReport, idempotent_stability,
@@ -36,9 +35,8 @@ from .properties import (PropertyVerdict, TheoremReport, idempotent_stability,
                          is_linearly_skew_armendariz, is_pp, is_pq_baer,
                          is_quasi_baer, is_reduced, is_sigma_compatible,
                          is_skew_armendariz_bounded,
-                         is_skew_quasi_armendariz_bounded,
-                         reduced_compatible_equivalence, replay, theorem_suite,
-                         torsion_witness)
+                         is_skew_quasi_armendariz_bounded, replay,
+                         theorem_suite)
 
 __all__ = [
     "__version__",
@@ -52,19 +50,16 @@ __all__ = [
     "zero_map", "zmod", "zmod_product",
     "MonomialOrder", "default_order", "enumerate_upto",
     "ConsistencyReport", "SkewPbwPresentation", "SkewPoly", "add",
-    "alpha_commute", "check_consistency", "monomial_product", "mul", "neg",
-    "scalar_mul_left", "validate_presentation",
+    "alpha_commute", "check_consistency", "mul", "neg", "validate_presentation",
     "ModulePoly", "RightModule", "Submodule", "act", "act_scalar",
     "all_submodules", "cyclic_submodule", "embedding_from_generator",
     "module_poly", "quotient_module", "regular_module", "submodule_closure",
-    "validate_embedding", "validate_module", "zero_module",
-    "RightIdeal", "ann_in_a_bounded", "ann_in_r", "idempotent_generator",
-    "is_idempotent_generated", "principal_right_ideal",
+    "validate_embedding", "validate_module",
+    "RightIdeal", "ann_in_r", "idempotent_generator", "principal_right_ideal",
     "BoundedContext", "context",
     "PropertyVerdict", "TheoremReport", "idempotent_stability", "is_abelian",
     "is_baer", "is_delta_compatible", "is_linearly_skew_armendariz", "is_pp",
     "is_pq_baer", "is_quasi_baer", "is_reduced", "is_sigma_compatible",
     "is_skew_armendariz_bounded", "is_skew_quasi_armendariz_bounded",
-    "reduced_compatible_equivalence", "replay", "theorem_suite",
-    "torsion_witness",
+    "replay", "theorem_suite",
 ]

@@ -46,9 +46,9 @@ _VAR_RE = re.compile(r"x(\d+)(?:\^(\d+))?$", re.ASCII)
 _PAIR_RE = re.compile(r"(\d+)\s*,\s*(\d+)$", re.ASCII)
 
 # Fixed ceiling on the total degree of one term of a polynomial literal.
-# The normal-form tables fill x^alpha * r through one nested call per letter
-# of alpha, so the cap bounds that recursion: x1^99999999 * x2 would exhaust
-# the stack.
+# A product fills normal-form table entries for the smaller monomials it
+# folds over, about three per unit of degree for x2 * x1^k, so the cap
+# bounds table size and fill time.
 HARD_DEGREE_CAP = 64
 
 _INSTANCE_KEYS = {"label", "ring", "variables", "sigma", "delta", "relations",

@@ -93,11 +93,6 @@ def regular_module(ring: FiniteRing) -> RightModule:
                            names=ring.names)
 
 
-def zero_module(ring: FiniteRing) -> RightModule:
-    return validate_module(ring, ((0,),), ((0,) * ring.order,),
-                           label="0", names=("0",))
-
-
 def right_ideal_closure(ring: FiniteRing, generators) -> frozenset:
     """Smallest right ideal of R containing the generators: the submodule
     of R_R they generate."""

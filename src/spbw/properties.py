@@ -43,12 +43,10 @@ from itertools import product
 from .annihilator import ann_in_r, idempotent_generator, principal_right_ideal
 from .bounded import (DEFAULT_MAX_SPACE, BoundedContext, context,
                       count_zero_sums)
-from .errors import (EngineInvariantError, SearchSpaceTooLarge, TooLarge,
-                     ValidationError)
+from .errors import SearchSpaceTooLarge, TooLarge, ValidationError
 from .finring import closure_monoid, idempotents, is_central
-from .polymodule import (ModulePoly, RightModule, act, act_scalar,
-                         all_submodules, cyclic_submodule, module_poly,
-                         submodule_closure)
+from .polymodule import (ModulePoly, RightModule, act, all_submodules,
+                         cyclic_submodule, module_poly, submodule_closure)
 from .skewpbw import SkewPbwPresentation, SkewPoly
 
 HOLDS = "holds"
@@ -124,12 +122,10 @@ def _apply_map_word(tables: dict, word: str, a: int) -> int:
     return a
 
 
-def _twist_tables(P: SkewPbwPresentation) -> dict:
-    tables = {}
-    for i in range(P.n):
-        tables[f"s{i + 1}"] = P.sigma_tables[i]
-        tables[f"d{i + 1}"] = P.delta_tables[i]
-    return tables
+def _twist_tables(P: SkewPbwPresentation, kind: str) -> dict:
+    """The sigma ("s") or delta ("d") tables, labelled <kind><i>."""
+    tables = P.sigma_tables if kind == "s" else P.delta_tables
+    return {f"{kind}{i + 1}": t for i, t in enumerate(tables)}
 
 
 # ---------------------------------------------------------------------------
@@ -510,33 +506,6 @@ DECIDERS = {
 }
 
 
-def torsion_witness(mp: ModulePoly, h: SkewPoly) -> int:
-    """For a bounded torsion pair (act(mp, h) = 0, h != 0) over a reduced
-    compatible module, return the constant annihilator lc(h).
-
-    The guarantee act_scalar(mp, lc(h)) = 0 is re-verified before returning;
-    its failure is an engine bug, not a property of the instance.
-    """
-    M, P = mp.module, mp.presentation
-    if h.is_zero():
-        raise ValidationError("hypothesis_not_met", None,
-                              "torsion witness needs a non-zero polynomial")
-    for verdict in (is_reduced(M), is_sigma_compatible(M, P),
-                    is_delta_compatible(M, P)):
-        if not verdict.holds:
-            raise ValidationError(
-                "hypothesis_not_met", verdict.witness,
-                f"module is not {verdict.prop}, torsion transfer unavailable")
-    if not act(mp, h).is_zero():
-        raise ValidationError("hypothesis_not_met", None,
-                              "act(m, h) != 0: not a torsion pair")
-    c = h.lc()
-    if not act_scalar(mp, c).is_zero():
-        raise EngineInvariantError(
-            "torsion witness verification failed: act_scalar(m, lc(h)) != 0")
-    return c
-
-
 # ---------------------------------------------------------------------------
 # bounded M<X>-side deciders used by the transfer reports
 
@@ -826,18 +795,11 @@ def _implication(theorem: str, hyps, conclude, bound=None) -> TheoremReport:
     return TheoremReport(theorem, VIOLATION, entries, desc, witness, bound)
 
 
-def reduced_compatible_equivalence(M: RightModule,
-                                   P: SkewPbwPresentation) -> TheoremReport:
-    """The four elementwise annihilation conditions hold together exactly
-    when the module is reduced and compatible; evaluated on both sides and
-    compared, so the report is always confirmed or violation."""
-    return _equivalence(M, P, is_reduced(M), is_sigma_compatible(M, P),
-                        is_delta_compatible(M, P))
-
-
 def _equivalence(M: RightModule, P: SkewPbwPresentation, red: PropertyVerdict,
                  sig: PropertyVerdict, dlt: PropertyVerdict) -> TheoremReport:
-    """reduced_compatible_equivalence on the three verdicts already decided."""
+    """Report reduced_compatible_equivalence: reduced and compatible, read
+    off the three verdicts already decided, iff the four elementwise
+    annihilation conditions hold; always confirmed or violation."""
     R = P.ring
     mz = M.zero
     act_t = M.action_table
@@ -1043,11 +1005,25 @@ def replay(M: RightModule, P: SkewPbwPresentation, verdict: PropertyVerdict) -> 
     """Re-evaluate a Fails witness from its serialized form.
 
     Returns True when the witness still demonstrates the failure; a False
-    return means the serialized report does not match the instance.
+    return means the serialized report does not match the instance.  A
+    witness field or a bound the rule reads that is of the wrong kind or
+    out of range is refused as bad_witness.
     """
     if verdict.status != FAILS or verdict.witness is None:
         raise ValidationError("bad_witness", None,
                               "only Fails verdicts carry a witness to replay")
+    try:
+        return _replay_rule(M, P, verdict)
+    except (AttributeError, IndexError, KeyError, TypeError,
+            ValueError) as exc:
+        raise ValidationError("bad_witness", verdict.prop,
+                              f"malformed witness: {exc!r}") from exc
+
+
+def _replay_rule(M: RightModule, P: SkewPbwPresentation,
+                 verdict: PropertyVerdict) -> bool:
+    """`replay` past its checks: a malformed field raises what reading it
+    raises."""
     w = verdict.witness
     R = M.ring
     mz = M.zero
@@ -1065,7 +1041,7 @@ def replay(M: RightModule, P: SkewPbwPresentation, verdict: PropertyVerdict) -> 
     if prop in ("sigma_compatible", "delta_compatible"):
         m = M.element_index(w["m"])
         r = R.element_index(w["r"])
-        tables = _twist_tables(P)
+        tables = _twist_tables(P, "s" if prop == "sigma_compatible" else "d")
         img = _apply_map_word(tables, w["map"], r)
         base = act_t[m][r] == mz
         other = act_t[m][img] == mz
@@ -1079,10 +1055,10 @@ def replay(M: RightModule, P: SkewPbwPresentation, verdict: PropertyVerdict) -> 
         return act_t[act_t[m][r]][e] != act_t[act_t[m][e]][r]
     if prop == "idempotent_stability":
         e = R.element_index(w["e"])
-        i = w["i"] - 1
-        if w["kind"] == "sigma":
-            return P.sigma_tables[i][e] != e
-        return P.delta_tables[i][e] != R.zero
+        i = range(1, P.n + 1).index(w["i"])  # ValueError outside 1..n
+        tables, fixed = {"sigma": (P.sigma_tables, e),
+                         "delta": (P.delta_tables, R.zero)}[w["kind"]]
+        return tables[i][e] != fixed
     if prop in ("skew_armendariz", "linearly_skew_armendariz"):
         mp = _mpoly_from_struct(M, P, w["m"])
         f = _poly_from_struct(P, w["f"])

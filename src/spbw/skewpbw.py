@@ -478,16 +478,6 @@ def neg(f: SkewPoly) -> SkewPoly:
     return -f
 
 
-def scalar_mul_left(r: int, f: SkewPoly) -> SkewPoly:
-    R = f.presentation.ring
-    out = {}
-    for a, v in f.terms.items():
-        s = R.mul_table[r][v]
-        if s != R.zero:
-            out[a] = s
-    return SkewPoly(f.presentation, out)
-
-
 def term_products(P: SkewPbwPresentation, left, right, scale, add,
                   zero) -> dict:
     """The one term-product loop: sum of a * (x^alpha b x^beta) over the
@@ -537,26 +527,6 @@ def alpha_commute(P: SkewPbwPresentation, alpha, r: int):
     if d is not None and d >= monomial.degree(alpha):
         raise EngineInvariantError("remainder of alpha_commute has full degree")
     return r_alpha, p
-
-
-def monomial_product(P: SkewPbwPresentation, alpha, beta):
-    """Split x^alpha * x^beta into (c, p) with x^a x^b = c x^(a+b) + p.
-
-    For bijective presentations c is two-sided invertible (checked).
-    """
-    alpha, beta = tuple(alpha), tuple(beta)
-    nf = dict(P.mono_prod(alpha, beta))
-    top = monomial.add(alpha, beta)
-    c = nf.pop(top, P.ring.zero)
-    if P.bijective and not is_two_sided_invertible(P.ring, c):
-        raise EngineInvariantError(
-            f"x^{alpha} * x^{beta}: leading scalar not invertible on a "
-            "bijective presentation")
-    p = SkewPoly(P, nf)
-    d = p.deg()
-    if d is not None and d >= monomial.degree(top):
-        raise EngineInvariantError("remainder of monomial_product has full degree")
-    return c, p
 
 
 # ---------------------------------------------------------------------------

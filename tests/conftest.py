@@ -7,6 +7,7 @@ import pytest
 
 from spbw import corpus
 from spbw.cli import parse_instance
+from spbw.polymodule import validate_module
 
 # Presentations beyond the corpus, as instance text: the first Weyl algebra
 # A1(Z5) (constant relation term), U(sl2) and U(osp(1,2)) over Z3 (linear
@@ -85,6 +86,12 @@ def weyl(instances):
 @pytest.fixture(scope="session")
 def quantum(instances):
     return instances["quantum-plane-z5"]
+
+
+def zero_module(ring):
+    """The zero right module over `ring`: the edge case with one element."""
+    return validate_module(ring, ((0,),), ((0,) * ring.order,),
+                           label="0", names=("0",))
 
 
 def random_exponent(rng, n, max_deg):

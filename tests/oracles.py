@@ -2,13 +2,13 @@
 
 Everything here recomputes results from raw Cayley tables with naive
 algorithms, deliberately sharing no code with the engine under test.  The
-exceptions are `slice_scalar_action`, `ann_am_reference`, `mixed_failure`
-and `torsion_failure`, which act on bounded module polynomials through
-`polymodule.act`, the generic action path, so they share nothing with the
-tables the bounded context builds, and `commuting_middles`, which
-multiplies through `skewpbw.mul`; the row-scan references read only a
-context's sizes, basis, middles and given rows, and the orbit references
-only its sizes, basis and raw tables.
+exceptions are `ann_in_a_bounded`, `slice_scalar_action`,
+`ann_am_reference`, `mixed_failure` and `torsion_failure`, which act on
+bounded module polynomials through `polymodule.act`, the generic action
+path, so they share nothing with the tables the bounded context builds,
+and `commuting_middles`, which multiplies through `skewpbw.mul`; the
+row-scan references read only a context's sizes, basis, middles and given
+rows, and the orbit references only its sizes, basis and raw tables.
 """
 
 from __future__ import annotations
@@ -221,6 +221,54 @@ def closure_lattice(M) -> list:
         frontier = list(grown - found)
         found |= grown
     return sorted(found, key=lambda s: (len(s), sorted(s)))
+
+
+ANN_BOUNDED_CANDIDATE_LIMIT = 10 ** 6
+
+
+def annihilates(mp, f) -> bool:
+    from spbw.polymodule import act
+
+    return act(mp, f).is_zero()
+
+
+def ann_in_a_bounded(Ms, d: int,
+                     max_candidates: int = ANN_BOUNDED_CANDIDATE_LIMIT) -> list:
+    """All polynomials of degree <= d killing every module polynomial in Ms.
+
+    Ms must be a non-empty iterable of ModulePoly over one module and one
+    presentation (the zero polynomial is fine and makes every candidate
+    match).  Candidates are enumerated in lexicographic coefficient order
+    over the ascending monomial basis, so the result order is deterministic.
+    The reference for `BoundedContext.kernel`: it goes through
+    `polymodule.act`.
+    """
+    from spbw.errors import SearchSpaceTooLarge, ValidationError
+    from spbw.monomial import enumerate_upto
+    from spbw.polymodule import act
+    from spbw.skewpbw import SkewPoly
+
+    Ms = list(Ms)
+    if not Ms:
+        raise ValidationError("bad_input",
+                              message="ann_in_a_bounded needs at least one module polynomial")
+    P = Ms[0].presentation
+    M = Ms[0].module
+    for mp in Ms:
+        if mp.presentation is not P or mp.module is not M:
+            raise ValidationError("bad_input",
+                                  message="module polynomials disagree on module or presentation")
+    basis = enumerate_upto(P.n, d, P.order)
+    q = P.ring.order
+    space = q ** len(basis)
+    if space > max_candidates:
+        raise SearchSpaceTooLarge(space, max_candidates, what="ann_in_a_bounded")
+    out = []
+    for coeffs in product(range(q), repeat=len(basis)):
+        f = SkewPoly(P, {a: c for a, c in zip(basis, coeffs) if c != P.ring.zero})
+        if all(act(mp, f).is_zero() for mp in Ms):
+            out.append(f)
+    return out
 
 
 def slice_scalar_action(ctx, rows) -> dict:

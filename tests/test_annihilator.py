@@ -8,11 +8,8 @@ from itertools import product
 import pytest
 
 from spbw.annihilator import (
-    ann_in_a_bounded,
     ann_in_r,
-    annihilates,
     idempotent_generator,
-    is_idempotent_generated,
     principal_right_ideal,
     RightIdeal,
 )
@@ -20,17 +17,18 @@ from spbw import bounded, corpus
 from spbw.bounded import PackedVectors, context, cyclic_factors
 from spbw.cli import parse_instance
 from spbw.errors import (EngineInvariantError, PresentationMismatch,
-                         SearchSpaceTooLarge, ValidationError)
+                         ValidationError)
 from spbw.finring import (dual_z2, dual_z2_derivation, identity_map,
                           upper_triangular, validate_ring,
                           validate_sigma_derivation, zero_map, zmod)
 from spbw.polymodule import (module_constant, module_poly, quotient_module,
-                             regular_module, validate_module, zero_module)
+                             regular_module, validate_module)
 from spbw.properties import _quasi_armendariz_failure
 from spbw.skewpbw import validate_presentation
 
 import oracles
-from conftest import INSTANCES
+from conftest import INSTANCES, zero_module
+from oracles import ann_in_a_bounded, annihilates
 
 
 def test_ann_in_r_matches_oracle():
@@ -77,14 +75,13 @@ def test_idempotent_generator():
     # in Z4 the ideal {0, 2} has no idempotent generator
     z4 = zmod(4)
     assert idempotent_generator(z4, frozenset({0, 2})) is None
-    assert not is_idempotent_generated(z4, frozenset({0, 2}))
 
     # oracle cross-check over every right ideal arising as an annihilator
     for ring in (zmod(6), dual_z2()):
         M = regular_module(ring)
         for m in M.elements():
             ideal = ann_in_r(M, [m])
-            assert is_idempotent_generated(ring, ideal) == \
+            assert (idempotent_generator(ring, ideal) is not None) == \
                 oracles.brute_idempotent_generated(ring, ideal.elements)
 
 
@@ -137,21 +134,6 @@ def test_ann_in_a_bounded_zero_mpoly_matches_everything():
     anns = ann_in_a_bounded([z], 1)
     # every candidate annihilates: q^(basis size) = 4^2
     assert len(anns) == 16
-
-
-def test_ann_in_a_bounded_guard_and_validation():
-    ring, P, M = weyl_setup()
-    one = M.element_index("[1]")
-    u = module_constant(M, P, one)
-    with pytest.raises(SearchSpaceTooLarge):
-        ann_in_a_bounded([u], 12, max_candidates=100)
-    with pytest.raises(ValidationError):
-        ann_in_a_bounded([], 1)
-    other = validate_presentation(ring, [identity_map(ring)],
-                                  [zero_map(ring)], {}, label="other")
-    v = module_constant(M, other, one)
-    with pytest.raises(ValidationError):
-        ann_in_a_bounded([u, v], 1)
 
 
 def test_ann_in_a_bounded_intersection():

@@ -1,6 +1,8 @@
-"""Every name a module of the package imports is used in that module."""
+"""Every name a module of the package imports is used in that module, and
+every name the package exports exists."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -42,3 +44,9 @@ def test_the_check_sees_an_unused_import():
                          ids=[str(p.relative_to(PACKAGE)) for p in SOURCES])
 def test_no_module_imports_a_name_it_never_uses(path):
     assert _unused_imports(path.read_text()) == []
+
+
+def test_every_public_name_is_exported_once():
+    # `from spbw import *` raises on an __all__ entry spbw does not define
+    assert [name for name in spbw.__all__ if not hasattr(spbw, name)] == []
+    assert [name for name, n in Counter(spbw.__all__).items() if n > 1] == []

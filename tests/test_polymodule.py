@@ -27,12 +27,11 @@ from spbw.polymodule import (
     submodule_closure,
     validate_embedding,
     validate_module,
-    zero_module,
 )
 from spbw.skewpbw import mul, validate_presentation
 
 import oracles
-from conftest import random_mpoly, random_poly
+from conftest import random_mpoly, random_poly, zero_module
 
 
 def weyl_setup():

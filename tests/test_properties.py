@@ -17,8 +17,8 @@ from spbw.errors import SearchSpaceTooLarge, TooLarge, ValidationError
 from spbw.finring import (identity_map, idempotents, upper_triangular,
                           validate_endomorphism, validate_sigma_derivation,
                           zero_map, zmod, zmod_product)
-from spbw.polymodule import (act, cyclic_submodule, module_constant,
-                             module_poly, quotient_module, regular_module)
+from spbw.polymodule import (act, cyclic_submodule, module_poly,
+                             quotient_module, regular_module)
 from spbw.properties import (
     CONFIRMED,
     DECIDERS,
@@ -59,10 +59,8 @@ from spbw.properties import (
     is_sigma_compatible,
     is_skew_armendariz_bounded,
     is_skew_quasi_armendariz_bounded,
-    reduced_compatible_equivalence,
     replay,
     theorem_suite,
-    torsion_witness,
 )
 from spbw.skewpbw import validate_presentation
 
@@ -418,41 +416,13 @@ def test_skew_quasi_armendariz(z4, z3):
     assert v3.status == HOLDS_UP_TO_BOUND
 
 
-def test_torsion_witness(z6, z4, weyl):
-    M, P = z6.module, z6.presentation
-    mp = module_constant(M, P, 2)
-    h = P.from_terms({(0, 0): 3, (1, 0): 3})
-    c = torsion_witness(mp, h)
-    assert c == 3
-    assert M.action_table[2][c] == M.zero
-
-    with pytest.raises(ValidationError) as err:
-        torsion_witness(mp, P.zero_poly())
-    assert err.value.kind == "hypothesis_not_met"
-
-    # not a torsion pair
-    with pytest.raises(ValidationError):
-        torsion_witness(mp, P.one_poly())
-
-    # hypotheses fail: Z4 is not reduced
-    m4 = module_constant(z4.module, z4.presentation, 2)
-    with pytest.raises(ValidationError):
-        torsion_witness(m4, z4.presentation.constant(2))
-
-    # hypotheses fail: the weyl quotient is not delta-compatible
-    mw = module_constant(weyl.module, weyl.presentation,
-                         weyl.module.element_index("[1]"))
-    with pytest.raises(ValidationError):
-        torsion_witness(mw, weyl.presentation.constant(
-            weyl.presentation.ring.element_index("y")))
-
-
 # -- theorem reports --------------------------------------------------------
 
 
 def test_reduced_compatible_equivalence_statuses(z3, z4, weyl):
     for inst in (z3, z4, weyl):
-        rep = reduced_compatible_equivalence(inst.module, inst.presentation)
+        rep = theorem_suite(inst.module, inst.presentation, degree=0)[0]
+        assert rep.theorem == "reduced_compatible_equivalence"
         assert rep.status == CONFIRMED, inst.label
 
 
@@ -654,6 +624,56 @@ def test_every_property_replays_a_fails_witness(instances):
                              {"m": one, "f": one, "i_exp": [0], "j_exp": [0],
                               "r": "1", "t": [0]}, bound=1)
     assert replay(M, P, forged) is False
+
+
+def test_replay_refuses_malformed_witnesses(instances):
+    # every witness field of every Fails verdict at d=1 on four instances,
+    # set to None and to a string of the wrong kind, under the verdict's
+    # bound, no bound and a string bound: replay answers a bool or refuses
+    # with a ValidationError, never a raw exception
+    sources = [instances[name] for name in
+               ("z2xz2-swap", "z4-regular", "weyl-dual-quotient")] + [
+        parse_instance(Z8_QUASI_ARMENDARIZ_FAILS)]
+    refused = Counter()
+    for inst in sources:
+        M, P = inst.module, inst.presentation
+        for decide in DECIDERS.values():
+            v = decide(M, P, 1, DEFAULT_MAX_SPACE)
+            if v.status != FAILS:
+                continue
+            for key, bad, bound in product(v.witness, (None, "zz"),
+                                           (v.bound, None, "1")):
+                forged = PropertyVerdict(v.prop, FAILS,
+                                         {**v.witness, key: bad}, bound)
+                try:
+                    assert isinstance(replay(M, P, forged), bool)
+                except ValidationError as exc:
+                    refused[exc.kind] += 1
+    assert refused["bad_witness"] > 0
+    # the examples: a map word, an index, a module polynomial, an exponent,
+    # a subset, and the bound the quasi scan reads; a map of the other
+    # kind, variable 0 and an unknown kind are refused too
+    swap, z4, weyl, z8 = sources
+    cases = [(swap, "sigma_compatible", {"map": None}, None),
+             (swap, "sigma_compatible", {"map": "zz"}, None),
+             (swap, "sigma_compatible", {"map": "d1"}, None),
+             (weyl, "delta_compatible", {"map": "zz"}, None),
+             (weyl, "delta_compatible", {"map": "s1"}, None),
+             (swap, "idempotent_stability", {"i": None}, None),
+             (swap, "idempotent_stability", {"i": 0}, None),
+             (swap, "idempotent_stability", {"kind": "zz"}, None),
+             (z8, "skew_armendariz", {"m": None}, 1),
+             (z8, "skew_armendariz", {"exp": None}, 1),
+             (z4, "baer", {"subset": None}, None),
+             (z8, "skew_quasi_armendariz", {}, None)]
+    for inst, prop, tamper, bound in cases:
+        M, P = inst.module, inst.presentation
+        v = DECIDERS[prop](M, P, 1, DEFAULT_MAX_SPACE)
+        assert v.status == FAILS and set(tamper) <= set(v.witness), prop
+        forged = PropertyVerdict(prop, FAILS, {**v.witness, **tamper}, bound)
+        with pytest.raises(ValidationError) as err:
+            replay(M, P, forged)
+        assert err.value.kind == "bad_witness", (prop, tamper)
 
 
 def test_skew_quasi_armendariz_witness_replays_and_tampering_fails():

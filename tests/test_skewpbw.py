@@ -12,6 +12,7 @@ from spbw.finring import (
     dual_z2,
     dual_z2_derivation,
     identity_map,
+    is_two_sided_invertible,
     upper_triangular,
     validate_endomorphism,
     validate_sigma_derivation,
@@ -25,11 +26,9 @@ from spbw.skewpbw import (
     add,
     alpha_commute,
     check_consistency,
-    monomial_product,
     mul,
     neg,
     normalize,
-    scalar_mul_left,
     validate_presentation,
 )
 
@@ -146,15 +145,26 @@ def test_alpha_commute_contract(factory):
             assert lhs == rhs
 
 
+def split_product(P, alpha, beta):
+    """x^alpha * x^beta read off `P.mono_prod` as (c, top, p), with
+    x^alpha x^beta = c x^top + p and top = alpha + beta."""
+    top = tuple(a + b for a, b in zip(alpha, beta))
+    nf = dict(P.mono_prod(alpha, beta))
+    c = nf.pop(top, P.ring.zero)
+    return c, top, P.from_terms(nf.items())
+
+
 @pytest.mark.parametrize("factory", [quantum_plane, weyl_like],
                          ids=["quantum", "weyl"])
 def test_monomial_product_contract(factory):
     P = factory()
+    assert P.bijective
     basis = enumerate_upto(P.n, 3, P.order)
     for alpha in basis:
         for beta in basis:
-            c, p = monomial_product(P, alpha, beta)
-            top = tuple(a + b for a, b in zip(alpha, beta))
+            c, top, p = split_product(P, alpha, beta)
+            # the leading scalar of a bijective presentation is a unit
+            assert is_two_sided_invertible(P.ring, c)
             if not p.is_zero():
                 assert p.deg() < degree(top)
             lhs = mul(P.monomial_poly(alpha), P.monomial_poly(beta))
@@ -172,7 +182,7 @@ def test_leading_coefficient_formula(rng):
         if f.is_zero() or g.is_zero():
             continue
         fa, ga = f.exp(), g.exp()
-        c, _ = monomial_product(P, fa, ga)
+        c, _, _ = split_product(P, fa, ga)
         expect = P.ring.mul(P.ring.mul(f.lc(), P.sigma_power(fa, g.lc())), c)
         top = tuple(a + b for a, b in zip(fa, ga))
         assert mul(f, g).coefficient(top) == expect
@@ -190,8 +200,10 @@ def test_ring_laws_random(rng):
             assert mul(add(f, g), h) == add(mul(f, h), mul(g, h))
             assert add(f, neg(f)).is_zero()
             assert mul(one, f) == f == mul(f, one)
+            # a constant on the left scales each coefficient
             r = rng.randrange(P.ring.order)
-            assert scalar_mul_left(r, f) == mul(P.constant(r), f)
+            assert mul(P.constant(r), f) == P.from_terms(
+                (a, P.ring.mul(r, v)) for a, v in f.terms.items())
 
 
 def test_operator_sugar_matches_functions(rng):
@@ -210,11 +222,11 @@ def test_left_module_structure_over_coefficients(rng):
     R = P.ring
     for r, s in iproduct(R.elements(), R.elements()):
         f = random_poly(rng, P, 3, 4)
-        lhs = scalar_mul_left(R.add(r, s), f)
-        rhs = add(scalar_mul_left(r, f), scalar_mul_left(s, f))
+        lhs = mul(P.constant(R.add(r, s)), f)
+        rhs = add(mul(P.constant(r), f), mul(P.constant(s), f))
         assert lhs == rhs
-        assert scalar_mul_left(R.mul(r, s), f) == \
-            scalar_mul_left(r, scalar_mul_left(s, f))
+        assert mul(P.constant(R.mul(r, s)), f) == \
+            mul(P.constant(r), mul(P.constant(s), f))
 
 
 def test_right_scalar_product_differs_in_skew_case():
