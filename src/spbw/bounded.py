@@ -29,11 +29,14 @@ row by a meet-in-the-middle split of the k slots, whose half sums are
 additive in m and so tabulated per slot at the generators of (M, +).  Only
 two facts are used: act is the sum over term pairs that `term_products`
 computes, and (M, +) is an abelian group (`validate_module` checks it).
-`ann_am_rows` refines the kernel rows over the middle factors r x^gamma
-with r an additive generator of R; no per-pair answer is kept.  A middle
-mu that commutes with the slice is dropped, as act(m, mu f) = act(act(m,
-f), mu) = 0 for f in the kernel row when A is associative and M a right
-R-module; over a commutative slice the ann(mA) rows are the kernel rows.
+`ann_am_rows` refines the kernel rows over the middle factors mu = r
+x^gamma, r an additive generator of R, by one rule: when A is associative
+and M a right R-module, M<X> is a right A-module and act(m, mu f) =
+act(m * mu, f), so f passes mu when m * mu annihilates it, a kernel-row
+lookup when m * mu lies in the slice.  A middle that commutes with the
+slice is dropped, as then act(m, mu f) = act(act(m, f), mu) = 0 for f in
+the kernel row; over a commutative slice the ann(mA) rows are the kernel
+rows.
 Rows are frozensets of f_idx, so the scans ask set questions of them and
 take the least index as the witness f.
 
@@ -513,22 +516,20 @@ class BoundedContext:
         """Bounded annihilator of m*A: f with act(m, r x^gamma f) = 0 for all
         middle factors.  Always a subset of the kernel row (identity factor).
 
+        M<X> is a right A-module, so act(m, mu f) = act(m * mu, f) for every
+        middle mu: this rests on two premises, that A is associative, which
+        `check_consistency` certifies, and that M is a right R-module.  So
+        each minimum m forms m * mu once per middle mu = r x^gamma, over M's
+        action table, and keeps the f of its row that m * mu annihilates:
+        the kernel row of m * mu when it lies in the slice, else the f with
+        `act_is_zero`.  A row that reaches {0} stops, as no middle shrinks it.
+
         The middles are `middle_factors()`, over the additive generators of
         R only (Z4 needs r = 1 alone), and of those only the
         `acting_middles` act: a middle mu that commutes with the slice has
         mu f = f mu, so for f in the kernel row act(m, mu f) = act(act(m,
-        f), mu) = act(0, mu) = 0.  That rests on two premises: A is
-        associative, which `check_consistency` certifies, and M is a right
-        R-module, so M<X> is a right A-module.  With no middle left the rows
-        are the kernel's own dict, and no product is formed.
-
-        A constant middle r keeps m * r inside the slice and act(m, r f) =
-        act(m * r, f), so f passes it exactly when f lies in the kernel row
-        of `scalar_action()[m][r]`: the constant middles meet kernel rows,
-        and at degree 0, where every middle is constant, that meet is the
-        row.  For the other middles the terms of (r x^gamma) * f are
-        computed once per (middle, f), on first use, and acted on by each m
-        whose row still holds f.
+        f), mu) = act(0, mu) = 0.  With no middle left the rows are the
+        kernel's own dict.
 
         The row of a single term m x^alpha also answers the quasi-Armendariz
         mixed products: (m x^alpha)(r x^t)(b x^beta), additive in r, is 0 for
@@ -541,37 +542,28 @@ class BoundedContext:
         kern = self.kernel(max_space)
         if self._ann_am is not None:
             return self._ann_am
-        P, ring = self.presentation, self.presentation.ring
-        const = self.basis[0]
         acting = self.acting_middles()
         if not acting:
             self._ann_am = kern
             return kern
-        scalars = [r for r, gamma in acting if gamma == const]
-        middles = [(gamma, r) for r, gamma in acting if gamma != const]
-        action = self.scalar_action() if scalars else None
-        products = {}   # (middle, f_idx) -> terms of (r x^gamma) * f
+        M, P, slot = self.module, self.presentation, self.slot
         rows = {}
         for m_idx in self.minima():
-            mt = self.mterms(m_idx)
-            if not mt:
-                rows[m_idx] = kern[m_idx]
-                continue
-            keep = kern[m_idx].intersection(
-                *(kern[action[m_idx][r]] for r in scalars))
-            for middle in middles:
-                passed = []
-                for f_idx in keep:
-                    terms = products.get((middle, f_idx))
-                    if terms is None:
-                        acc = term_products(P, (middle,), self.fterms(f_idx),
-                                            ring.mul_table, ring.add_table,
-                                            ring.zero)
-                        terms = products[middle, f_idx] = tuple(
-                            (g, w) for g, w in acc.items() if w != ring.zero)
-                    if self.act_is_zero(mt, terms):
-                        passed.append(f_idx)
-                keep = passed
+            mt, keep = self.mterms(m_idx), kern[m_idx]
+            for r, gamma in acting:
+                if len(keep) == 1:   # {0}
+                    break
+                m_mu = {g: v for g, v in term_products(
+                    P, mt, ((gamma, r),), M.action_table, M.add_table,
+                    M.zero).items() if v != M.zero}
+                if not m_mu:   # m * mu = 0 annihilates every f
+                    continue
+                if slot.keys() >= m_mu.keys():
+                    keep = kern[self.m_index(m_mu.get(g, M.zero) for g in
+                                             self.basis)].intersection(keep)
+                else:
+                    keep = [f_idx for f_idx in keep if self.act_is_zero(
+                        m_mu.items(), self.fterms(f_idx))]
             # a row the middles left whole is the kernel row's own object
             whole = len(keep) == len(kern[m_idx])
             rows[m_idx] = kern[m_idx] if whole else frozenset(keep)

@@ -267,14 +267,13 @@ class RingMap:
     kind is "endomorphism" or "sigma_derivation"; derivations carry their
     base endomorphism so the Leibniz rule they satisfy is unambiguous.
     Endomorphisms on a finite ring are injective by contract and therefore
-    bijective; the inverse table is recorded.
+    bijective.
     """
 
     ring: FiniteRing = field(compare=False)
     table: tuple
     kind: str
     base_table: tuple | None = None
-    inverse: tuple | None = None
 
     def __call__(self, a: int) -> int:
         return self.table[a]
@@ -303,10 +302,7 @@ def validate_endomorphism(ring: FiniteRing, table) -> RingMap:
             if v in seen:
                 raise ValidationError("not_injective", witness=(seen[v], a))
             seen[v] = a
-    inverse = [0] * q
-    for a, v in enumerate(table):
-        inverse[v] = a
-    return RingMap(ring, table, "endomorphism", inverse=tuple(inverse))
+    return RingMap(ring, table, "endomorphism")
 
 
 def validate_sigma_derivation(ring: FiniteRing, sigma: RingMap, table) -> RingMap:

@@ -45,6 +45,7 @@ from .bounded import (DEFAULT_MAX_SPACE, BoundedContext, context,
                       count_zero_sums)
 from .errors import SearchSpaceTooLarge, TooLarge, ValidationError
 from .finring import closure_monoid, idempotents, is_central
+from .monomial import enumerate_upto
 from .polymodule import (ModulePoly, RightModule, act, all_submodules,
                          cyclic_submodule, module_poly, submodule_closure)
 from .skewpbw import SkewPbwPresentation, SkewPoly
@@ -1006,16 +1007,17 @@ def replay(M: RightModule, P: SkewPbwPresentation, verdict: PropertyVerdict) -> 
 
     Returns True when the witness still demonstrates the failure; a False
     return means the serialized report does not match the instance.  A
-    witness field or a bound the rule reads that is of the wrong kind or
-    out of range is refused as bad_witness.
+    witness field or a bound the rule reads that is of the wrong kind, out
+    of range or names no element is refused as bad_witness, with the cause
+    chained.
     """
     if verdict.status != FAILS or verdict.witness is None:
         raise ValidationError("bad_witness", None,
                               "only Fails verdicts carry a witness to replay")
     try:
         return _replay_rule(M, P, verdict)
-    except (AttributeError, IndexError, KeyError, TypeError,
-            ValueError) as exc:
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError,
+            ValidationError) as exc:
         raise ValidationError("bad_witness", verdict.prop,
                               f"malformed witness: {exc!r}") from exc
 
@@ -1047,7 +1049,8 @@ def _replay_rule(M: RightModule, P: SkewPbwPresentation,
         other = act_t[m][img] == mz
         if prop == "delta_compatible":
             return base and not other
-        return base != other
+        forward = {"forward": True, "backward": False}[w["direction"]]
+        return base == forward and base != other
     if prop == "abelian":
         m = M.element_index(w["m"])
         r = R.element_index(w["r"])
@@ -1070,10 +1073,9 @@ def _replay_rule(M: RightModule, P: SkewPbwPresentation,
     if prop == "skew_quasi_armendariz":
         mp = _mpoly_from_struct(M, P, w["m"])
         f = _poly_from_struct(P, w["f"])
-        ctx = context(M, P, verdict.bound)
-        for r, gamma in ctx.middle_factors():
-            middle = P.monomial_poly(gamma, r)
-            if not act(mp, middle * f).is_zero():
+        for r, gamma in product(R.elements(), enumerate_upto(
+                P.n, verdict.bound, P.order)):
+            if not act(mp, P.monomial_poly(gamma, r) * f).is_zero():
                 return False
         alpha_i = tuple(w["i_exp"])
         beta_j = tuple(w["j_exp"])

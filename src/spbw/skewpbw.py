@@ -75,8 +75,6 @@ class SkewPbwPresentation:
                  quasi_commutative, bijective, label=""):
         self.ring = ring
         self.n = len(sigmas)
-        self.sigmas = tuple(sigmas)
-        self.deltas = tuple(deltas)
         self.sigma_tables = tuple(s.table for s in sigmas)
         self.delta_tables = tuple(d.table for d in deltas)
         self.c = dict(c)
@@ -604,8 +602,6 @@ def check_variable_cap(n: int) -> None:
 
 def validate_presentation(ring: FiniteRing, sigmas, deltas, relations=None,
                           order: MonomialOrder | None = None, label: str = "",
-                          expect_quasi_commutative: bool | None = None,
-                          expect_bijective: bool | None = None,
                           seed: int = 0) -> SkewPbwPresentation:
     """Cross-validate presentation data and certify rewriting consistency.
 
@@ -658,12 +654,6 @@ def validate_presentation(ring: FiniteRing, sigmas, deltas, relations=None,
                          and all(all(x == ring.zero for x in lin)
                                  for lin in d_linear.values()))
     bijective = all(is_two_sided_invertible(ring, v) for v in c.values())
-    if expect_quasi_commutative is not None and \
-            expect_quasi_commutative != quasi_commutative:
-        raise ValidationError("quasi_commutative_violation",
-                              witness=quasi_commutative)
-    if expect_bijective is not None and expect_bijective != bijective:
-        raise ValidationError("bijective_violation", witness=bijective)
 
     P = SkewPbwPresentation(ring, sigmas, deltas, c, d_const, d_linear, order,
                             quasi_commutative, bijective, label=label)

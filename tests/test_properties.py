@@ -107,6 +107,16 @@ def test_sigma_compatible(swap, z3):
     assert v.status == FAILS
     assert set(v.witness) == {"m", "r", "map", "direction"}
     assert replay(swap.module, swap.presentation, v)
+    # the other direction is not what the map does; an unknown one is refused
+    flip = {"forward": "backward", "backward": "forward"}
+    flipped = {**v.witness, "direction": flip[v.witness["direction"]]}
+    assert replay(swap.module, swap.presentation,
+                  PropertyVerdict(v.prop, FAILS, flipped, v.bound)) is False
+    sideways = PropertyVerdict(v.prop, FAILS,
+                               {**v.witness, "direction": "sideways"}, v.bound)
+    with pytest.raises(ValidationError) as err:
+        replay(swap.module, swap.presentation, sideways)
+    assert err.value.kind == "bad_witness"
 
 
 def test_delta_compatible(weyl, z4):
@@ -630,7 +640,7 @@ def test_replay_refuses_malformed_witnesses(instances):
     # every witness field of every Fails verdict at d=1 on four instances,
     # set to None and to a string of the wrong kind, under the verdict's
     # bound, no bound and a string bound: replay answers a bool or refuses
-    # with a ValidationError, never a raw exception
+    # with bad_witness, never a raw exception or another kind
     sources = [instances[name] for name in
                ("z2xz2-swap", "z4-regular", "weyl-dual-quotient")] + [
         parse_instance(Z8_QUASI_ARMENDARIZ_FAILS)]
@@ -649,7 +659,7 @@ def test_replay_refuses_malformed_witnesses(instances):
                     assert isinstance(replay(M, P, forged), bool)
                 except ValidationError as exc:
                     refused[exc.kind] += 1
-    assert refused["bad_witness"] > 0
+    assert set(refused) == {"bad_witness"}
     # the examples: a map word, an index, a module polynomial, an exponent,
     # a subset, and the bound the quasi scan reads; a map of the other
     # kind, variable 0 and an unknown kind are refused too
@@ -689,10 +699,16 @@ def test_skew_quasi_armendariz_witness_replays_and_tampering_fails():
     assert replay(M, P, v) is True
     # r = 0 kills the single-term product; f = 1 is not annihilated by m
     one = {"text": "1", "terms": [[[0, 0], "1"]]}
-    for tamper in ({"r": "0"}, {"f": one}):
-        forged = PropertyVerdict(v.prop, FAILS, {**v.witness, **tamper},
-                                 bound=1)
-        assert replay(M, P, forged) is False, tamper
+    forgeries = [PropertyVerdict(v.prop, FAILS, {**v.witness, **tamper},
+                                 bound=1) for tamper in ({"r": "0"}, {"f": one})]
+    for forged in forgeries:
+        assert replay(M, P, forged) is False, forged.witness
+    # replay reads its middles off the definition, not a bounded context:
+    # on a fresh instance it gives the same answers and builds no context
+    fresh = parse_instance(Z8_QUASI_ARMENDARIZ_FAILS)
+    assert [replay(fresh.module, fresh.presentation, u)
+            for u in [v] + forgeries] == [True, False, False]
+    assert fresh.module._contexts == {}
 
 
 def _z3_zero_last():

@@ -257,13 +257,6 @@ def test_validate_presentation_rejections():
     with pytest.raises(ValidationError):
         validate_presentation(ring, [ident, ident], [zed, zed],
                               {(0, 1): 1, (1, 0): 1})
-    # expectation flags cross-checked against the derived facts
-    with pytest.raises(ValidationError):
-        validate_presentation(ring, [ident, ident], [zed, zed], {(0, 1): 1},
-                              expect_quasi_commutative=False)
-    with pytest.raises(ValidationError):
-        validate_presentation(ring, [ident], [zed],
-                              expect_bijective=False)
 
 
 def test_inconsistent_presentation_rejected():
