@@ -27,8 +27,13 @@ The kernel never acts pair by pair.  It tabulates the structure tensor
 x^basis[s] * b * x^basis[t] once (k^2 * |R| normal forms) and finds each
 row by a meet-in-the-middle split of the k slots, whose half sums are
 additive in m and so tabulated per slot at the generators of (M, +).  Only
-two facts are used: act is the sum over term pairs that `term_products`
-computes, and (M, +) is an abelian group (`validate_module` checks it).
+three facts are used: act is the sum over term pairs that `term_products`
+computes; (M, +) is an abelian group (`validate_module` checks it); and
+P.order is a monomial order, so where the tensor, checked per context,
+puts no term of x^basis[s] * b * x^basis[t] above basis[s] + basis[t], the
+leading coefficient of act(m, f) is m's last coefficient times one of the
+tensor's, and `leading_units` certifies the row {0} from it without a
+split.
 `ann_am_rows` refines the kernel rows over the middle factors mu = r
 x^gamma, r an additive generator of R, by one rule: when A is associative
 and M a right R-module, M<X> is a right A-module and act(m, mu f) =
@@ -74,7 +79,8 @@ from struct import Struct
 from .errors import (EngineInvariantError, PresentationMismatch,
                      SearchSpaceTooLarge)
 from .finring import is_central
-from .monomial import default_order, enumerate_upto
+from .monomial import add as add_exponents
+from .monomial import compare, default_order, enumerate_upto
 from .polymodule import ModulePoly, RightModule, module_poly
 from .skewpbw import SkewPbwPresentation, SkewPoly, term_products
 
@@ -204,7 +210,7 @@ class BoundedContext:
         self.pair_space = self.f_space * self.m_space
         self.vectors = PackedVectors(module, self.k)
         self._kernel = None
-        self._rep = self._lam = None
+        self._rep = self._lam = self._minima = None
         self._ann_am = None
         self._middles = None
         self._scalar = None
@@ -326,10 +332,10 @@ class BoundedContext:
             raise SearchSpaceTooLarge(space, limit, what)
 
     def structure_tensor(self):
-        """(T, G): T[s][t][b] lists the terms of x^basis[s] * b * x^basis[t]
-        as (position, coefficient) pairs, every output monomial re-keyed to
-        a position in 0..G-1, G >= 1 even if none is output (over the zero
-        ring).  One `triple` call per (s, t, b)."""
+        """(T, monos): T[s][t][b] lists the terms of x^basis[s] * b *
+        x^basis[t] as (position, coefficient) pairs, every output monomial
+        re-keyed to its position in monos.  One `triple` call per (s, t,
+        b)."""
         triple = self.presentation.triple
         pos = {}
         tensor = [[[tuple((pos.setdefault(g, len(pos)), w)
@@ -337,7 +343,40 @@ class BoundedContext:
                     for b in range(self.ring_size)]
                    for beta in self.basis]
                   for alpha in self.basis]
-        return tensor, max(len(pos), 1)
+        return tensor, list(pos)
+
+    def leading_units(self, tensor, monos) -> list:
+        """trivial[s][v]: every m whose last nonzero slot s holds v has
+        kernel row {0}, certified by the leading term of act(m, f).
+
+        P.order is a monomial order and the basis ascends under it, so when
+        no term of T[s][t][b], b != 0, lies above basis[s] + basis[t], every
+        term pair of m and f other than their last gives only monomials
+        below the sum of their last ones, and the coefficient there is v * c
+        for c that of basis[s] + basis[t] in x^basis[s] * f_t * x^basis[t]
+        (Gallego & Lezama, Comm. Algebra 39, 2011).  trivial[s][v] holds
+        when v != 0 and v * c != 0 for every t and b != 0: then act(m, f) !=
+        0 for every f != 0 (as in McCoy, Amer. Math. Monthly 49, 1942).  If
+        a term lies above, nothing is certified (U(sl2) under lex)."""
+        M, P = self.module, self.presentation
+        R = P.ring
+        tops = []   # per s: every c at basis[s] + basis[t], t and b != 0
+        for s, alpha in enumerate(self.basis):
+            cs = set()
+            for t, beta in enumerate(self.basis):
+                top = add_exponents(alpha, beta)
+                for b, terms in enumerate(tensor[s][t]):
+                    if b == R.zero:
+                        continue
+                    if any(compare(P.order, monos[g], top) > 0
+                           for g, _ in terms):
+                        return [[False] * M.order for _ in self.basis]
+                    cs.add(next((w for g, w in terms if monos[g] == top),
+                                R.zero))
+            tops.append(cs)
+        act = M.action_table
+        return [[v != M.zero and all(act[v][c] != M.zero for c in cs)
+                 for v in M.elements()] for cs in tops]
 
     def orbit_rep(self) -> list:
         """rep[m_idx]: the least index of m's orbit under G (module
@@ -376,8 +415,11 @@ class BoundedContext:
         return self._rep
 
     def minima(self) -> list:
-        """The orbit minima of `orbit_rep`, in index order."""
-        return [m for m, r in enumerate(self.orbit_rep()) if m == r]
+        """The orbit minima of `orbit_rep`, in index order, listed once per
+        context and kept there."""
+        if self._minima is None:
+            self._minima = [m for m, r in enumerate(self.orbit_rep()) if m == r]
+        return self._minima
 
     def _spread(self, at: dict) -> dict:
         """{m_idx: row} from `at`, the rows of the orbit minima: m = n *
@@ -401,25 +443,29 @@ class BoundedContext:
     def kernel(self, max_space: int = DEFAULT_MAX_SPACE) -> dict:
         """act-annihilator rows: {m_idx: frozenset of f_idx with act(m,f)=0}.
 
+        K_{g * m} = phi_lam(K_m) for g = (n, lam) in G, so a row is found
+        only at an orbit minimum of `orbit_rep`, and `_spread` gives every
+        other m phi_lam of its minimum's row.  Each minimum is first sorted
+        by its leading term: m = 0 has the whole slice, an m whose last
+        nonzero slot s holds v has {0} when `leading_units` certifies
+        trivial[s][v], and only the rest are split out by `_split_rows`.
+
         act(m, f) is the sum over slot pairs (s, t) of m_s applied to the
         coefficients of x^basis[s] * f_t * x^basis[t], so with L_m[t][b] the
         G-vector sum over s of m_s applied to T[s][t][b] (see
         `structure_tensor`), act(m, f) = sum over t of L_m[t][f_t].  Each
-        row is then found by a meet-in-the-middle split of the slots: with
-        h = k // 2, f with prefix index p (slots 0..h-1) and suffix index j
-        has index p * q^(k-h) + j and is in the row iff the negated sum over
-        its high slots equals the sum over its low slots.
+        split row is then found by a meet-in-the-middle split of the slots:
+        with h = k // 2, f with prefix index p (slots 0..h-1) and suffix
+        index j has index p * q^(k-h) + j and is in the row iff the negated
+        sum over its high slots equals the sum over its low slots.
 
         Both lists of half sums are additive in m, as L_m is, so they are
         tabulated in one packed int per slot s at each generator of (M, +)
         (2 * k * r `half_sums` calls for r generators) and summed for the
-        other values.  Walking the blocks of m that share all digits but
-        the last re-sums only the slots from the first changed digit on.
-        One `struct` unpack cuts a row's int into chunks, and one set
-        intersection and one C-level pass per half list the matching pairs.
-        K_{g * m} = phi_lam(K_m) for g = (n, lam) in G, so a row is split out
-        only at an orbit minimum of `orbit_rep`, and `_spread` gives every
-        other m phi_lam of its minimum's row.
+        other values.  Walking the split minima in index order re-sums only
+        the slots from the first changed digit on.  One `struct` unpack cuts
+        a row's int into chunks, and one set intersection and one C-level
+        pass per half list the matching pairs.
 
         The guard still measures the pair space |M|^k * |R|^k the rows
         cover, not the smaller work done here: a guard on the work would
@@ -429,9 +475,30 @@ class BoundedContext:
         self.guard(self.pair_space, max_space, "module-poly/poly pair space")
         if self._kernel is not None:
             return self._kernel
-        M, q, k = self.module, self.ring_size, self.k
-        rep = self.orbit_rep()
-        tensor, G = self.structure_tensor()
+        tensor, monos = self.structure_tensor()
+        trivial = self.leading_units(tensor, monos)
+        whole = frozenset(range(self.f_space))
+        zero_row = frozenset([self.f_term_index(self.basis[0],
+                                                self.presentation.ring.zero)])
+        out, todo = {}, []
+        for m_idx in self.minima():
+            mt = self.mterms(m_idx)
+            if not mt:
+                out[m_idx] = whole
+            elif trivial[self.slot[mt[-1][0]]][mt[-1][1]]:
+                out[m_idx] = zero_row
+            else:
+                todo.append(m_idx)
+        if todo:
+            out.update(self._split_rows(tensor, len(monos), todo))
+        self._kernel = self._spread(out)
+        return self._kernel
+
+    def _split_rows(self, tensor, G: int, todo: list) -> dict:
+        """{m_idx: kernel row} by the split of `kernel` for each m_idx of
+        `todo`, in index order; G counts the tensor's monomials, read as 1
+        if there are none."""
+        M, q, k, G = self.module, self.ring_size, self.k, max(G, 1)
         vec, h = PackedVectors(M, G), k // 2
         high_size, low_size = q ** h, q ** (k - h)
         flat = PackedVectors(M, (high_size + low_size) * G)
@@ -468,18 +535,18 @@ class BoundedContext:
                 range(high_size), map(common, pre)) for j in suffixes[pre[p]]])
 
         table = [slot_table(s) for s in range(k)]
-        out, partial = {}, [0] * k   # partial[s]: the flat sums of slots < s
-        for block, digits in enumerate(product(M.elements(), repeat=k - 1)):
-            # from the previous block, every digit after the last nonzero reset
-            first = max((s for s in range(k - 1) if digits[s]), default=0)
-            for s in range(first, k - 1):
+        out, last = {}, [None] * k   # last: the digits of the previous m
+        partial = [0] * (k + 1)      # partial[s]: the flat sum over slots < s
+        for m_idx in todo:
+            digits = [M.zero] * k
+            for alpha, v in self.mterms(m_idx):
+                digits[self.slot[alpha]] = v
+            first = next(s for s in range(k) if digits[s] != last[s])
+            for s in range(first, k):
                 partial[s + 1] = flat.add(partial[s], table[s][digits[s]])
-            base = block * M.order
-            for v in M.elements():
-                if rep[base + v] == base + v:
-                    out[base + v] = split(flat.add(partial[-1], table[-1][v]))
-        self._kernel = self._spread(out)
-        return self._kernel
+            out[m_idx] = split(partial[k])
+            last = digits
+        return out
 
     def middle_factors(self):
         """(r, gamma) pairs spanning A up to degree d additively, the

@@ -166,13 +166,17 @@ def _reduced_failure(action, zero):
 def _twist_failure(action, zero, monoid, forward_only: bool):
     """The first (m, r, g, base), m then r in index order and g in monoid
     order, where base = (m * r = 0) and m * g(r) = 0 disagree, or None.
-    forward_only looks only where m * r = 0: that g keeps annihilation."""
+    forward_only looks only where m * r = 0: that g keeps annihilation.
+    The identity, first in monoid order, never disagrees, so it is skipped."""
+    maps = monoid.elements[1:]
+    if not maps:
+        return None
     for m, row in enumerate(action):
         for r, v in enumerate(row):
             base = v == zero
             if forward_only and not base:
                 continue
-            for g in monoid.elements:
+            for g in maps:
                 if (row[g.table[r]] == zero) != base:
                     return m, r, g, base
     return None

@@ -671,10 +671,12 @@ def test_torus_is_trivial_without_quasi_commutativity_or_units():
 @pytest.mark.parametrize("name,degree,built", [
     ("z4-regular", 4, 360), ("z3-trivial", 2, 125), ("z2xz2-swap", 4, 1024)])
 def test_kernel_builds_one_row_per_orbit(monkeypatch, name, degree, built):
-    # a fresh context splits out one kernel row per orbit and builds ann(mA)
-    # rows at the orbit minima only; an m with lam = 1 shares its minimum's
-    # frozenset.  (Z2 x Z2, +) has exponent 2 and Z2 x Z2 one unit, so
-    # z2xz2-swap has no group element but 1 and builds every row
+    # a fresh context finds one kernel row per orbit, splitting out only
+    # those whose leading term does not certify the row {0} or the whole
+    # slice, and builds ann(mA) rows at the orbit minima only; an m with
+    # lam = 1 shares its minimum's frozenset.  (Z2 x Z2, +) has exponent 2
+    # and Z2 x Z2 one unit, so z2xz2-swap has no group element but 1 and
+    # builds every row
     splits, acted = [], set()
 
     class Counted(bounded.Struct):
@@ -690,11 +692,53 @@ def test_kernel_builds_one_row_per_orbit(monkeypatch, name, degree, built):
                         mterms(m_idx))
     kern, ann = ctx.kernel(), ctx.ann_am_rows()
     rep = ctx.orbit_rep()
-    assert len(splits) == len(set(rep)) == built
+    split = {"z4-regular": 143, "z3-trivial": 0, "z2xz2-swap": 682}[name]
+    assert len(splits) == split and len(set(rep)) == built
     assert acted <= set(rep)
     for m_idx, r in enumerate(rep):
         if ctx._lam[m_idx] is None:
             assert kern[m_idx] is kern[r] and ann[m_idx] is ann[r]
+
+
+def _certificate_contexts():
+    """Every corpus and `tests/instances` context with pair space <= 10^6,
+    under deglex and under lex, then the contexts of `_other_contexts`."""
+    texts = [(name, corpus.load(name)) for name in corpus.names()] + [
+        (path.stem, path.read_text(encoding="utf-8"))
+        for path in sorted(INSTANCES.glob("*.json"))]
+    for name, text in texts:
+        for order in ("deglex", "lex"):
+            inst = parse_instance(text, order_override=order)
+            d = 0
+            while (ctx := context(inst.module, inst.presentation,
+                                  d)).pair_space <= 10 ** 6:
+                yield f"{name} {order} d={d}", ctx
+                d += 1
+    yield from _other_contexts()
+
+
+def test_leading_units_certify_only_rows_the_split_finds():
+    # every orbit minimum the kernel sorts out by its leading term, m = 0
+    # and each m whose last nonzero term v x^basis[s] has trivial[s][v],
+    # gets the row that the split finds for it; on U(sl2) under lex,
+    # x2 x1 = x1 x2 + 2 x3 has the term x3 above x1 x2, so nothing is
+    # certified at d = 1
+    certified, lie_lex = Counter(), []
+    for case, ctx in _certificate_contexts():
+        tensor, monos = ctx.structure_tensor()
+        trivial = ctx.leading_units(tensor, monos)
+        lead = [ctx.mterms(m_idx)[-1:] for m_idx in ctx.minima()]
+        sorted_out = [m_idx for m_idx, mt in zip(ctx.minima(), lead)
+                      if not mt or trivial[ctx.slot[mt[0][0]]][mt[0][1]]]
+        split = ctx._split_rows(tensor, len(monos), sorted_out)
+        kern = ctx.kernel()
+        for m_idx in sorted_out:
+            assert kern[m_idx] == split[m_idx], (case, m_idx)
+            certified[" lex " in case] += len(kern[m_idx]) == 1
+        if case == "lie-sl2-z3 lex d=1":
+            lie_lex.append(trivial)
+    assert certified[False] and certified[True]
+    assert lie_lex and not any(map(any, lie_lex[0]))
 
 
 def test_degree_zero_action_is_the_modules_own(monkeypatch):

@@ -1,6 +1,7 @@
 """Monomial order axioms and bounded enumeration."""
 
-from itertools import combinations_with_replacement
+import random
+from itertools import combinations_with_replacement, permutations
 from math import comb
 
 import pytest
@@ -56,6 +57,22 @@ def test_order_respects_addition(kind):
             if compare(order, a, b) < 0:
                 for c in pts:
                     assert compare(order, add(a, c), add(b, c)) < 0
+
+
+@pytest.mark.parametrize("kind", ["deglex", "lex"])
+def test_compare_is_translation_invariant(kind):
+    # compare(a + c, b + c) = compare(a, b) on seeded exponents in 1-4
+    # variables under every precedence: the kernel's leading-term
+    # certificate rests on it
+    rng = random.Random(25)
+    for n in range(1, 5):
+        for precedence in permutations(range(n)):
+            order = MonomialOrder(kind, precedence)
+            for _ in range(40):
+                a, b, c = (tuple(rng.randrange(6) for _ in range(n))
+                           for _ in range(3))
+                assert compare(order, add(a, c), add(b, c)) == \
+                    compare(order, a, b)
 
 
 def test_constant_is_minimum():
