@@ -270,12 +270,6 @@ def module_poly(M: RightModule, P: SkewPbwPresentation, terms) -> ModulePoly:
     return ModulePoly(M, P, collect_terms(M, P.n, terms))
 
 
-def module_constant(M: RightModule, P: SkewPbwPresentation, m: int) -> ModulePoly:
-    if m == M.zero:
-        return ModulePoly(M, P, {})
-    return ModulePoly(M, P, {(0,) * P.n: m})
-
-
 def act(mp: ModulePoly, f: SkewPoly) -> ModulePoly:
     """The right action of a polynomial on a module polynomial.
 

@@ -216,10 +216,11 @@ def is_delta_compatible(M: RightModule, P: SkewPbwPresentation) -> PropertyVerdi
 def is_abelian(M: RightModule) -> PropertyVerdict:
     R = M.ring
     act_t = M.action_table
+    idem = idempotents(R)
     for m in M.elements():
         row = act_t[m]
         for r in R.elements():
-            for e in idempotents(R):
+            for e in idem:
                 if act_t[row[r]][e] != act_t[row[e]][r]:
                     witness = {"m": M.name(m), "r": R.name(r), "e": R.name(e)}
                     return PropertyVerdict("abelian", FAILS, witness)
@@ -537,50 +538,34 @@ def _generators_json(ctx: BoundedContext, gens) -> dict:
 
 
 def _map_annihilation(M: RightModule, P: SkewPbwPresentation):
-    """Annihilation is stable under the twist maps: closure images of an
-    annihilated element stay annihilated, products split, and the per-map
-    annihilators agree (equality for sigma, inclusion for delta)."""
-    R = P.ring
-    mz = M.zero
-    act_t = M.action_table
+    """Annihilation is stable under the twist maps, decided by the closure
+    scan C alone: m a = 0 must force m g(a) = 0 for every g in the monoid
+    of the sigma_i and delta_i.  C holds exactly when sigma- and
+    delta-compatibility both hold (each generator forward, then words), so
+    on a validated instance this conclusion fails only with its hypotheses.
+
+    C implies the product and per-map annihilator statements, so they are
+    not scanned:
+    (i) sigma_i is injective on a finite ring, so a permutation of some
+        order k; m sigma_i(a) = 0 gives m a = m sigma_i^k(a) = 0 by C with
+        sigma_i^(k-1).
+    (ii) m(ab) = 0 gives (ma) g(b) = 0 for g in the delta monoid, by C at
+        ma, as (ma)b = m(ab) = 0.
+    (iii) m(ab) = 0 gives (m delta_i(a)) b = 0: C at ma gives
+        (ma) delta_i(b) = 0, then C at m gives m sigma_i(a) sigma_i(delta_i
+        (b)) = 0, so (m sigma_i(a)) delta_i(b) = 0 by (i).  C also gives
+        m delta_i(ab) = 0, and delta_i(ab) = sigma_i(a) delta_i(b) +
+        delta_i(a) b.  Induct on delta words.
+    (iv) (ma) r = 0 iff (m sigma_i(a)) sigma_i(r) = 0 (C and (i)) iff
+        (m sigma_i(a)) r = 0 ((i) at m sigma_i(a)).
+    (v) (ma) r = 0 gives (m delta_i(a)) r = 0: (iii) with b = r."""
     mixed = _twist_monoid(P, "sd")
-    dmon = _twist_monoid(P, "d")
-    found = _twist_failure(act_t, mz, mixed, True)
-    if found is not None:
-        m, a, g, _ = found
-        return False, {"part": "closure", "m": M.name(m), "a": R.name(a),
-                       "map": mixed.describe(g)}
-    for m in M.elements():
-        row = act_t[m]
-        for a in R.elements():
-            ma = row[a]
-            for b in R.elements():
-                if row[R.mul(a, b)] != mz:
-                    continue
-                for g in dmon.elements:
-                    if act_t[ma][g.table[b]] != mz:
-                        return False, {"part": "product-right", "m": M.name(m),
-                                       "a": R.name(a), "b": R.name(b),
-                                       "map": dmon.describe(g)}
-                    if act_t[row[g.table[a]]][b] != mz:
-                        return False, {"part": "product-left", "m": M.name(m),
-                                       "a": R.name(a), "b": R.name(b),
-                                       "map": dmon.describe(g)}
-    for m in M.elements():
-        row = act_t[m]
-        for a in R.elements():
-            base = frozenset(r for r in R.elements() if act_t[row[a]][r] == mz)
-            for i in range(P.n):
-                sig = frozenset(r for r in R.elements()
-                                if act_t[row[P.sigma_tables[i][a]]][r] == mz)
-                if sig != base:
-                    return False, {"part": "annihilator-sigma", "m": M.name(m),
-                                   "a": R.name(a), "i": i + 1}
-                dla = row[P.delta_tables[i][a]]
-                if any(act_t[dla][r] != mz for r in base):
-                    return False, {"part": "annihilator-delta", "m": M.name(m),
-                                   "a": R.name(a), "i": i + 1}
-    return True, None
+    found = _twist_failure(M.action_table, M.zero, mixed, True)
+    if found is None:
+        return True, None
+    m, a, g, _ = found
+    return False, {"part": "closure", "m": M.name(m), "a": P.ring.name(a),
+                   "map": mixed.describe(g)}
 
 
 def _coefficientwise_scalar(ctx: BoundedContext, max_space: int):
@@ -907,35 +892,23 @@ def theorem_suite(M: RightModule, P: SkewPbwPresentation,
     the regular module (None when the instance supplies none); theorems
     whose statement needs it report hypothesis_not_met in its absence.
     """
-    R = P.ring
     ctx = context(M, P, degree)
+    # the twelve verdicts (None when refused; no cap refuses the exact ones
+    # read by .holds below), then the facts that other hypotheses name
+    v = {name: _unless_refused(decide, M, P, degree, max_space)
+         for name, decide in DECIDERS.items()}
+    v["presentation_bijective"] = P.bijective
+    v["constants_central"] = all(is_central(P.ring, c) for c in P.c.values())
+    v["ring_embeds_in_module"] = "absent" if embedding is None else "present"
+    v["quasi_commutative"] = P.quasi_commutative
+    compatible = ("sigma_compatible", "delta_compatible")
+    reduced_central = compatible + ("reduced", "presentation_bijective",
+                                    "constants_central")
+    armendariz_embeds = ("skew_armendariz", "ring_embeds_in_module")
+    linear_embeds = ("linearly_skew_armendariz", "ring_embeds_in_module")
+    arm, pp, pqb = v["skew_armendariz"], v["pp"], v["pq_baer"]
 
-    red = is_reduced(M)
-    sig = is_sigma_compatible(M, P)
-    dlt = is_delta_compatible(M, P)
-    abel = is_abelian(M)
-    stab = idempotent_stability(P)
-    pp = is_pp(M)
-    pqb = is_pq_baer(M)
-    baer = is_baer(M)
-    qb = _unless_refused(is_quasi_baer, M)
-    arm = _unless_refused(is_skew_armendariz_bounded, M, P, degree, max_space)
-    lin = _unless_refused(is_linearly_skew_armendariz, M, P, max_space)
-    quasi = _unless_refused(is_skew_quasi_armendariz_bounded, M, P, degree,
-                            max_space)
-
-    central = all(is_central(R, cv) for cv in P.c.values())
-    emb = "present" if embedding is not None else "absent"
-    compatible = [("sigma_compatible", sig), ("delta_compatible", dlt)]
-    reduced_central = compatible + [
-        ("reduced", red), ("presentation_bijective", P.bijective),
-        ("constants_central", central)]
-    armendariz_embeds = compatible + [
-        ("skew_armendariz", arm), ("ring_embeds_in_module", emb)]
-    linear_embeds = [("linearly_skew_armendariz", lin),
-                     ("ring_embeds_in_module", emb)]
-
-    # (theorem, hypotheses, conclusion, bound), in report order
+    # (theorem, hypothesis names, conclusion, bound), in report order
     table = [
         ("compatible_map_annihilation", compatible,
          _claim("twist maps preserve annihilation", _map_annihilation, M, P),
@@ -945,7 +918,8 @@ def theorem_suite(M: RightModule, P: SkewPbwPresentation,
                 _coefficientwise_scalar, ctx, max_space),
          degree),
         ("reduced_module_polynomial_transfer", compatible,
-         _agreement(red.holds and sig.holds, "module sigma-reduced",
+         _agreement(v["reduced"].holds and v["sigma_compatible"].holds,
+                    "module sigma-reduced",
                     "bounded polynomial module sigma-reduced",
                     _bounded_sigma_reduced, ctx, max_space),
          degree),
@@ -956,21 +930,20 @@ def theorem_suite(M: RightModule, P: SkewPbwPresentation,
                     _annihilator_correspondence, ctx, max_space),
          degree),
         ("linear_armendariz_idempotent_stability", linear_embeds,
-         _verdict(stab, "idempotent_stability"), None),
+         _verdict(v["idempotent_stability"], "idempotent_stability"), None),
         ("linear_armendariz_abelian", linear_embeds,
-         _verdict(abel, "abelian"), None),
-        ("armendariz_abelian",
-         [("skew_armendariz", arm), ("ring_embeds_in_module", emb)],
-         _verdict(abel, "abelian"), degree),
-        ("reduced_pp_iff_pq_baer", [("reduced", red)],
+         _verdict(v["abelian"], "abelian"), None),
+        ("armendariz_abelian", armendariz_embeds,
+         _verdict(v["abelian"], "abelian"), degree),
+        ("reduced_pp_iff_pq_baer", ("reduced",),
          _agreement(pp, "is_pp", "is_pq_baer", lambda: (pqb, pqb.witness)),
          None),
-        ("pp_polynomial_transfer", armendariz_embeds,
+        ("pp_polynomial_transfer", compatible + armendariz_embeds,
          _agreement(pp, "is_pp", "bounded polynomial-module pp",
                     _bounded_side, ctx, max_space, _pp_family, _m_json),
          degree),
-        ("baer_polynomial_transfer", armendariz_embeds,
-         _agreement(baer, "is_baer", "bounded polynomial-module baer",
+        ("baer_polynomial_transfer", compatible + armendariz_embeds,
+         _agreement(v["baer"], "is_baer", "bounded polynomial-module baer",
                     _bounded_side, ctx, max_space, _baer_family,
                     _generators_json),
          degree),
@@ -979,13 +952,13 @@ def theorem_suite(M: RightModule, P: SkewPbwPresentation,
                 _torsion_constant, ctx, max_space),
          degree),
         ("quasi_commutative_annihilator_structure",
-         [("quasi_commutative", P.quasi_commutative),
-          ("sigma_compatible", sig)],
+         ("quasi_commutative", "sigma_compatible"),
          _claim("bounded ann(mA) is generated by its constants",
-                _quasi_commutative_annihilator, ctx, max_space, quasi),
+                _quasi_commutative_annihilator, ctx, max_space,
+                v["skew_quasi_armendariz"]),
          degree),
         ("quasi_baer_polynomial_transfer", compatible,
-         _agreement(qb, "is_quasi_baer",
+         _agreement(v["quasi_baer"], "is_quasi_baer",
                     "bounded polynomial-module quasi-baer",
                     _bounded_side, ctx, max_space, _quasi_baer_family,
                     _submodule_json),
@@ -994,12 +967,14 @@ def theorem_suite(M: RightModule, P: SkewPbwPresentation,
          _agreement(pqb, "is_pq_baer", "bounded polynomial-module pq-baer",
                     _bounded_side, ctx, max_space, _pq_baer_family, _m_json),
          degree),
-        ("quasi_baer_quasi_armendariz", compatible + [("quasi_baer", qb)],
-         _verdict(quasi, "skew_quasi_armendariz"), degree),
+        ("quasi_baer_quasi_armendariz", compatible + ("quasi_baer",),
+         _verdict(v["skew_quasi_armendariz"], "skew_quasi_armendariz"),
+         degree),
     ]
-    return [_equivalence(M, P, red, sig, dlt)] + [
-        _implication(theorem, hyps, conclude, bound)
-        for theorem, hyps, conclude, bound in table]
+    return [_equivalence(M, P, v["reduced"], v["sigma_compatible"],
+                         v["delta_compatible"])] + [
+        _implication(theorem, [(n, v[n]) for n in names], conclude, bound)
+        for theorem, names, conclude, bound in table]
 
 
 # ---------------------------------------------------------------------------

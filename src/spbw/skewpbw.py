@@ -21,10 +21,10 @@ entries of :meth:`SkewPbwPresentation.mono_prod` rewrite x^gamma x_j, for a
 last variable l > j of gamma, as x^(gamma - e_l) (c_jl x_j x_l + sum_k
 r^k_jl x_k + r^0_jl).  Each summand word is then folded left to right, one
 token at a time, through smaller entries (:func:`_fold`); longer monomial
-products and :func:`normalize` are the same fold.  A push entry of degree d
-reads push entries of degree d - 1 and one-letter entries of product degree
-at most d; a one-letter entry of product degree d reads push entries of
-degree d - 2, one-letter entries of product degree at most d - 1, and sorted
+products are the same fold.  A push entry of degree d reads push entries of
+degree d - 1 and one-letter entries of product degree at most d; a
+one-letter entry of product degree d reads push entries of degree d - 2,
+one-letter entries of product degree at most d - 1, and sorted
 concatenations, which are their own normal forms.  So the tables fill on
 every presentation, with fills nested to a bounded depth (:func:`_fill`).
 Each step rewrites one subword by one rule, so on a presentation that
@@ -286,12 +286,6 @@ def _fold(P: SkewPbwPresentation, head, words) -> tuple:
         for eta, t in terms.items():
             total[eta] = add_t[total.get(eta, zero)][t]
     return tuple(sorted((g, v) for g, v in total.items() if v != zero))
-
-
-def normalize(P: SkewPbwPresentation, word) -> "SkewPoly":
-    """Normal form of a single generator word as a polynomial, folded
-    token by token through the tables."""
-    return SkewPoly(P, dict(_fold(P, (0,) * P.n, [word])))
 
 
 def _rewrite(P: SkewPbwPresentation, a, b) -> list:

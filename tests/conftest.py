@@ -7,7 +7,7 @@ import pytest
 
 from spbw import corpus
 from spbw.cli import parse_instance
-from spbw.polymodule import validate_module
+from spbw.polymodule import module_poly, validate_module
 
 # Presentations beyond the corpus, as instance text: the first Weyl algebra
 # A1(Z5) (constant relation term), U(sl2) and U(osp(1,2)) over Z3 (linear
@@ -94,6 +94,11 @@ def zero_module(ring):
                            label="0", names=("0",))
 
 
+def module_constant(M, P, m):
+    """The constant module polynomial m of M<X> over P."""
+    return module_poly(M, P, [((0,) * P.n, m)])
+
+
 def random_exponent(rng, n, max_deg):
     total = rng.randrange(max_deg + 1)
     alpha = [0] * n
@@ -111,8 +116,6 @@ def random_poly(rng, presentation, max_deg, max_terms):
 
 
 def random_mpoly(rng, module, presentation, max_deg, max_terms):
-    from spbw.polymodule import module_poly
-
     terms = []
     for _ in range(rng.randrange(1, max_terms + 1)):
         alpha = random_exponent(rng, presentation.n, max_deg)

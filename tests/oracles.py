@@ -359,6 +359,75 @@ def sigma_reduced_failure(ring, sigma_tables, action, zero):
     return None
 
 
+def map_words(q: int, tables, labels) -> list:
+    """(table, name) for every composite of the given maps on range(q),
+    the identity "id" first: each map new at length L is named by the first
+    of its length-L words found extending, in discovery order, the maps new
+    at length L - 1 by one more map applied last; listed by (length, word
+    of generator positions), names dot-joined, leftmost applied last."""
+    found = {tuple(range(q)): ()}
+    layer = [tuple(range(q))]
+    while layer:
+        fresh = []
+        for tab in layer:
+            for gi, g in enumerate(tables):
+                comp = tuple(g[tab[a]] for a in range(q))
+                if comp not in found:
+                    found[comp] = (gi,) + found[tab]
+                    fresh.append(comp)
+        layer = fresh
+    return [(tab, ".".join(labels[i] for i in word) or "id")
+            for tab, word in sorted(found.items(),
+                                    key=lambda kv: (len(kv[1]), kv[1]))]
+
+
+def map_annihilation_reference(M, P):
+    """(ok, witness) of the four-part twist-map annihilation check, in scan
+    order: "closure", m a = 0 forces m g(a) = 0 for g composed of the sigma
+    and delta maps; "product-right" and "product-left", m (ab) = 0 forces
+    (m a) g(b) = 0 and (m g(a)) b = 0 for g composed of the delta maps;
+    "annihilator-sigma", ann(m a) = ann(m sigma_i(a)); "annihilator-delta",
+    ann(m a) lies in ann(m delta_i(a))."""
+    R = P.ring
+    q, mul, zero = R.order, R.mul_table, M.zero
+    act_t = M.action_table
+    n = len(P.sigma_tables)
+    mixed = map_words(q, list(P.sigma_tables) + list(P.delta_tables),
+                      [f"s{i + 1}" for i in range(n)]
+                      + [f"d{i + 1}" for i in range(n)])
+    deltas = map_words(q, list(P.delta_tables),
+                       [f"d{i + 1}" for i in range(n)])
+    for m in range(M.order):
+        for a in range(q):
+            for g, name in mixed:
+                if act_t[m][a] == zero and act_t[m][g[a]] != zero:
+                    return False, {"part": "closure", "m": M.name(m),
+                                   "a": R.name(a), "map": name}
+    for m, a, b in product(range(M.order), range(q), range(q)):
+        if act_t[m][mul[a][b]] != zero:
+            continue
+        for g, name in deltas:
+            for part, x, y in (("product-right", act_t[m][a], g[b]),
+                               ("product-left", act_t[m][g[a]], b)):
+                if act_t[x][y] != zero:
+                    return False, {"part": part, "m": M.name(m),
+                                   "a": R.name(a), "b": R.name(b),
+                                   "map": name}
+
+    def ann(x):
+        return {r for r in range(q) if act_t[x][r] == zero}
+
+    for m, a in product(range(M.order), range(q)):
+        for i in range(n):
+            if ann(act_t[m][P.sigma_tables[i][a]]) != ann(act_t[m][a]):
+                return False, {"part": "annihilator-sigma", "m": M.name(m),
+                               "a": R.name(a), "i": i + 1}
+            if not ann(act_t[m][a]) <= ann(act_t[m][P.delta_tables[i][a]]):
+                return False, {"part": "annihilator-delta", "m": M.name(m),
+                               "a": R.name(a), "i": i + 1}
+    return True, None
+
+
 # References for the row scans of `properties`: per-f loops that their set
 # tests must agree with.  Indices are decoded here, digit by digit, slot 0
 # most significant.

@@ -21,13 +21,13 @@ from spbw.errors import (EngineInvariantError, PresentationMismatch,
 from spbw.finring import (dual_z2, dual_z2_derivation, identity_map,
                           upper_triangular, validate_ring,
                           validate_sigma_derivation, zero_map, zmod)
-from spbw.polymodule import (module_constant, module_poly, quotient_module,
-                             regular_module, validate_module)
+from spbw.polymodule import (module_poly, quotient_module, regular_module,
+                             validate_module)
 from spbw.properties import _quasi_armendariz_failure
 from spbw.skewpbw import validate_presentation
 
 import oracles
-from conftest import INSTANCES, zero_module
+from conftest import INSTANCES, module_constant, zero_module
 from oracles import ann_in_a_bounded, annihilates
 
 

@@ -19,7 +19,6 @@ from spbw.polymodule import (
     all_submodules,
     cyclic_submodule,
     embedding_from_generator,
-    module_constant,
     module_poly,
     quotient_module,
     regular_module,
@@ -31,7 +30,7 @@ from spbw.polymodule import (
 from spbw.skewpbw import mul, validate_presentation
 
 import oracles
-from conftest import random_mpoly, random_poly, zero_module
+from conftest import module_constant, random_mpoly, random_poly, zero_module
 
 
 def weyl_setup():

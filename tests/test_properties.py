@@ -14,11 +14,13 @@ from spbw.annihilator import ann_in_r, principal_right_ideal
 from spbw.bounded import DEFAULT_MAX_SPACE, BoundedContext, context
 from spbw.cli import parse_instance
 from spbw.errors import SearchSpaceTooLarge, TooLarge, ValidationError
-from spbw.finring import (identity_map, idempotents, upper_triangular,
-                          validate_endomorphism, validate_sigma_derivation,
-                          zero_map, zmod, zmod_product)
+from spbw.finring import (dual_z2, identity_map, idempotents,
+                          upper_triangular, validate_endomorphism,
+                          validate_sigma_derivation, zero_map, zmod,
+                          zmod_product)
 from spbw.polymodule import (act, cyclic_submodule, module_poly,
-                             quotient_module, regular_module)
+                             quotient_module, regular_module,
+                             right_ideal_closure)
 from spbw.properties import (
     CONFIRMED,
     DECIDERS,
@@ -686,6 +688,25 @@ def test_replay_refuses_malformed_witnesses(instances):
         assert err.value.kind == "bad_witness", (prop, tamper)
 
 
+def test_replay_of_a_tampered_well_formed_witness_is_false(swap, z4):
+    # each forged witness is well formed and fails one check that the true
+    # witness passes: the identity map keeps annihilation, m does not kill
+    # f = 1, and {2} in Z4 is no submodule (yet ann({2}) = 2Z4, which no
+    # idempotent generates, so only the submodule check refuses it)
+    z8 = parse_instance(Z8_QUASI_ARMENDARIZ_FAILS)
+    one = {"text": "1", "terms": [[[0, 0], "1"]]}
+    cases = [(swap, "sigma_compatible", {"map": "id"}),
+             (z8, "skew_armendariz", {"f": one}),
+             (z4, "quasi_baer", {"submodule": ["2"]})]
+    for inst, prop, tamper in cases:
+        M, P = inst.module, inst.presentation
+        v = DECIDERS[prop](M, P, 1, DEFAULT_MAX_SPACE)
+        assert v.status == FAILS and set(tamper) <= set(v.witness), prop
+        assert replay(M, P, v) is True, prop
+        forged = PropertyVerdict(prop, FAILS, {**v.witness, **tamper}, v.bound)
+        assert replay(M, P, forged) is False, prop
+
+
 def test_skew_quasi_armendariz_witness_replays_and_tampering_fails():
     inst = parse_instance(Z8_QUASI_ARMENDARIZ_FAILS)
     M, P = inst.module, inst.presentation
@@ -832,6 +853,55 @@ def test_reduced_and_twist_verdicts_are_pinned():
                            list(_map_annihilation(M, P))])
         got[name] = hashlib.sha256(text.encode()).hexdigest()
     assert got == TWIST_DIGESTS
+
+
+def _twist_pairs(R):
+    """Every (sigma, delta) over R: each unital injective endomorphism and
+    each of its sigma-derivations, found by trying every table."""
+    tables = list(product(R.elements(), repeat=R.order))
+    out = []
+    for s in tables:
+        try:
+            sigma = validate_endomorphism(R, s)
+        except ValidationError:
+            continue
+        for d in tables:
+            try:
+                out.append((sigma, validate_sigma_derivation(R, sigma, d)))
+            except ValidationError:
+                pass
+    return out
+
+
+def test_map_annihilation_is_the_four_part_check():
+    """The closure scan alone gives the verdict and witness of the four-part
+    check (closure, product right and left, per-map annihilators), over Z2,
+    Z3, Z4, Z2xZ2 and Z2[y]/(y^2): every one-variable presentation and
+    every certified two-variable one with c12 = 1, from every sigma and
+    sigma-derivation, on the regular module and each R/rR, r != 0."""
+    cases, failing = 0, 0
+    for R in (zmod(2), zmod(3), zmod(4), zmod_product(2, 2), dual_z2()):
+        pairs = _twist_pairs(R)
+        presentations = [validate_presentation(R, [s], [d], {})
+                         for s, d in pairs]
+        for (s1, d1), (s2, d2) in product(pairs, pairs):
+            try:
+                presentations.append(validate_presentation(
+                    R, [s1, s2], [d1, d2], {(0, 1): R.one}))
+            except ValidationError as exc:
+                assert exc.kind == "inconsistent_presentation"
+        ideals = {}
+        for r in R.elements():
+            if r != R.zero:
+                ideals.setdefault(right_ideal_closure(R, [r]), r)
+        modules = [regular_module(R)] + [quotient_module(R, [r])
+                                         for r in ideals.values()]
+        for P, M in product(presentations, modules):
+            want = oracles.map_annihilation_reference(M, P)
+            assert _map_annihilation(M, P) == want, (P.label, M.label)
+            cases += 1
+            failing += not want[0]
+    assert (cases, failing) == (128, 64)
 
 
 def _slice_sources():

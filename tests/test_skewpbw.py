@@ -28,7 +28,6 @@ from spbw.skewpbw import (
     check_consistency,
     mul,
     neg,
-    normalize,
     validate_presentation,
 )
 
@@ -419,6 +418,12 @@ def test_products_read_the_triple_table_cold_and_warm(case):
         assert len(fills) == len(f.terms) * len(g.terms)
         assert mul(f, g).terms == expect
         assert len(fills) == len(f.terms) * len(g.terms)
+
+
+def normalize(P, word):
+    """Normal form of a single generator word, folded token by token
+    through the presentation's tables."""
+    return skewpbw.SkewPoly(P, dict(skewpbw._fold(P, (0,) * P.n, [word])))
 
 
 @pytest.mark.parametrize("case", sorted(TABLE_CASES))
