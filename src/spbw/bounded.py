@@ -212,7 +212,6 @@ class BoundedContext:
         self._kernel = None
         self._rep = self._lam = self._minima = None
         self._ann_am = None
-        self._middles = None
         self._scalar = None
         self._action = None
         self._coeff_sets = {}
@@ -310,10 +309,8 @@ class BoundedContext:
         x^alpha + lower terms, so the slice is a finite right R-module; its
         table is read off `half_sums` over each phi[r] of `scalar_tables`,
         which lists m * r for every m in index order.  One dict maps them to
-        indices: `half_sums` over the unit tables lists every m in order.  At
-        degree 0 the slice is M and its table is M's own."""
-        if self._action is None and self.k == 1:
-            self._action = list(self.module.action_table)   # M<X>_{<=0} = M
+        indices: `half_sums` over the unit tables lists every m in order, so
+        at degree 0, where the slice is M, the table is M's own."""
         if self._action is None:
             vecs = self.vectors
             units = [[vecs.pack(((s, v),)) for v in self.module.elements()]
@@ -548,25 +545,14 @@ class BoundedContext:
             last = digits
         return out
 
-    def middle_factors(self):
-        """(r, gamma) pairs spanning A up to degree d additively, the
-        identity first: r runs over the generators of (R, +) that
-        `cyclic_factors` picks, as act(m, (r x^gamma) f) is additive in r."""
-        if self._middles is None:
-            ring, const = self.presentation.ring, self.basis[0]
-            gens = cyclic_factors(ring)[0]
-            self._middles = [(ring.one, const)] + [
-                (r, gamma) for gamma in self.basis for r, _ in gens
-                if (r, gamma) != (ring.one, const)]
-        return self._middles
-
     def acting_middles(self) -> list:
-        """The middles mu = r x^gamma of `middle_factors()[1:]` that do not
-        commute with the slice: mu * b x^beta != b x^beta * mu for some
-        additive generator b of R and some beta in the basis.  Both sides
-        are r (resp. b) times a normal form of `structure_tensor`, read off
-        the triple cache.  A middle that commutes with every such b x^beta
-        commutes with every f of the slice, by additivity."""
+        """The middles mu = r x^gamma, r a generator of (R, +) that
+        `cyclic_factors` picks (act(m, mu f) is additive in r) and gamma in
+        the basis, that do not commute with the slice: mu * b x^beta != b
+        x^beta * mu for some such b and beta.  Both sides are r (resp. b)
+        times a normal form of `structure_tensor`, read off the triple cache.
+        A middle that commutes with every such b x^beta, as 1 does, commutes
+        with every f of the slice, by additivity."""
         ring, triple = self.presentation.ring, self.presentation.triple
         mul, zero = ring.mul_table, ring.zero
         gens = [b for b, _ in cyclic_factors(ring)[0]]
@@ -574,7 +560,7 @@ class BoundedContext:
         def scaled(c, terms):
             return {(g, mul[c][w]) for g, w in terms if mul[c][w] != zero}
 
-        return [(r, gamma) for r, gamma in self.middle_factors()[1:]
+        return [(r, gamma) for gamma in self.basis for r in gens
                 if any(scaled(r, triple(gamma, b, beta))
                        != scaled(b, triple(beta, r, gamma))
                        for b in gens for beta in self.basis)]
@@ -591,12 +577,11 @@ class BoundedContext:
         the kernel row of m * mu when it lies in the slice, else the f with
         `act_is_zero`.  A row that reaches {0} stops, as no middle shrinks it.
 
-        The middles are `middle_factors()`, over the additive generators of
-        R only (Z4 needs r = 1 alone), and of those only the
-        `acting_middles` act: a middle mu that commutes with the slice has
-        mu f = f mu, so for f in the kernel row act(m, mu f) = act(act(m,
-        f), mu) = act(0, mu) = 0.  With no middle left the rows are the
-        kernel's own dict.
+        The middles are r x^gamma over the additive generators r of R only
+        (Z4 needs r = 1 alone), and of those only the `acting_middles` act:
+        a middle mu that commutes with the slice has mu f = f mu, so for f
+        in the kernel row act(m, mu f) = act(act(m, f), mu) = act(0, mu) =
+        0.  With no middle left the rows are the kernel's own dict.
 
         The row of a single term m x^alpha also answers the quasi-Armendariz
         mixed products: (m x^alpha)(r x^t)(b x^beta), additive in r, is 0 for

@@ -136,7 +136,7 @@ def _parse_relations(ring: FiniteRing, n: int, spec) -> tuple[dict, dict]:
         m = _PAIR_RE.fullmatch(key)
         if not m:
             raise ParseError(f"bad relation key {key!r}, expected 'i,j'")
-        i, j = int(m.group(1)), int(m.group(2))
+        i, j = _small(m.group(1)), _small(m.group(2))
         if not 1 <= i < j <= n:
             raise ParseError(f"relation key {key!r} needs 1 <= i < j <= {n}")
         val = spec[key]
@@ -238,7 +238,7 @@ def parse_instance(text: str, order_override: str | None = None,
     if "ring" not in data or "variables" not in data:
         raise ParseError("instance needs 'ring' and 'variables'")
     n = data["variables"]
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise ParseError("'variables' must be a positive integer")
     check_variable_cap(n)
     label = data.get("label", "")

@@ -134,15 +134,15 @@ class FiniteRing(AdditiveCarrier):
 def check_table(table, bound: int, what: str, *shape):
     """`table` as nested tuples, refused as bad_table unless it is a list of
     shape[0] entries (each a list of shape[1] entries, if given) holding ints
-    in range(bound): the one check of ring, module, map and embedding tables.
-    """
+    in range(bound), bools refused: the one check of ring, module, map and
+    embedding tables."""
     if not isinstance(table, (list, tuple)) or len(table) != shape[0]:
         raise ValidationError("bad_table", witness=what, message=f"{what} table "
                               f"must be a list of {shape[0]} entries")
     if len(shape) > 1:
         return tuple(check_table(row, bound, what, *shape[1:]) for row in table)
     for v in table:
-        if not isinstance(v, int) or not 0 <= v < bound:
+        if type(v) is not int or not 0 <= v < bound:
             raise ValidationError("bad_table", witness=(what, v))
     return tuple(table)
 

@@ -27,9 +27,10 @@ Each proved implication becomes a report with one of four statuses:
 * skipped_search_space - a bounded side exceeded the search budget.
 
 `theorem_suite` holds the implications in one ordered table of (theorem,
-hypotheses, conclusion, bound) rows.  A conclusion is built by one of three
-builders: `_verdict` (a decider verdict), `_claim` (an (ok, witness) check of
-a fixed statement) or `_agreement` (a verdict compared with a bounded side).
+hypotheses, conclusion, bound) rows.  A conclusion is `_equivalence` (the
+first row) or built by `_verdict` (a decider verdict), `_claim` (an (ok,
+witness) check of a fixed statement) or `_agreement` (a verdict compared
+with a bounded side).
 A decider that a budget or size cap refuses yields None; a conclusion that
 needs it reads "<name> not evaluated", and its side is not run.  One that
 is vacuous reads "<name> vacuous", and its side is not run either.
@@ -123,10 +124,10 @@ def _apply_map_word(tables: dict, word: str, a: int) -> int:
     return a
 
 
-def _twist_tables(P: SkewPbwPresentation, kind: str) -> dict:
-    """The sigma ("s") or delta ("d") tables, labelled <kind><i>."""
-    tables = P.sigma_tables if kind == "s" else P.delta_tables
-    return {f"{kind}{i + 1}": t for i, t in enumerate(tables)}
+def _twist_tables(P: SkewPbwPresentation, kinds: str) -> dict:
+    """The sigma ("s") then/or delta ("d") tables, labelled <kind><i>."""
+    return {f"{k}{i + 1}": t for k in kinds for i, t in enumerate(
+        P.sigma_tables if k == "s" else P.delta_tables)}
 
 
 # ---------------------------------------------------------------------------
@@ -134,11 +135,9 @@ def _twist_tables(P: SkewPbwPresentation, kind: str) -> dict:
 
 
 def _twist_monoid(P: SkewPbwPresentation, kinds: str):
-    """The closure monoid of the sigma ("s") then/or delta ("d") maps that
-    `kinds` names, labelled s<i> and d<i>."""
-    tables = {"s": P.sigma_tables, "d": P.delta_tables}
-    return closure_monoid(P.ring, [t for k in kinds for t in tables[k]],
-                          [f"{k}{i + 1}" for k in kinds for i in range(P.n)])
+    """The closure monoid of the `_twist_tables` maps, under their labels."""
+    tables = _twist_tables(P, kinds)
+    return closure_monoid(P.ring, tables.values(), tables)
 
 
 def _reduced_failure(action, zero):
@@ -664,19 +663,20 @@ def _annihilator_correspondence(ctx: BoundedContext, max_space: int):
 def _torsion_constant(ctx: BoundedContext, max_space: int):
     """Every bounded torsion pair act(m, f) = 0 with f != 0 already has the
     constant annihilator lc(f), read off f's terms (decoded once per
-    context) and checked in the slice's `scalar_action` table; the witness
-    is the first failing m and its least failing f.  Only orbit minima are
-    visited: lc(phi_lam f) = lc(f) * u for a central unit u, and (n *
-    phi_lam(m)) * (c * u) = n * phi_lam(m * c) * u is 0 iff m * c is."""
+    context): m * lc(f) = 0 iff the constant lc(f) is in m's kernel row.
+    The witness is the first failing m and its least failing f.  Only orbit
+    minima are visited: lc(phi_lam f) = lc(f) * u for a central unit u, and
+    (n * phi_lam(m)) * (c * u) = n * phi_lam(m * c) * u is 0 iff m * c is."""
     M = ctx.module
     R = ctx.presentation.ring
     kern = ctx.kernel(max_space)
-    action, zero = ctx.scalar_action(), ctx.m_term_index(ctx.basis[0], M.zero)
+    const = [ctx.f_term_index(ctx.basis[0], c) for c in R.elements()]
+    zero = ctx.m_term_index(ctx.basis[0], M.zero)
     for m_idx in (m for m in ctx.minima() if m != zero):
-        failing = []   # (f_idx, lc(f))
-        for f_idx in kern[m_idx]:
+        row, failing = kern[m_idx], []   # failing: (f_idx, lc(f))
+        for f_idx in row:
             fts = ctx.fterms(f_idx)
-            if fts and action[m_idx][fts[-1][1]] != zero:
+            if fts and const[fts[-1][1]] not in row:
                 failing.append((f_idx, fts[-1][1]))
         if failing:
             f_idx, lead = min(failing)
@@ -725,7 +725,8 @@ def _quasi_commutative_annihilator(ctx: BoundedContext, max_space: int,
     the second the first orbit minimum whose row holds a nonzero f and no
     nonzero constant, as phi_lam is a bijection fixing constants.  The
     second can fire only after the first has: a row equal to the span of
-    the constant 0 alone is {0}."""
+    the constant 0 alone is {0}.  `quasi_verdict` is never None here: it is
+    None only where the `ann_am_rows` read above refuses first."""
     R = ctx.presentation.ring
     rows = ctx.ann_am_rows(max_space)
     constants = [(r, ctx.f_term_index(ctx.basis[0], r)) for r in R.elements()]
@@ -738,8 +739,6 @@ def _quasi_commutative_annihilator(ctx: BoundedContext, max_space: int,
     b_wit = _mixed_products_failure(ctx, rows, max_space)
     if (a_wit is None) != (b_wit is None):
         return False, (a_wit or b_wit)
-    if quasi_verdict is None:
-        return None, None
     for m_idx in ctx.minima() if quasi_verdict.holds and a_wit else ():
         if len(rows[m_idx]) > 1 and consts(m_idx) == {R.zero}:
             return False, {"part": "nonzero-constant", **_m_json(ctx, m_idx)}
@@ -786,10 +785,10 @@ def _implication(theorem: str, hyps, conclude, bound=None) -> TheoremReport:
 
 
 def _equivalence(M: RightModule, P: SkewPbwPresentation, red: PropertyVerdict,
-                 sig: PropertyVerdict, dlt: PropertyVerdict) -> TheoremReport:
-    """Report reduced_compatible_equivalence: reduced and compatible, read
-    off the three verdicts already decided, iff the four elementwise
-    annihilation conditions hold; always confirmed or violation."""
+                 sig: PropertyVerdict, dlt: PropertyVerdict):
+    """(ok, description, witness) of reduced_compatible_equivalence, a row
+    with no hypotheses: reduced and compatible, read off the three verdicts
+    already decided, iff the four elementwise annihilation conditions hold."""
     R = P.ring
     mz = M.zero
     act_t = M.action_table
@@ -820,16 +819,11 @@ def _equivalence(M: RightModule, P: SkewPbwPresentation, red: PropertyVerdict,
     rhs = all(rhs_parts.values())
     desc = (f"reduced+compatible {'holds' if lhs else 'fails'}; "
             f"elementwise conditions {'hold' if rhs else 'fail'}")
-    if lhs == rhs:
-        return TheoremReport("reduced_compatible_equivalence", CONFIRMED,
-                             (), desc)
-    witness = {"reduced": red.status, "sigma_compatible": sig.status,
-               "delta_compatible": dlt.status,
-               "parts": {k: ("holds" if v else "fails")
-                         for k, v in rhs_parts.items()},
-               "middle_factor_witness": wa, "square_witness": wd}
-    return TheoremReport("reduced_compatible_equivalence", VIOLATION, (),
-                         desc, witness)
+    return lhs == rhs, desc, {
+        "reduced": red.status, "sigma_compatible": sig.status,
+        "delta_compatible": dlt.status, "parts": {
+            k: ("holds" if v else "fails") for k, v in rhs_parts.items()},
+        "middle_factor_witness": wa, "square_witness": wd}
 
 
 def _verdict(v, name: str):
@@ -845,11 +839,9 @@ def _verdict(v, name: str):
 
 def _claim(desc: str, check, *args):
     """Conclusion: the claim `desc`, decided by check(*args) -> (ok,
-    witness) with ok None when the check could not decide it."""
+    witness), which raises SearchSpaceTooLarge or TooLarge if it cannot."""
     def run():
         ok, wit = check(*args)
-        if ok is None:
-            return None, desc + " not fully evaluated", None
         return ok, desc if ok else desc + " refuted", wit
     return run
 
@@ -910,6 +902,9 @@ def theorem_suite(M: RightModule, P: SkewPbwPresentation,
 
     # (theorem, hypothesis names, conclusion, bound), in report order
     table = [
+        ("reduced_compatible_equivalence", (), lambda: _equivalence(
+            M, P, v["reduced"], v["sigma_compatible"], v["delta_compatible"]),
+         None),
         ("compatible_map_annihilation", compatible,
          _claim("twist maps preserve annihilation", _map_annihilation, M, P),
          None),
@@ -971,10 +966,8 @@ def theorem_suite(M: RightModule, P: SkewPbwPresentation,
          _verdict(v["skew_quasi_armendariz"], "skew_quasi_armendariz"),
          degree),
     ]
-    return [_equivalence(M, P, v["reduced"], v["sigma_compatible"],
-                         v["delta_compatible"])] + [
-        _implication(theorem, [(n, v[n]) for n in names], conclude, bound)
-        for theorem, names, conclude, bound in table]
+    return [_implication(theorem, [(n, v[n]) for n in names], conclude, bound)
+            for theorem, names, conclude, bound in table]
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,11 @@ exceptions are `ann_in_a_bounded`, `slice_scalar_action`,
 `ann_am_reference`, `mixed_failure` and `torsion_failure`, which act on
 bounded module polynomials through `polymodule.act`, the generic action
 path, so they share nothing with the tables the bounded context builds,
-and `commuting_middles`, which multiplies through `skewpbw.mul`; the
-row-scan references read only a context's sizes, basis, middles and given
-rows, and the orbit references only its sizes, basis and raw tables.
+`commuting_middles`, which multiplies through `skewpbw.mul`, and
+`middle_candidates`, which lists the additive generators of R that
+`bounded.cyclic_factors` picks; the row-scan references read only a
+context's sizes, basis, middles and given rows, and the orbit references
+only its sizes, basis and raw tables.
 """
 
 from __future__ import annotations
@@ -316,8 +318,20 @@ def ann_am_reference(ctx) -> dict:
     return out
 
 
+def middle_candidates(ctx) -> list:
+    """Every middle (r, gamma) but the identity (1, x^0), in the order of
+    `acting_middles`: gamma over the basis, then r over the generators of
+    (R, +) that `bounded.cyclic_factors` picks."""
+    from spbw.bounded import cyclic_factors
+
+    ring = ctx.presentation.ring
+    return [(r, gamma) for gamma in ctx.basis
+            for r, _ in cyclic_factors(ring)[0]
+            if (r, gamma) != (ring.one, ctx.basis[0])]
+
+
 def commuting_middles(ctx) -> set:
-    """The middles (r, gamma) of `ctx.middle_factors()[1:]` with r x^gamma
+    """The middles (r, gamma) of `middle_candidates(ctx)` with r x^gamma
     * b x^beta == b x^beta * r x^gamma for every b in R, not only the
     additive generators, and every beta in the basis, through
     `skewpbw.mul`."""
@@ -327,7 +341,7 @@ def commuting_middles(ctx) -> set:
     slice_terms = [P.from_terms(((beta, b),)) for beta in ctx.basis
                    for b in P.ring.elements()]
     out = set()
-    for r, gamma in ctx.middle_factors()[1:]:
+    for r, gamma in middle_candidates(ctx):
         mu = P.from_terms(((gamma, r),))
         if all(mul(mu, g).terms == mul(g, mu).terms for g in slice_terms):
             out.add((r, gamma))

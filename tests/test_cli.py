@@ -453,11 +453,21 @@ _Z2_RING = {"add": [[0, 1], [1, 0]], "mul": [[0, 0], [0, 1]]}
     {"variables": 2, "relations": {"1,2": {"c": "1", "linear": 3}}},
     {"ring": "UT(200,Z2)"},
     {"ring": "Z" + "7" * 5000},
+    {"variables": 2, "relations": {"1" * 5000 + ",2": "1"}},
+    # JSON true and false are no 1 and 0: kept in the canonical form, they
+    # would give an instance with the same tables another digest
+    {"variables": True},
+    {"ring": dict(_Z2_RING, add=[[False, True], [True, False]])},
+    {"sigma": [[False, True]]},
+    {"embedding": [False, True]},
+    {"module": dict(_Z2_MODULE, action=[[0, 0], [0, True]])},
 ], ids=["module-add-float", "module-add-str", "module-add-int",
         "module-names-int", "ring-add-int", "ring-names-int", "sigma-float",
         "delta-float", "embedding-float", "embedding-generator-int",
         "quotient-float", "quotient-int", "relation-c-int", "relation-linear-int",
-        "ut-huge-order", "zmod-5000-digits"])
+        "ut-huge-order", "zmod-5000-digits", "relation-key-5000-digits",
+        "variables-bool", "ring-add-bool", "sigma-bool", "embedding-bool",
+        "module-action-bool"])
 def test_malformed_instances_exit_two(instance, tmp_path, capsys):
     data = dict({"ring": "Z2", "variables": 1}, **instance)
     path = tmp_path / "instance.json"

@@ -1111,20 +1111,41 @@ def test_quasi_commutative_parts_match_the_row_references(monkeypatch):
                 patch.setattr(ctx, "ann_am_rows", lambda *args: rows)
                 patch.setattr(properties, "_mixed_products_failure",
                               lambda *args: mixed)
-                got = [_quasi_commutative_annihilator(ctx, DEFAULT_MAX_SPACE,
-                                                      quasi)
-                       for quasi in (None, holds)]
+                got = _quasi_commutative_annihilator(ctx, DEFAULT_MAX_SPACE,
+                                                     holds)
             gen_wit = None if gen is None else wit("constants-generate", gen)
             if (gen is None) != (mixed is None):
-                want = [(False, gen_wit or mixed)] * 2
+                want = (False, gen_wit or mixed)
             elif gap is not None:
-                want = [(None, None), (False, wit("nonzero-constant", gap))]
+                want = (False, wit("nonzero-constant", gap))
             else:
-                want = [(None, None), (True, None)]
+                want = (True, None)
             assert got == want, case
             seen.add((kind, gen is None, gap is None))
     assert seen >= {("ann", True, True), ("shrunk", False, True),
                     ("kernel", False, False)}
+
+
+def test_refused_quasi_armendariz_refuses_the_annihilator_structure():
+    # the annihilator-structure claim reads the skew_quasi_armendariz
+    # verdict, None where it is refused, and has no branch for None: it
+    # must refuse under the same guard before it reads that verdict
+    texts = [corpus.load(name) for name in corpus.names()] + [
+        path.read_text(encoding="utf-8")
+        for path in sorted(INSTANCES.glob("*.json"))]
+    refused = 0
+    for text, order in product(texts, ("deglex", "lex")):
+        inst = parse_instance(text, order)
+        M, P = inst.module, inst.presentation
+        for d in range(5):
+            try:
+                is_skew_quasi_armendariz_bounded(M, P, d)
+            except (SearchSpaceTooLarge, TooLarge):
+                refused += 1
+                with pytest.raises(SearchSpaceTooLarge):
+                    _quasi_commutative_annihilator(
+                        context(M, P, d), DEFAULT_MAX_SPACE, None)
+    assert refused
 
 
 def test_quasi_armendariz_scan_matches_the_reference():
