@@ -63,9 +63,9 @@ vectors v x^basis[s] with v in ann_M(r), so S_r <= H_r exactly when each of
 them has m * r = 0, a lookup in the tables of `scalar_tables`.
 `count_zero_sums` over those tables counts |H_r| with the kernel's split,
 about |M|^(k/2) vector sums per r instead of |M|^k actions, and then
-H_r = S_r exactly when |H_r| = |ann_M(r)|^k.  Summed over all of M, the
-same tables give `scalar_action`, the slice's own action table, which the
-reduced and twist-compatibility scans of `properties` read as M's.
+H_r = S_r exactly when |H_r| = |ann_M(r)|^k.  The same tables list every
+packed m * r, the slice's own action table, which the reduced and
+twist-compatibility scans of `properties` read as M's.
 """
 
 from __future__ import annotations
@@ -213,7 +213,6 @@ class BoundedContext:
         self._rep = self._lam = self._minima = None
         self._ann_am = None
         self._scalar = None
-        self._action = None
         self._coeff_sets = {}
         self._fterms = {}
         self._mterms = {}
@@ -272,7 +271,7 @@ class BoundedContext:
     # raw action on term lists (exponents need not lie in the basis)
 
     def act_is_zero(self, mterms, fterms) -> bool:
-        # The innermost call of `ann_am_rows` and the scalar witness scan.
+        # The innermost call of `ann_am_rows`, where m * mu leaves the slice.
         M = self.module
         mzero = M.zero
         for v in term_products(self.presentation, mterms, fterms,
@@ -285,11 +284,13 @@ class BoundedContext:
         """phi[r][s][v]: the packed coefficient k-vector of (v x^basis[s]) * r.
 
         m * r = sum over s of phi[r][s][m_s], so `count_zero_sums` over
-        phi[r] is |{m : m * r = 0}| and its `half_sums` list every m * r.
-        One `triple` call per (r, s); built once per context, |R| * k * |M|
-        vectors.  The scalar check's guard still measures m_space * |R|, the
-        space it decides, not this smaller work, so the same reports are
-        decided and skipped as when every (m, r) was acted on.
+        phi[r] is |{m : m * r = 0}| and its `half_sums` list every packed
+        m * r in m's index order: the one table of the slice's action, a
+        finite right R-module as x^alpha r = sigma^alpha(r) x^alpha + lower
+        terms.  One `triple` call per (r, s); built once per context, |R| *
+        k * |M| vectors.  The scalar check's guard still measures m_space *
+        |R|, the space it decides, not this smaller work, so the same
+        reports are decided and skipped as when every (m, r) was acted on.
         """
         if self._scalar is None:
             M, slot = self.module, self.slot
@@ -303,23 +304,6 @@ class BoundedContext:
                 (slot[g], M.action_table[v][w]) for g, w in ts)
                 for v in M.elements()] for ts in per_r] for per_r in terms]
         return self._scalar
-
-    def scalar_action(self):
-        """action[m_idx][r]: the index of m * r.  x^alpha r = sigma^alpha(r)
-        x^alpha + lower terms, so the slice is a finite right R-module; its
-        table is read off `half_sums` over each phi[r] of `scalar_tables`,
-        which lists m * r for every m in index order.  One dict maps them to
-        indices: `half_sums` over the unit tables lists every m in order, so
-        at degree 0, where the slice is M, the table is M's own."""
-        if self._action is None:
-            vecs = self.vectors
-            units = [[vecs.pack(((s, v),)) for v in self.module.elements()]
-                     for s in range(self.k)]
-            index = {x: m_idx for m_idx, x in enumerate(half_sums(units, vecs))}
-            cols = [[index[x] for x in half_sums(phi, vecs)]
-                    for phi in self.scalar_tables()]
-            self._action = list(zip(*cols))
-        return self._action
 
     # ------------------------------------------------------------------
     # the kernel map and its refinements

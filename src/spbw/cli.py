@@ -55,6 +55,13 @@ _INSTANCE_KEYS = {"label", "ring", "variables", "sigma", "delta", "relations",
                   "module", "embedding", "order"}
 
 
+def _quoted(value) -> str:
+    """repr(value) for ParseError messages; past 80 characters only its
+    head and length, so a refused input is never echoed whole."""
+    text = repr(value)
+    return text if len(text) <= 80 else f"{text[:80]}... ({len(text)} characters)"
+
+
 @dataclass(frozen=True)
 class InstanceFile:
     label: str
@@ -89,11 +96,11 @@ def _parse_ring(spec) -> FiniteRing:
         m = _ZMOD_RE.fullmatch(spec)
         if m:
             return zmod(_number(m.group(1)))
-        raise ParseError(f"unknown ring shorthand {spec!r}")
+        raise ParseError(f"unknown ring shorthand {_quoted(spec)}")
     if isinstance(spec, dict):
         extra = set(spec) - {"add", "mul", "names", "label"}
         if extra:
-            raise ParseError(f"unknown ring table keys {sorted(extra)}")
+            raise ParseError(f"unknown ring table keys {_quoted(sorted(extra))}")
         if "add" not in spec or "mul" not in spec:
             raise ParseError("ring tables need both 'add' and 'mul'")
         return validate_ring(spec["add"], spec["mul"],
@@ -109,7 +116,7 @@ def _parse_sigma(ring: FiniteRing, spec) -> RingMap:
         return swap_endomorphism(ring)
     if isinstance(spec, list):
         return validate_endomorphism(ring, spec)
-    raise ParseError(f"unknown sigma spec {spec!r}")
+    raise ParseError(f"unknown sigma spec {_quoted(spec)}")
 
 
 def _parse_delta(ring: FiniteRing, sigma: RingMap, spec) -> RingMap:
@@ -117,7 +124,7 @@ def _parse_delta(ring: FiniteRing, sigma: RingMap, spec) -> RingMap:
         return zero_map(ring, sigma)
     if isinstance(spec, list):
         return validate_sigma_derivation(ring, sigma, spec)
-    raise ParseError(f"unknown delta spec {spec!r}")
+    raise ParseError(f"unknown delta spec {_quoted(spec)}")
 
 
 def _canon_map(m: RingMap, shorthand) -> object:
@@ -133,25 +140,25 @@ def _parse_relations(ring: FiniteRing, n: int, spec) -> tuple[dict, dict]:
     relations = {}
     canonical = {}
     for key in sorted(spec):
-        m = _PAIR_RE.fullmatch(key)
+        m, shown = _PAIR_RE.fullmatch(key), _quoted(key)
         if not m:
-            raise ParseError(f"bad relation key {key!r}, expected 'i,j'")
+            raise ParseError(f"bad relation key {shown}, expected 'i,j'")
         i, j = _small(m.group(1)), _small(m.group(2))
         if not 1 <= i < j <= n:
-            raise ParseError(f"relation key {key!r} needs 1 <= i < j <= {n}")
+            raise ParseError(f"relation key {shown} needs 1 <= i < j <= {n}")
         val = spec[key]
         if isinstance(val, str):
             val = {"c": val}
         if not isinstance(val, dict) or "c" not in val:
-            raise ParseError(f"relation {key!r} needs at least a 'c' entry")
+            raise ParseError(f"relation {shown} needs at least a 'c' entry")
         extra = set(val) - {"c", "const", "linear"}
         if extra:
-            raise ParseError(f"unknown relation keys {sorted(extra)} at {key!r}")
+            raise ParseError(f"unknown relation keys {_quoted(sorted(extra))} at {shown}")
         c = ring.element_index(val["c"])
         const = ring.element_index(val.get("const", ring.name(ring.zero)))
         linear_names = val.get("linear", [ring.name(ring.zero)] * n)
         if not isinstance(linear_names, list) or len(linear_names) != n:
-            raise ParseError(f"relation {key!r} linear part needs {n} entries")
+            raise ParseError(f"relation {shown} linear part needs {n} entries")
         linear = tuple(ring.element_index(x) for x in linear_names)
         relations[(i - 1, j - 1)] = (c, const, linear)
         canonical[f"{i},{j}"] = {
@@ -172,7 +179,7 @@ def _parse_module(ring: FiniteRing, spec) -> tuple[RightModule, object]:
     if isinstance(spec, dict):
         extra = set(spec) - {"add", "action", "names", "label"}
         if extra:
-            raise ParseError(f"unknown module table keys {sorted(extra)}")
+            raise ParseError(f"unknown module table keys {_quoted(sorted(extra))}")
         if "add" not in spec or "action" not in spec:
             raise ParseError("module tables need both 'add' and 'action'")
         M = validate_module(ring, spec["add"], spec["action"],
@@ -234,7 +241,7 @@ def parse_instance(text: str, order_override: str | None = None,
         raise ParseError("instance file must be a JSON object")
     extra = set(data) - _INSTANCE_KEYS
     if extra:
-        raise ParseError(f"unknown instance keys {sorted(extra)}")
+        raise ParseError(f"unknown instance keys {_quoted(sorted(extra))}")
     if "ring" not in data or "variables" not in data:
         raise ParseError("instance needs 'ring' and 'variables'")
     n = data["variables"]

@@ -393,17 +393,14 @@ class MapMonoid:
         return ".".join(self.labels[i] for i in el.word)
 
 
-def closure_monoid(ring: FiniteRing, maps, labels=None) -> MapMonoid:
-    """Close the given maps under composition (left map applied last).
+def closure_monoid(ring: FiniteRing, maps, labels) -> MapMonoid:
+    """Close the given maps, named by `labels` in order, under composition
+    (left map applied last).
 
     The closure of k maps on a ring of order q has at most q**q elements;
     in practice the twist monoids here stay tiny.
     """
     gens = [tuple(m.table) if isinstance(m, RingMap) else tuple(m) for m in maps]
-    if labels is None:
-        labels = tuple(f"g{i + 1}" for i in range(len(gens)))
-    else:
-        labels = tuple(labels)
     ident = tuple(range(ring.order))
     seen = {ident: ()}
     queue = [ident]
@@ -419,7 +416,7 @@ def closure_monoid(ring: FiniteRing, maps, labels=None) -> MapMonoid:
         queue = nxt
     els = tuple(MonoidElement(t, w)
                 for t, w in sorted(seen.items(), key=lambda kv: (len(kv[1]), kv[1])))
-    return MapMonoid(ring, labels, els)
+    return MapMonoid(ring, tuple(labels), els)
 
 
 # ---------------------------------------------------------------------------

@@ -39,11 +39,12 @@ is vacuous reads "<name> vacuous", and its side is not run either.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import product
 
 from .annihilator import ann_in_r, idempotent_generator, principal_right_ideal
 from .bounded import (DEFAULT_MAX_SPACE, BoundedContext, context,
-                      count_zero_sums)
+                      count_zero_sums, half_sums)
 from .errors import SearchSpaceTooLarge, TooLarge, ValidationError
 from .finring import closure_monoid, idempotents, is_central
 from .monomial import enumerate_upto
@@ -575,7 +576,7 @@ def _coefficientwise_scalar(ctx: BoundedContext, max_space: int):
     with v in ann_M(r), so S_r <= H_r exactly when each maps to the packed 0
     in `ctx.scalar_tables()`; then one `count_zero_sums` count of |H_r| over
     the same tables decides H_r = S_r, as |S_r| = |ann_M(r)|^k.  Only when
-    some r fails does `_coefficientwise_scalar_scan` act on every (m, r), to
+    some r fails does `_coefficientwise_scalar_scan` test every (m, r), to
     return the first witness in index order.  The guard measures the
     m_space * |R| pairs decided, as that scan does.
     """
@@ -592,16 +593,15 @@ def _coefficientwise_scalar(ctx: BoundedContext, max_space: int):
 
 def _coefficientwise_scalar_scan(ctx: BoundedContext):
     """The first (m, r) in index order where m * r = 0 and "every
-    coefficient of m kills r" disagree; (True, None) if none does."""
-    M = ctx.module
-    R = ctx.presentation.ring
-    mz = M.zero
-    const = (ctx.basis[0],)
+    coefficient of m kills r" disagree; (True, None) if none does.  m * r
+    is the sum of phi[r][s][m_s] over m's digits (`ctx.scalar_tables()`)."""
+    M, R, slot = ctx.module, ctx.presentation.ring, ctx.slot
+    add, tables = ctx.vectors.add, ctx.scalar_tables()
     for m_idx in range(ctx.m_space):
         mts = ctx.mterms(m_idx)
-        for r in R.elements():
-            whole = ctx.act_is_zero(mts, ((const[0], r),))
-            slotwise = all(M.action_table[mc][r] == mz for _, mc in mts)
+        for r, phi in enumerate(tables):
+            whole = reduce(add, [phi[slot[g]][v] for g, v in mts], 0) == 0
+            slotwise = all(M.action_table[v][r] == M.zero for _, v in mts)
             if whole != slotwise:
                 return False, {"m": ctx.m_poly(m_idx).to_json(M.name),
                                "r": R.name(r),
@@ -612,7 +612,9 @@ def _coefficientwise_scalar_scan(ctx: BoundedContext):
 def _bounded_sigma_reduced(ctx: BoundedContext, max_space: int):
     """Reduced + sigma-compatible for the degree <= d slice of M<X> viewed
     as a module over R via act_scalar: the scans of `is_sigma_compatible`
-    and `is_reduced`, run on `ctx.scalar_action()`.
+    and `is_reduced`, run on the packed m * r of `ctx.scalar_tables()`, 0
+    the zero: the code is one-to-one and both scans only compare entries,
+    so only the reduced witness's common value is decoded to an index.
 
     The guard still measures m_space^2 * |R|, the square the reduced check
     once walked, not the m_space * |R| table read here: a guard on the work
@@ -624,16 +626,19 @@ def _bounded_sigma_reduced(ctx: BoundedContext, max_space: int):
     ctx.guard(ctx.m_space * ctx.m_space * R.order, max_space,
               "bounded module-poly square")
     monoid = _twist_monoid(ctx.presentation, "s")
-    action, zero = ctx.scalar_action(), ctx.m_term_index(ctx.basis[0], M.zero)
-    found = _twist_failure(action, zero, monoid, False)
+    vecs = ctx.vectors
+    action = list(zip(*[half_sums(phi, vecs) for phi in ctx.scalar_tables()]))
+    found = _twist_failure(action, 0, monoid, False)
     if found is not None:
         m, r, g, _ = found
         return False, {"side": "sigma_compatible",
                        "m": ctx.m_poly(m).to_json(M.name),
                        "r": R.name(r), "map": monoid.describe(g)}
-    found = _reduced_failure(action, zero)
+    found = _reduced_failure(action, 0)
     if found is not None:
         m, a, x = found
+        x, w = x.to_bytes(vecs.nbytes, "big"), vecs.width
+        x = ctx.m_index(vecs.code.index(x[i:i + w]) for i in range(0, len(x), w))
         return False, {"side": "reduced", "m": ctx.m_poly(m).to_json(M.name),
                        "a": R.name(a), "common": ctx.m_poly(x).to_json(M.name)}
     return True, None

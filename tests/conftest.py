@@ -99,6 +99,25 @@ def module_constant(M, P, m):
     return module_poly(M, P, [((0,) * P.n, m)])
 
 
+def slice_products(ctx) -> list:
+    """products[m_idx][r]: the packed m * r that `half_sums` lists over each
+    phi[r] of `ctx.scalar_tables()`, the slice's action as its scans read it."""
+    from spbw.bounded import half_sums
+
+    return list(zip(*[half_sums(phi, ctx.vectors)
+                      for phi in ctx.scalar_tables()]))
+
+
+def packed_rows(ctx, rows: dict) -> dict:
+    """`rows`, {m_idx: tuple of m-indices}, with every index packed as the
+    slice's products are, so `oracles.slice_scalar_action` compares with
+    `slice_products`."""
+    def pack(idx):
+        return ctx.vectors.pack((ctx.slot[g], v) for g, v in ctx.mterms(idx))
+
+    return {m: tuple(map(pack, row)) for m, row in rows.items()}
+
+
 def random_exponent(rng, n, max_deg):
     total = rng.randrange(max_deg + 1)
     alpha = [0] * n

@@ -27,7 +27,8 @@ from spbw.properties import _quasi_armendariz_failure
 from spbw.skewpbw import validate_presentation
 
 import oracles
-from conftest import INSTANCES, module_constant, zero_module
+from conftest import (INSTANCES, module_constant, packed_rows, slice_products,
+                      zero_module)
 from oracles import ann_in_a_bounded, annihilates
 
 
@@ -325,9 +326,9 @@ def _z4_quantum_plane():
 def test_kernel_and_ann_am_rows_count_their_work(monkeypatch):
     # the kernel calls half_sums only to build its per-slot tables at the
     # generators of (M, +), never once per m or module value, and ann(mA)
-    # forms no product mu * f and never reads scalar_action: it forms m * mu
-    # over M's action table at most once per orbit minimum m and acting
-    # middle mu = r x^gamma, r an additive generator of R.  On the Z4
+    # forms no product mu * f and never reads the scalar tables: it forms
+    # m * mu over M's action table at most once per orbit minimum m and
+    # acting middle mu = r x^gamma, r an additive generator of R.  On the Z4
     # quantum plane x2 x1 = 3 x1 x2 the middles x1 and x2 do not commute
     # with the slice, so `ann_am_rows` keeps them; at d = 1 a constant m
     # has m * x_i in the slice, and m of degree 1 has it outside, where f
@@ -359,13 +360,13 @@ def test_kernel_and_ann_am_rows_count_their_work(monkeypatch):
         finally:
             acting[0] = False
 
-    def no_scalar_action():
-        raise AssertionError("ann_am_rows read scalar_action")
+    def no_scalar_tables():
+        raise AssertionError("ann_am_rows read scalar_tables")
 
     monkeypatch.setattr(bounded, "half_sums", counted_half_sums)
     monkeypatch.setattr(bounded, "term_products", counted_term_products)
     monkeypatch.setattr(ctx, "act_is_zero", counted_act_is_zero)
-    monkeypatch.setattr(ctx, "scalar_action", no_scalar_action)
+    monkeypatch.setattr(ctx, "scalar_tables", no_scalar_tables)
     kern = ctx.kernel()
     assert len(kern) == ctx.m_space > 2 * ctx.k * M.order
     # two half_sums calls per slot and cyclic generator of (M, +)
@@ -402,7 +403,7 @@ def test_commuting_middles_leave_the_kernel_rows(monkeypatch, name, degree):
                         lambda *args: calls.update(["act_is_zero"]))
     assert ctx.acting_middles() == []
     assert ctx.ann_am_rows() is kern
-    assert not calls and ctx._action is None
+    assert not calls and ctx._scalar is None
 
 
 def _middle_contexts():
@@ -591,8 +592,8 @@ def test_kernel_rows_with_mixed_moduli():
         ctx = context(M, P, d)
         _assert_kernel_matches_reference(ctx)
         _assert_ann_am_matches_reference(ctx)
-        assert {m: ctx.scalar_action()[m] for m in range(ctx.m_space)} == \
-            oracles.slice_scalar_action(ctx, range(ctx.m_space))
+        assert dict(enumerate(slice_products(ctx))) == packed_rows(
+            ctx, oracles.slice_scalar_action(ctx, range(ctx.m_space)))
 
 
 def _orbit_contexts():
@@ -742,13 +743,15 @@ def test_leading_units_certify_only_rows_the_split_finds():
 
 
 def test_degree_zero_action_is_the_modules_own():
-    # at degree 0 the slice is M, so the table read off the scalar tables
-    # is M's own action table
+    # at degree 0 the slice is M, so the products read off the scalar
+    # tables are M's own action table, packed
     for name in corpus.names():
         inst = parse_instance(corpus.load(name))
         M = inst.module
         for ctx in (context(M, None, 0), context(M, inst.presentation, 0)):
-            assert ctx.scalar_action() == [tuple(row) for row in M.action_table]
+            pack = ctx.vectors.pack
+            assert slice_products(ctx) == [
+                tuple(pack([(0, x)]) for x in row) for row in M.action_table]
 
 
 def test_context_refuses_a_module_over_another_ring():

@@ -104,6 +104,15 @@ def test_parse_sigma_delta_forms(swap):
     assert inst.digest != swap.digest
 
 
+def test_order_given_as_a_string(z3):
+    # "order": "lex" in the file builds the order that --order lex does
+    data = dict(json.loads(serialize_instance(z3)), order="lex")
+    inst = parse_instance(json.dumps(data))
+    lex = parse_instance(serialize_instance(z3), order_override="lex")
+    assert inst.presentation.order == lex.presentation.order
+    assert inst.presentation.order.kind == "lex"
+
+
 def test_order_override_changes_digest(z3):
     text = serialize_instance(z3)
     lex = parse_instance(text, order_override="lex")
@@ -461,13 +470,20 @@ _Z2_RING = {"add": [[0, 1], [1, 0]], "mul": [[0, 0], [0, 1]]}
     {"sigma": [[False, True]]},
     {"embedding": [False, True]},
     {"module": dict(_Z2_MODULE, action=[[0, 0], [0, True]])},
+    # 5,000-character inputs are quoted by their head and length only
+    {"variables": 2, "relations": {"x" * 5000: "1"}},
+    {"ring": "Q" * 5000},
+    {"sigma": ["s" * 5000]},
+    {"k" * 5000: 1},
 ], ids=["module-add-float", "module-add-str", "module-add-int",
         "module-names-int", "ring-add-int", "ring-names-int", "sigma-float",
         "delta-float", "embedding-float", "embedding-generator-int",
         "quotient-float", "quotient-int", "relation-c-int", "relation-linear-int",
         "ut-huge-order", "zmod-5000-digits", "relation-key-5000-digits",
         "variables-bool", "ring-add-bool", "sigma-bool", "embedding-bool",
-        "module-action-bool"])
+        "module-action-bool", "relation-key-5000-chars",
+        "ring-shorthand-5000-chars", "sigma-spec-5000-chars",
+        "instance-key-5000-chars"])
 def test_malformed_instances_exit_two(instance, tmp_path, capsys):
     data = dict({"ring": "Z2", "variables": 1}, **instance)
     path = tmp_path / "instance.json"
@@ -475,7 +491,7 @@ def test_malformed_instances_exit_two(instance, tmp_path, capsys):
     assert main([str(path), "validate", "--json-only"]) == 2
     error = json.loads(capsys.readouterr().out)["error"]
     assert error["type"] in ("ParseError", "ValidationError")
-    assert error["message"]
+    assert 0 < len(error["message"]) < 200
 
 
 def _validate_exit(data, tmp_path, capsys):

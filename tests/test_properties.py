@@ -48,6 +48,7 @@ from spbw.properties import (
     _poly_from_struct,
     _quasi_armendariz_failure,
     _quasi_commutative_annihilator,
+    _reduced_failure,
     _torsion_constant,
     idempotent_stability,
     is_abelian,
@@ -67,7 +68,8 @@ from spbw.properties import (
 from spbw.skewpbw import validate_presentation
 
 import oracles
-from conftest import INSTANCES, Z8_QUASI_ARMENDARIZ_FAILS
+from conftest import (INSTANCES, Z8_QUASI_ARMENDARIZ_FAILS, packed_rows,
+                      slice_products)
 from test_annihilator import _z4_plus_z2
 
 SUITE_ORDER = [
@@ -743,11 +745,28 @@ def _z3_zero_last():
         "variables": 2, "relations": {"1,2": "1"}}))
 
 
+def _act_scalar_scan(ctx):
+    """The scan's (ok, witness) with m * r found by acting: the first (m,
+    r) in index order where act(m, r) = 0 and "every coefficient of m kills
+    r" disagree."""
+    M, R = ctx.module, ctx.presentation.ring
+    for m_idx in range(ctx.m_space):
+        mts = ctx.mterms(m_idx)
+        for r in R.elements():
+            whole = ctx.act_is_zero(mts, ((ctx.basis[0], r),))
+            if whole != all(M.action_table[v][r] == M.zero for _, v in mts):
+                return False, {"m": ctx.m_poly(m_idx).to_json(M.name),
+                               "r": R.name(r),
+                               "direction": "whole" if whole else "slotwise"}
+    return True, None
+
+
 def test_scalar_certificate_matches_the_scan():
     # the counting certificate gives the (ok, witness) of the per-(m, r)
-    # scan on every corpus context with m_space * |R| <= 10^6 (z2xz2-swap
-    # and weyl-dual-quotient fail), on UT(2,Z2) and on a zero that is not
-    # element 0
+    # scan, and the scan, which sums the scalar tables, that of acting on
+    # each (m, r), on every corpus context with m_space * |R| <= 10^6
+    # (z2xz2-swap and weyl-dual-quotient fail), on UT(2,Z2) and on a zero
+    # that is not element 0
     # (name, instance text, top degree); the corpus runs until the size cap
     sources = [(name, corpus.load(name), 99) for name in corpus.names()] + [
         ("UT(2,Z2)", '{"ring":"UT(2,Z2)","variables":1}', 2),
@@ -761,6 +780,7 @@ def test_scalar_certificate_matches_the_scan():
                 break
             got = _coefficientwise_scalar(ctx, DEFAULT_MAX_SPACE)
             assert got == _coefficientwise_scalar_scan(ctx), (name, d)
+            assert got == _act_scalar_scan(ctx), (name, d)
             seen[got[0]] += 1
     assert seen[True] and seen[False]
 
@@ -914,9 +934,9 @@ def _slice_sources():
 
 
 def test_bounded_sigma_reduced_matches_the_act_scalar_oracle(monkeypatch):
-    # the slice's action table and the first failure of the M<X> side agree
-    # with act_scalar on every module polynomial; where the square guard
-    # refuses, the table is checked on every 97th row
+    # the slice's packed products and the first failure of the M<X> side
+    # agree with act_scalar on every module polynomial; where the square
+    # guard refuses, the products are checked on every 97th row
     def no_act(*args):
         raise AssertionError("act_is_zero called")
 
@@ -926,20 +946,22 @@ def test_bounded_sigma_reduced_matches_the_act_scalar_oracle(monkeypatch):
         for d in (0, 1, 2):
             ctx = context(M, P, d)
             monkeypatch.setattr(ctx, "act_is_zero", no_act)
-            action = ctx.scalar_action()
+            products = slice_products(ctx)
             square = ctx.m_space * ctx.m_space * ctx.ring_size
             rows = range(0, ctx.m_space, 1 if square <= DEFAULT_MAX_SPACE
                          else 97)
             want = oracles.slice_scalar_action(ctx, rows)
-            assert {m: action[m] for m in rows} == want, (name, d)
+            assert {m: products[m] for m in rows} == packed_rows(ctx, want), \
+                (name, d)
             if square > DEFAULT_MAX_SPACE:
                 with pytest.raises(SearchSpaceTooLarge):
                     _bounded_sigma_reduced(ctx, DEFAULT_MAX_SPACE)
                 seen.add("refused")
                 continue
             zero = ctx.m_term_index(ctx.basis[0], M.zero)
+            table = [want[m] for m in rows]
             fail = oracles.sigma_reduced_failure(P.ring, P.sigma_tables,
-                                                 action, zero)
+                                                 table, zero)
             ok, wit = _bounded_sigma_reduced(ctx, DEFAULT_MAX_SPACE)
             assert ok is (fail is None), (name, d)
             if fail is not None:
@@ -948,8 +970,12 @@ def test_bounded_sigma_reduced_matches_the_act_scalar_oracle(monkeypatch):
                 assert (wit["side"], wit["m"], wit[key]) == (
                     side, ctx.m_poly(m).to_json(M.name), P.ring.name(x)), \
                     (name, d)
+                if side == "reduced":   # the one value decoded from packed
+                    common = _reduced_failure(table, zero)[2]
+                    assert wit["common"] == \
+                        ctx.m_poly(common).to_json(M.name), (name, d)
                 seen.add(side)
-            if ctx.pair_space <= DEFAULT_MAX_SPACE:  # reads the table too
+            if ctx.pair_space <= DEFAULT_MAX_SPACE:  # acts on no pair either
                 _torsion_constant(ctx, DEFAULT_MAX_SPACE)
     assert seen == {"refused", "sigma_compatible", "reduced"}
 

@@ -12,8 +12,9 @@ import pytest
 from spbw import corpus
 from spbw.cli import main
 from spbw.errors import SpbwError
-from spbw.finring import identity_map, zero_map, zmod
-from spbw.skewpbw import validate_presentation
+from spbw.finring import identity_map, zero_map, zmod, zmod_product
+from spbw.polymodule import ModulePoly, Submodule, act, regular_module
+from spbw.skewpbw import mul, validate_presentation
 
 _Z2_ADD = [[0, 1], [1, 0]]
 _Z2_MUL = [[0, 0], [0, 1]]
@@ -27,6 +28,17 @@ def _presentation(sigmas, deltas, relations=None):
         R = zmod(2)
         validate_presentation(R, sigmas(R), deltas(R), relations)
     return build
+
+
+def _z2x():
+    R = zmod(2)
+    return validate_presentation(R, [identity_map(R)], [zero_map(R)], {})
+
+
+def _act_over_another_ring():
+    # a second zmod(2) has equal tables but is another ring object
+    P = _z2x()
+    act(ModulePoly(regular_module(zmod(2)), P, {}), P.one_poly())
 
 
 # id: (source, error type, kind, message fragment).  A source is an API
@@ -101,6 +113,28 @@ REFUSALS = {
         _presentation(lambda R: [identity_map(R)] * 2,
                       lambda R: [zero_map(R)] * 2, {(1, 0): 1}),
         "ValidationError", "bad_relation", ""),
+    "presentation-relation-const-out-of-range": (
+        _presentation(lambda R: [identity_map(R)] * 2,
+                      lambda R: [zero_map(R)] * 2, {(0, 1): (1, 5, (0, 0))}),
+        "ValidationError", "bad_relation", "witness=(0, 1)"),
+    "presentation-relation-linear-out-of-range": (
+        _presentation(lambda R: [identity_map(R)] * 2,
+                      lambda R: [zero_map(R)] * 2, {(0, 1): (1, 0, (0, 2))}),
+        "ValidationError", "bad_relation", "witness=(0, 1)"),
+    # {0, (1,1)} in Z2xZ2 is closed under addition, but (1,1) * (0,1) is
+    # (0,1)
+    "submodule-not-closed-under-action": (
+        lambda: Submodule(regular_module(zmod_product(2, 2)),
+                          frozenset({0, 3})),
+        "ValidationError", "not_submodule", "witness=(3, 1)"),
+    "act-module-over-another-ring": (
+        _act_over_another_ring, "PresentationMismatch", None,
+        "module over a different ring"),
+    "mul-across-presentations": (
+        lambda: mul(_z2x().one_poly(), _z2x().one_poly()),
+        "PresentationMismatch", None, "different presentations"),
+    "ring-table-without-mul": (({"ring": {"add": _Z2_ADD}}, ["validate"]),
+                               "ParseError", None, "need both 'add' and 'mul'"),
     "unknown-sigma": (({"sigma": ["twist"]}, ["validate"]),
                       "ParseError", None, "unknown sigma spec"),
     "unknown-delta": (({"delta": ["twist"]}, ["validate"]),
@@ -165,7 +199,9 @@ def test_refusal(case, tmp_path, capsys):
     (["z4-regular", "ann", "2"], "  ann(2) = {0, 2} idempotent=None"),
     (["z3-trivial", "theorems", "--degree", "1"],
      "  summary: {'confirmed': 17}"),
-], ids=["validate", "mul", "act", "ann", "theorems"])
+    (["z3-trivial", "check", "skew_armendariz", "--degree", "1"],
+     "  skew_armendariz: holds_up_to_bound (degree <= 1)"),
+], ids=["validate", "mul", "act", "ann", "theorems", "bounded-check"])
 def test_human_summary_lines(argv, line, capsys):
     code = main(argv)
     captured = capsys.readouterr()
