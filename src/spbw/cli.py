@@ -2,10 +2,12 @@
 
 Instance files are JSON with shorthand strings expanding to tables; the only
 custom grammar is the polynomial literal (term := factor (* factor)*,
-factor := coefficient name | x<i>[^<k>]; the literal 0 alone is the zero
-polynomial).  Reports go to standard output as deterministic JSON (schema 1,
-sorted keys); the human-readable table and all timing information go to
-standard error so reports stay byte-identical across runs.
+factor := coefficient name | x<i>[^<k>]; a module term leads with a module
+element name, and only variables follow it; the literal 0 alone is the zero
+polynomial), one grammar read by `_terms` and `_factor`.  Reports go to
+standard output as deterministic JSON (schema 1, sorted keys); the
+human-readable table and all timing information go to standard error so
+reports stay byte-identical across runs.
 
 Exit codes: 0 everything holds/confirmed, 1 some property Fails, 2 usage,
 parse or validation error (including refused search spaces), 3 theorem
@@ -21,10 +23,12 @@ import re
 import sys
 import time
 from dataclasses import dataclass
+from functools import reduce
 
 from .annihilator import ann_in_r, idempotent_generator
 from .bounded import DEFAULT_MAX_SPACE
-from .errors import (ParseError, SpbwError, UnknownProperty, ValidationError)
+from .errors import (ParseError, SpbwError, UnknownProperty, ValidationError,
+                     clipped, quoted)
 from .finring import (HARD_ORDER_CAP, FiniteRing, RingMap, dual_z2,
                       identity_map, swap_endomorphism, upper_triangular,
                       validate_endomorphism, validate_ring,
@@ -44,6 +48,8 @@ _ZPROD_RE = re.compile(r"Z(\d+)xZ(\d+)$", re.ASCII)
 _UT_RE = re.compile(r"UT\((\d+),\s*Z(\d+)\)$", re.ASCII)
 _VAR_RE = re.compile(r"x(\d+)(?:\^(\d+))?$", re.ASCII)
 _PAIR_RE = re.compile(r"(\d+)\s*,\s*(\d+)$", re.ASCII)
+# a string as repr() spells it, the form argparse quotes a refused input in
+_REPR_RE = re.compile(r"'(?:[^'\\]|\\.)*'" r'|"(?:[^"\\]|\\.)*"')
 
 # Fixed ceiling on the total degree of one term of a polynomial literal.
 # A product fills normal-form table entries for the smaller monomials it
@@ -53,13 +59,6 @@ HARD_DEGREE_CAP = 64
 
 _INSTANCE_KEYS = {"label", "ring", "variables", "sigma", "delta", "relations",
                   "module", "embedding", "order"}
-
-
-def _quoted(value) -> str:
-    """repr(value) for ParseError messages; past 80 characters only its
-    head and length, so a refused input is never echoed whole."""
-    text = repr(value)
-    return text if len(text) <= 80 else f"{text[:80]}... ({len(text)} characters)"
 
 
 @dataclass(frozen=True)
@@ -80,7 +79,7 @@ def _number(digits: str) -> int:
         raise ValidationError("bad_table", witness=len(digits), message=(
             f"a {len(digits)}-digit number in a ring shorthand exceeds the "
             f"order cap {HARD_ORDER_CAP}"))
-    return int(digits)
+    return _small(digits)
 
 
 def _parse_ring(spec) -> FiniteRing:
@@ -96,11 +95,11 @@ def _parse_ring(spec) -> FiniteRing:
         m = _ZMOD_RE.fullmatch(spec)
         if m:
             return zmod(_number(m.group(1)))
-        raise ParseError(f"unknown ring shorthand {_quoted(spec)}")
+        raise ParseError(f"unknown ring shorthand {quoted(spec)}")
     if isinstance(spec, dict):
         extra = set(spec) - {"add", "mul", "names", "label"}
         if extra:
-            raise ParseError(f"unknown ring table keys {_quoted(sorted(extra))}")
+            raise ParseError(f"unknown ring table keys {quoted(sorted(extra))}")
         if "add" not in spec or "mul" not in spec:
             raise ParseError("ring tables need both 'add' and 'mul'")
         return validate_ring(spec["add"], spec["mul"],
@@ -116,7 +115,7 @@ def _parse_sigma(ring: FiniteRing, spec) -> RingMap:
         return swap_endomorphism(ring)
     if isinstance(spec, list):
         return validate_endomorphism(ring, spec)
-    raise ParseError(f"unknown sigma spec {_quoted(spec)}")
+    raise ParseError(f"unknown sigma spec {quoted(spec)}")
 
 
 def _parse_delta(ring: FiniteRing, sigma: RingMap, spec) -> RingMap:
@@ -124,7 +123,7 @@ def _parse_delta(ring: FiniteRing, sigma: RingMap, spec) -> RingMap:
         return zero_map(ring, sigma)
     if isinstance(spec, list):
         return validate_sigma_derivation(ring, sigma, spec)
-    raise ParseError(f"unknown delta spec {_quoted(spec)}")
+    raise ParseError(f"unknown delta spec {quoted(spec)}")
 
 
 def _canon_map(m: RingMap, shorthand) -> object:
@@ -140,7 +139,7 @@ def _parse_relations(ring: FiniteRing, n: int, spec) -> tuple[dict, dict]:
     relations = {}
     canonical = {}
     for key in sorted(spec):
-        m, shown = _PAIR_RE.fullmatch(key), _quoted(key)
+        m, shown = _PAIR_RE.fullmatch(key), quoted(key)
         if not m:
             raise ParseError(f"bad relation key {shown}, expected 'i,j'")
         i, j = _small(m.group(1)), _small(m.group(2))
@@ -153,7 +152,7 @@ def _parse_relations(ring: FiniteRing, n: int, spec) -> tuple[dict, dict]:
             raise ParseError(f"relation {shown} needs at least a 'c' entry")
         extra = set(val) - {"c", "const", "linear"}
         if extra:
-            raise ParseError(f"unknown relation keys {_quoted(sorted(extra))} at {shown}")
+            raise ParseError(f"unknown relation keys {quoted(sorted(extra))} at {shown}")
         c = ring.element_index(val["c"])
         const = ring.element_index(val.get("const", ring.name(ring.zero)))
         linear_names = val.get("linear", [ring.name(ring.zero)] * n)
@@ -179,7 +178,7 @@ def _parse_module(ring: FiniteRing, spec) -> tuple[RightModule, object]:
     if isinstance(spec, dict):
         extra = set(spec) - {"add", "action", "names", "label"}
         if extra:
-            raise ParseError(f"unknown module table keys {_quoted(sorted(extra))}")
+            raise ParseError(f"unknown module table keys {quoted(sorted(extra))}")
         if "add" not in spec or "action" not in spec:
             raise ParseError("module tables need both 'add' and 'action'")
         M = validate_module(ring, spec["add"], spec["action"],
@@ -241,7 +240,7 @@ def parse_instance(text: str, order_override: str | None = None,
         raise ParseError("instance file must be a JSON object")
     extra = set(data) - _INSTANCE_KEYS
     if extra:
-        raise ParseError(f"unknown instance keys {_quoted(sorted(extra))}")
+        raise ParseError(f"unknown instance keys {quoted(sorted(extra))}")
     if "ring" not in data or "variables" not in data:
         raise ParseError("instance needs 'ring' and 'variables'")
     n = data["variables"]
@@ -299,89 +298,69 @@ def serialize_instance(inst: InstanceFile) -> str:
 
 
 def _small(digits: str) -> int:
-    """int(digits), or HARD_DEGREE_CAP + 1 when it has over nine digits: past
-    every cap here, and int() refuses 4,300 digits and more."""
-    return int(digits) if len(digits.lstrip("0")) <= 9 else HARD_DEGREE_CAP + 1
+    """int(digits), or HARD_DEGREE_CAP + 1 when it has over nine digits
+    past its leading zeros: past every cap here, and int() refuses 4,300
+    digits and more, leading zeros included."""
+    digits = digits.lstrip("0")
+    return int(digits or "0") if len(digits) <= 9 else HARD_DEGREE_CAP + 1
 
 
-def _check_degree(term_txt: str, factors) -> None:
-    """Refuse a term whose factors x<i>^<k> have total degree over
-    HARD_DEGREE_CAP, before any monomial is built."""
-    degree = 0
-    for factor in factors:
-        mv = _VAR_RE.fullmatch(factor)
-        if mv:
-            degree += _small(mv.group(2) or "1")
-    if degree > HARD_DEGREE_CAP:
-        raise ParseError(f"term {term_txt!r} exceeds the degree cap "
-                         f"{HARD_DEGREE_CAP}")
+def _terms(text: str, module: bool = False):
+    """Each term of a literal with its factors; none for the literal 0.
+    Whitespace is dropped.  An empty literal or term is refused, so is a
+    module term led by a variable, and a term whose variable powers add up
+    past HARD_DEGREE_CAP, before any monomial is built."""
+    s = "".join(text.split())
+    if not s:
+        raise ParseError(f"empty {'module ' if module else ''}polynomial literal")
+    if s == "0":  # the zero polynomial, spelled as to_string prints it
+        return
+    for term in s.split("+"):
+        if not term:
+            raise ParseError(f"empty term in {quoted(text)}")
+        factors = term.split("*")
+        if module and _VAR_RE.fullmatch(factors[0]):
+            raise ParseError(
+                f"module term {quoted(term)} must start with a module element")
+        powers = filter(None, map(_VAR_RE.fullmatch, factors))
+        if sum(_small(mv.group(2) or "1") for mv in powers) > HARD_DEGREE_CAP:
+            raise ParseError(f"term {quoted(term)} exceeds the degree cap "
+                             f"{HARD_DEGREE_CAP}")
+        yield term, factors
 
 
-def _variable(P: SkewPbwPresentation, factor: str) -> SkewPoly | None:
-    """The monomial a factor x<i>[^<k>] stands for; None for any other
-    factor.  Its term has passed `_check_degree`."""
+def _factor(P: SkewPbwPresentation, factor: str,
+            module_term: str | None = None) -> SkewPoly:
+    """The monomial x<i>[^<k>] stands for, else the ring element named
+    `factor`, except past the leading element of `module_term`, where only
+    variables may follow."""
     mv = _VAR_RE.fullmatch(factor)
-    if not mv:
-        return None
-    i, k = _small(mv.group(1)), int(mv.group(2) or "1")
+    if mv is None:
+        if module_term is not None:
+            raise ParseError(f"module term {quoted(module_term)}: only "
+                             f"variables may follow the module element")
+        return P.constant(P.ring.element_index(factor))
+    i, k = _small(mv.group(1)), _small(mv.group(2) or "1")
     if not 1 <= i <= P.n:
-        raise ParseError(f"unknown variable x{mv.group(1).lstrip('0') or 0} "
-                         f"(n={P.n})")
+        name = "x" + (mv.group(1).lstrip("0") or "0")
+        raise ParseError(f"unknown variable {clipped(name)} (n={P.n})")
     return P.monomial_poly(tuple(k if j == i - 1 else 0 for j in range(P.n)))
 
 
 def parse_poly(P: SkewPbwPresentation, text: str) -> SkewPoly:
     """term (+ term)*, term = factor (* factor)*; factors multiply in the
     skew ring in their written order, so 'x1*2' and '2*x1' may differ."""
-    s = "".join(text.split())
-    if not s:
-        raise ParseError("empty polynomial literal")
-    total = P.zero_poly()
-    if s == "0":  # the zero polynomial, spelled as to_string prints it
-        return total
-    for term_txt in s.split("+"):
-        if not term_txt:
-            raise ParseError(f"empty term in {text!r}")
-        factors = term_txt.split("*")
-        _check_degree(term_txt, factors)
-        acc = P.one_poly()
-        for factor in factors:
-            var = _variable(P, factor)
-            if var is None:
-                var = P.constant(P.ring.element_index(factor))
-            acc = mul(acc, var)
-        total = total + acc
-    return total
+    return sum((reduce(mul, (_factor(P, f) for f in factors), P.one_poly())
+                for _, factors in _terms(text)), P.zero_poly())
 
 
 def parse_mpoly(M: RightModule, P: SkewPbwPresentation, text: str) -> ModulePoly:
     """Module polynomial literal: every term starts with a module element
     name, followed by variable factors acted on from the right."""
-    s = "".join(text.split())
-    if not s:
-        raise ParseError("empty module polynomial literal")
-    total = module_poly(M, P, ())
-    if s == "0":  # the zero polynomial, spelled as to_string prints it
-        return total
-    for term_txt in s.split("+"):
-        factors = term_txt.split("*")
-        if not factors or not factors[0]:
-            raise ParseError(f"empty term in {text!r}")
-        if _VAR_RE.fullmatch(factors[0]):
-            raise ParseError(
-                f"module term {term_txt!r} must start with a module element")
-        _check_degree(term_txt, factors[1:])
-        m = M.element_index(factors[0])
-        mp = module_poly(M, P, [((0,) * P.n, m)])
-        for factor in factors[1:]:
-            var = _variable(P, factor)
-            if var is None:
-                raise ParseError(
-                    f"module term {term_txt!r}: only variables may follow "
-                    f"the module element")
-            mp = act(mp, var)
-        total = total + mp
-    return total
+    return sum((reduce(act, (_factor(P, f, term) for f in factors),
+                       module_poly(M, P, [((0,) * P.n, M.element_index(m))]))
+                for term, (m, *factors) in _terms(text, module=True)),
+               module_poly(M, P, ()))
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +424,7 @@ def run_command(inst: InstanceFile, command: str, args: list,
             raise ParseError("check needs exactly one property name")
         decide = DECIDERS.get(args[0])
         if decide is None:
-            raise UnknownProperty(f"unknown property {args[0]!r}; "
+            raise UnknownProperty(f"unknown property {quoted(args[0])}; "
                                   f"choose from {', '.join(DECIDERS)}")
         verdict = decide(M, P, degree, max_space)
         report["result"] = verdict.to_json()
@@ -462,7 +441,7 @@ def run_command(inst: InstanceFile, command: str, args: list,
         if any(r.status == VIOLATION for r in reports):
             code = 3
     else:
-        raise ParseError(f"unknown command {command!r}")
+        raise ParseError(f"unknown command {quoted(command)}")
     return report, code
 
 
@@ -507,6 +486,7 @@ def _human_summary(report: dict, elapsed: float, out) -> None:
 
 def _load_instance_text(arg: str) -> str:
     from . import corpus
+    shown = quoted(arg)
     try:
         with open(arg, "r", encoding="utf-8") as fh:
             return fh.read()
@@ -514,24 +494,25 @@ def _load_instance_text(arg: str) -> str:
         try:
             return corpus.load(arg)
         except KeyError:
-            raise ParseError(f"no such file or corpus instance: {arg!r}") from None
+            raise ParseError(f"no such file or corpus instance: {shown}") from None
     except UnicodeDecodeError as exc:
-        raise ParseError(f"instance file {arg!r} is not UTF-8 text "
+        raise ParseError(f"instance file {shown} is not UTF-8 text "
                          f"(byte {exc.start})") from None
     except OSError as exc:
-        raise ParseError(f"cannot read instance file {arg!r}: "
+        raise ParseError(f"cannot read instance file {shown}: "
                          f"{exc.strerror}") from None
     except ValueError:
         # open() refuses a path with a NUL byte before touching the disk
-        raise ParseError(f"instance path {arg!r} holds a NUL byte") from None
+        raise ParseError(f"instance path {shown} holds a NUL byte") from None
 
 
 class _ArgumentParser(argparse.ArgumentParser):
-    """Usage errors exit 2 with the structured error of any refused input."""
+    """Usage errors exit 2 with the structured error of any refused input,
+    each input argparse quotes in it `clipped`."""
 
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise ParseError(message)
+        raise ParseError(_REPR_RE.sub(lambda m: clipped(m.group()), message))
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -8,6 +8,17 @@ instead of parsing messages.
 from __future__ import annotations
 
 
+def clipped(text: str) -> str:
+    """`text` whole up to 80 characters, else its first 80 and its length,
+    so an error message never echoes a refused input whole."""
+    return text if len(text) <= 80 else f"{text[:80]}... ({len(text)} characters)"
+
+
+def quoted(value) -> str:
+    """repr(value) for error messages, `clipped`."""
+    return clipped(repr(value))
+
+
 class SpbwError(Exception):
     """Base class for every error raised by this package."""
 

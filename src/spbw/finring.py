@@ -27,7 +27,7 @@ import re
 import warnings
 from dataclasses import dataclass, field
 
-from .errors import ValidationError
+from .errors import ValidationError, quoted
 
 _VAR_SHAPE = re.compile(r"x\d+(\^\d+)?")
 # A canonical spelling e<j> (rings) or m<j> (modules); group 2 is j's
@@ -103,7 +103,7 @@ class AdditiveCarrier:
                     and int(m.group(2)) < self.order):
                 return int(m.group(2))
         raise ValidationError("unknown_element", witness=name,
-                              message=f"unknown {self._kind} element name {name!r}")
+                              message=f"unknown {self._kind} element name {quoted(name)}")
 
     def __repr__(self):
         return f"{type(self).__name__}({self.label or 'order ' + str(self.order)})"
@@ -199,7 +199,7 @@ def check_names(names, order: int, prefix: str) -> tuple:
         m = _CANONICAL.fullmatch(n)
         if m and m.group(2) != str(i):
             raise ValidationError("bad_table", witness="names",
-                                  message=f"name {n!r} on element {i} is the "
+                                  message=f"name {quoted(n)} on element {i} is the "
                                           f"canonical spelling of another element")
     return names
 

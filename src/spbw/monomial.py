@@ -13,7 +13,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .errors import ValidationError
+from .errors import ValidationError, clipped
 
 Exponent = tuple
 # Most monomials a degree bound may give: every guarded space, at most
@@ -74,7 +74,7 @@ def enumerate_upto(n: int, d: int, order: MonomialOrder | None = None):
     """
     if d < 0 or math.comb(n + d, n) > MAX_BASIS:
         raise ValidationError("bad_input", witness=d, message=(
-            f"degree bound {d} in {n} variables: need d >= 0 and at most {MAX_BASIS} monomials"))
+            f"degree bound {clipped(str(d))} in {n} variables: need d >= 0 and at most {MAX_BASIS} monomials"))
     if order is None:
         order = default_order(n)
     out = []

@@ -282,13 +282,20 @@ def _meet_closure(seeds: dict, limit: int) -> dict:
 
 
 def _pp_family(ctx: BoundedContext, max_space: int):
-    """Kernel rows {f : act(m, f) = 0}, keyed by m_idx."""
-    return _first_outside(ctx, max_space, ctx.kernel(max_space).items())
+    """Kernel rows {f : act(m, f) = 0}, keyed by m_idx, at the orbit minima
+    only: phi_lam maps each coeff_set(eR) onto itself (eR a right ideal,
+    lam^beta a unit) and n * m has m's row, so the first m whose row is no
+    e A_{<=d} is a minimum."""
+    kern = ctx.kernel(max_space)
+    return _first_outside(ctx, max_space, ((m, kern[m]) for m in ctx.minima()))
 
 
 def _pq_baer_family(ctx: BoundedContext, max_space: int):
-    """`ann_am_rows` rows, the bounded ann(mA), keyed by m_idx."""
-    return _first_outside(ctx, max_space, ctx.ann_am_rows(max_space).items())
+    """`ann_am_rows` rows, the bounded ann(mA), keyed by m_idx, at the orbit
+    minima only, as the first m outside is one: phi_lam maps each
+    coeff_set(eR) onto itself and n * m has m's row, as in `_pp_family`."""
+    rows = ctx.ann_am_rows(max_space)
+    return _first_outside(ctx, max_space, ((m, rows[m]) for m in ctx.minima()))
 
 
 def _quasi_baer_family(ctx: BoundedContext, max_space: int):
@@ -379,7 +386,8 @@ def _row_failure(ctx: BoundedContext, rows: dict, key, allowed,
     fixes; correspondence and mixed products, ann_R of a coefficient set is
     kept by n and central units; constants, phi_lam fixes them;
     quasi-Armendariz, term by term; torsion, lc(phi_lam f) is lc(f) times
-    a unit; ann(mA), phi_lam maps the middles' span onto itself."""
+    a unit; ann(mA), phi_lam maps the middles' span onto itself; pp and
+    pq-Baer, phi_lam maps each coeff_set(eR) onto itself."""
     sets = {}   # key -> coeff_set(allowed(key))
     for m_idx in ctx.minima():
         k = key(m_idx)

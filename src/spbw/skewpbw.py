@@ -567,8 +567,6 @@ def check_consistency(P: SkewPbwPresentation, bound: int = 4,
             alpha = [0] * n
             for _ in range(rng.randrange(0, bound + 1)):
                 alpha[rng.randrange(n)] += 1
-            if sum(alpha) > bound:
-                continue
             terms[tuple(alpha)] = rng.randrange(R.order)
         return P.from_terms(terms)
 

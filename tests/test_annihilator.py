@@ -23,7 +23,8 @@ from spbw.finring import (dual_z2, dual_z2_derivation, identity_map,
                           validate_sigma_derivation, zero_map, zmod)
 from spbw.polymodule import (module_poly, quotient_module, regular_module,
                              validate_module)
-from spbw.properties import _quasi_armendariz_failure
+from spbw.properties import (_first_outside, _pp_family,
+                             _pq_baer_family, _quasi_armendariz_failure)
 from spbw.skewpbw import validate_presentation
 
 import oracles
@@ -655,6 +656,23 @@ def test_rows_move_with_the_group():
                 assert ann[gm] == {phi[f] for f in ann[m_idx]}, (case, g)
                 moved.add(kern[gm] != kern[m_idx])
     assert moved == {True, False}
+
+
+def test_pp_and_pq_baer_families_at_the_minima_match_every_m():
+    # the first m whose kernel or ann(mA) row is no coeff_set(eR) is an
+    # orbit minimum, with the row a scan of every m finds, on every context
+    # of the orbit test within the default budget
+    found, moved = set(), set()
+    for case, ctx in _orbit_contexts():
+        if ctx.pair_space > bounded.DEFAULT_MAX_SPACE:
+            continue
+        for family, rows in ((_pp_family, ctx.kernel()),
+                             (_pq_baer_family, ctx.ann_am_rows())):
+            want = _first_outside(ctx, bounded.DEFAULT_MAX_SPACE, rows.items())
+            assert family(ctx, bounded.DEFAULT_MAX_SPACE) == want, case
+            found.add(want is not None)
+            moved.add(want is not None and any(ctx._lam))
+    assert found == {True, False} and True in moved
 
 
 def test_torus_is_trivial_without_quasi_commutativity_or_units():

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import re
 import time
 from pathlib import Path
 
@@ -326,15 +327,18 @@ def test_main_mul_at_the_degree_cap(text, left, right, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("case", ["directory", "not-utf8", "nul-byte"])
-def test_main_unreadable_instance_path_exit_two(case, tmp_path, capsys):
+def test_main_unreadable_instance_path_exit_two(case, tmp_path, monkeypatch,
+                                                capsys):
     # a directory, a file that is not UTF-8 and a path with a NUL byte each
-    # get a structured error, not a traceback
+    # get a structured error, not a traceback; the path is relative, so it
+    # is under 80 characters and quoted whole
+    monkeypatch.chdir(tmp_path)
     path = tmp_path / "bad.json"
     if case == "directory":
         path.mkdir()
     elif case == "not-utf8":
         path.write_bytes(b"\xff\xfe{}")
-    arg = str(path) + ("\0.json" if case == "nul-byte" else "")
+    arg = "bad.json" + ("\0.json" if case == "nul-byte" else "")
     assert main([arg, "validate", "--json-only"]) == 2
     payload = json.loads(capsys.readouterr().out)
     assert payload["error"]["type"] == "ParseError"
@@ -475,6 +479,7 @@ _Z2_RING = {"add": [[0, 1], [1, 0]], "mul": [[0, 0], [0, 1]]}
     {"ring": "Q" * 5000},
     {"sigma": ["s" * 5000]},
     {"k" * 5000: 1},
+    {"ring": dict(_Z2_RING, names=["e" + "5" * 5000, "b"])},
 ], ids=["module-add-float", "module-add-str", "module-add-int",
         "module-names-int", "ring-add-int", "ring-names-int", "sigma-float",
         "delta-float", "embedding-float", "embedding-generator-int",
@@ -483,7 +488,7 @@ _Z2_RING = {"add": [[0, 1], [1, 0]], "mul": [[0, 0], [0, 1]]}
         "variables-bool", "ring-add-bool", "sigma-bool", "embedding-bool",
         "module-action-bool", "relation-key-5000-chars",
         "ring-shorthand-5000-chars", "sigma-spec-5000-chars",
-        "instance-key-5000-chars"])
+        "instance-key-5000-chars", "canonical-name-5000-chars"])
 def test_malformed_instances_exit_two(instance, tmp_path, capsys):
     data = dict({"ring": "Z2", "variables": 1}, **instance)
     path = tmp_path / "instance.json"
@@ -549,6 +554,76 @@ def test_polynomial_literals_at_the_degree_cap_parse(z3):
     P = z3.presentation
     assert parse_poly(P, "x1^32*x2^32").terms == {(32, 32): 1}
     assert parse_mpoly(z3.module, P, "1*x2^64").terms == {(0, 64): 1}
+
+
+def test_digits_past_leading_zeros_are_read_as_their_value(z3, tmp_path,
+                                                           capsys):
+    # 5,000 leading zeros are no number of 5,000 digits, which int() refuses
+    zeros = "0" * 5000
+    P = z3.presentation
+    assert parse_poly(P, f"x{zeros}2^{zeros}3") == parse_poly(P, "x2^3")
+    assert parse_mpoly(z3.module, P, f"1*x{zeros}1") == \
+        parse_mpoly(z3.module, P, "1*x1")
+    assert main(["z3-trivial", "mul", f"x1^{zeros}65", "1", "--json-only"]) == 2
+    assert "degree cap" in json.loads(capsys.readouterr().out)["error"]["message"]
+    code, out = _validate_exit({"ring": f"Z{zeros}7", "variables": 2,
+                                "relations": {f"{zeros}1,{zeros}2": "1"}},
+                               tmp_path, capsys)
+    assert code == 0
+    assert out["result"]["ring_order"] == 7
+    assert out["result"]["canonical"]["relations"] == {
+        "1,2": {"c": "1", "const": "0", "linear": ["0", "0"]}}
+
+
+_LONG = "q" * 3000
+
+
+@pytest.mark.parametrize("argv", [
+    ["z3-trivial", "mul", "x1^" + "9" * 3000, "1"],
+    ["z3-trivial", "act", "x1" + "*x1" * 1000, "1"],
+    ["z3-trivial", "act", "1*2" + "*1" * 1500, "1"],
+    ["z3-trivial", "mul", "1+" * 1500 + "+1", "1"],
+    ["z3-trivial", "mul", "x" + "3" * 3000, "1"],
+    ["x/" * 1500, "validate"],
+    ["./" * 1500 + "latin1.json", "validate"],
+    ["./" * 1500, "validate"],
+    ["\0" * 3000, "validate"],
+    ["z3-trivial", "c" * 3000],
+    ["z3-trivial", "check", _LONG],
+    ["z3-trivial", "ann", _LONG],
+    ["z3-trivial", "mul", _LONG, "1"],
+    ["z3-trivial", "act", _LONG, "1"],
+    ["z3-trivial", "theorems", "--degree", "9" * 3000],
+    ["z3-trivial", "theorems", "--degree", "9" * 5000],
+    ["z3-trivial", "theorems", "--order", "o" * 3000],
+], ids=["term-past-the-degree-cap", "module-term-led-by-a-variable",
+        "module-term-with-a-scalar-factor", "empty-term", "unknown-variable",
+        "no-such-instance", "instance-not-utf8", "instance-unreadable",
+        "instance-path-nul", "unknown-command", "unknown-property",
+        "ann-element", "literal-coefficient", "module-element",
+        "degree-past-the-basis-cap", "degree-not-an-int", "order-not-a-choice"])
+def test_long_inputs_are_quoted_by_head_and_length(argv, tmp_path,
+                                                   monkeypatch, capsys):
+    # every site that echoes an input quotes its first 80 characters and
+    # its length past 80; the list of choices a refused name is given is
+    # fixed, so only the message before it is measured
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "latin1.json").write_bytes(b"\xff\xfe")
+    assert main(argv + ["--json-only"]) == 2
+    out = capsys.readouterr().out
+    assert len(out.encode()) < 400
+    error = json.loads(out)["error"]
+    assert error["type"] in ("ParseError", "ValidationError", "UnknownProperty")
+    assert "characters)" in error["message"]
+    assert 0 < len(re.split(r";? \(?choose from", error["message"])[0]) < 200
+
+
+def test_run_command_quotes_an_unknown_command(z3):
+    with pytest.raises(ParseError) as exc:
+        run_command(z3, "c" * 3000, [], {})
+    assert len(str(exc.value)) < 200
+    with pytest.raises(ParseError, match=r"^unknown command 'frob'$"):
+        run_command(z3, "frob", [], {})
 
 
 def test_zero_that_is_not_element_0_decides_like_z3(tmp_path, capsys):

@@ -156,6 +156,13 @@ REFUSALS = {
                            "ParseError", None, "'delta' must list 1 maps"),
     "empty-module-term": (("z3-trivial", ["act", "1+", "1"]),
                           "ParseError", None, "empty term"),
+    # a term led by '*' reads '' as its first factor, in both kinds of literal
+    "ring-term-led-by-star": (
+        ("z3-trivial", ["mul", "*x1", "1"]), "ValidationError",
+        "unknown_element", "unknown ring element name ''"),
+    "module-term-led-by-star": (
+        ("z3-trivial", ["act", "*x1", "1"]), "ValidationError",
+        "unknown_element", "unknown module element name ''"),
     "act-argument-count": (("z3-trivial", ["act", "1"]),
                            "ParseError", None, "act needs"),
     "ann-argument-count": (("z3-trivial", ["ann"]),
