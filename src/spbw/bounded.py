@@ -641,7 +641,7 @@ def context(module: RightModule, presentation: SkewPbwPresentation | None,
     if ctx is None:
         if presentation is None:
             presentation = SkewPbwPresentation(module.ring, [], [], {}, {}, {},
-                                               default_order(0), True, True)
+                                               default_order(0))
         ctx = module._contexts[key] = BoundedContext(module, presentation,
                                                      degree)
     return ctx

@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import re
 import sys
 import time
@@ -544,7 +545,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     t0 = time.monotonic()
-    ns = None
+    ns = note = None
     try:
         ns = parser.parse_args(argv)
         text = _load_instance_text(ns.instance)
@@ -553,19 +554,26 @@ def main(argv=None) -> int:
                    "seed": ns.seed}
         report, code = run_command(inst, ns.command, ns.args, options)
     except SpbwError as exc:
-        err = {"schema": 1, "error": {"type": type(exc).__name__,
-                                      "message": str(exc)}}
+        report = {"schema": 1, "error": {"type": type(exc).__name__,
+                                         "message": str(exc)}}
+        code, note = 2, f"error: {exc}"
         for attr in ("kind", "space", "limit", "what", "size", "line", "col"):
             v = getattr(exc, attr, None)
             if v is not None:
-                err["error"][attr] = v
-        print(json.dumps(err, indent=2, sort_keys=True))
-        if ns is None or not ns.json_only:
-            print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(json.dumps(report, indent=2, sort_keys=True))
-    if not ns.json_only:
-        _human_summary(report, time.monotonic() - t0, sys.stderr)
+                report["error"][attr] = v
+    try:
+        print(json.dumps(report, indent=2, sort_keys=True), flush=True)
+    except BrokenPipeError:
+        # stdout's reader is gone: drop the rest and keep the exit-time
+        # flush quiet, so the run keeps the exit code it earned
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    if ns is None or not ns.json_only:
+        if note:
+            print(note, file=sys.stderr)
+        else:
+            _human_summary(report, time.monotonic() - t0, sys.stderr)
     return code
 
 

@@ -278,10 +278,6 @@ class RingMap:
     def __call__(self, a: int) -> int:
         return self.table[a]
 
-    def is_zero(self) -> bool:
-        z = self.ring.zero
-        return all(v == z for v in self.table)
-
 
 def validate_endomorphism(ring: FiniteRing, table) -> RingMap:
     """Unital injective ring endomorphism.  Kinds raised: not_additive,
@@ -363,44 +359,18 @@ def is_central(ring: FiniteRing, c: int) -> bool:
 # closure monoids of maps
 
 
-@dataclass(frozen=True)
-class MonoidElement:
-    table: tuple
-    word: tuple  # indices into the generator list; () is the identity
-
-    def __call__(self, a: int) -> int:
-        return self.table[a]
-
-
-@dataclass(frozen=True)
-class MapMonoid:
-    """The finite monoid generated by a family of self-maps under composition.
-
-    Elements are discovered breadth first, so each carries a shortest
-    generator word; the identity is always element 0.
-    """
-
-    ring: FiniteRing = field(compare=False)
-    labels: tuple
-    elements: tuple
-
-    def __len__(self):
-        return len(self.elements)
-
-    def describe(self, el: MonoidElement) -> str:
-        if not el.word:
-            return "id"
-        return ".".join(self.labels[i] for i in el.word)
-
-
-def closure_monoid(ring: FiniteRing, maps, labels) -> MapMonoid:
-    """Close the given maps, named by `labels` in order, under composition
-    (left map applied last).
+def closure_monoid(ring: FiniteRing, maps, labels) -> list:
+    """The closure of the given maps, named by `labels` in order, under
+    composition, as (label, table) pairs: breadth first, shortest words
+    first, ties broken by generator index, the identity first as "id".  A
+    composite's label joins its generators' labels by ".", the leftmost map
+    applied last.
 
     The closure of k maps on a ring of order q has at most q**q elements;
     in practice the twist monoids here stay tiny.
     """
     gens = [tuple(m.table) if isinstance(m, RingMap) else tuple(m) for m in maps]
+    labels = tuple(labels)
     ident = tuple(range(ring.order))
     seen = {ident: ()}
     queue = [ident]
@@ -414,9 +384,8 @@ def closure_monoid(ring: FiniteRing, maps, labels) -> MapMonoid:
                     seen[comp] = (gi,) + seen[tab]
                     nxt.append(comp)
         queue = nxt
-    els = tuple(MonoidElement(t, w)
-                for t, w in sorted(seen.items(), key=lambda kv: (len(kv[1]), kv[1])))
-    return MapMonoid(ring, tuple(labels), els)
+    return [(".".join(labels[i] for i in w) if w else "id", t)
+            for t, w in sorted(seen.items(), key=lambda kv: (len(kv[1]), kv[1]))]
 
 
 # ---------------------------------------------------------------------------

@@ -135,12 +135,6 @@ def _twist_tables(P: SkewPbwPresentation, kinds: str) -> dict:
 # exact deciders
 
 
-def _twist_monoid(P: SkewPbwPresentation, kinds: str):
-    """The closure monoid of the `_twist_tables` maps, under their labels."""
-    tables = _twist_tables(P, kinds)
-    return closure_monoid(P.ring, tables.values(), tables)
-
-
 def _reduced_failure(action, zero):
     """The first (m, a, x), m then a in index order, with m * a = 0 and x a
     nonzero element of both the orbit mR and the image Ma, or None: the
@@ -163,12 +157,15 @@ def _reduced_failure(action, zero):
     return None
 
 
-def _twist_failure(action, zero, monoid, forward_only: bool):
-    """The first (m, r, g, base), m then r in index order and g in monoid
-    order, where base = (m * r = 0) and m * g(r) = 0 disagree, or None.
-    forward_only looks only where m * r = 0: that g keeps annihilation.
-    The identity, first in monoid order, never disagrees, so it is skipped."""
-    maps = monoid.elements[1:]
+def _twist_failure(action, zero, P: SkewPbwPresentation, kinds: str,
+                   forward_only: bool):
+    """The first (m, r, label, base), m then r in index order and the map g
+    in `closure_monoid` order over the `_twist_tables` maps of `kinds`, where
+    base = (m * r = 0) and m * g(r) = 0 disagree, or None.  forward_only
+    looks only where m * r = 0: that g keeps annihilation.  The identity,
+    first in closure order, never disagrees, so it is skipped."""
+    tables = _twist_tables(P, kinds)
+    maps = closure_monoid(P.ring, tables.values(), tables)[1:]
     if not maps:
         return None
     for m, row in enumerate(action):
@@ -176,9 +173,9 @@ def _twist_failure(action, zero, monoid, forward_only: bool):
             base = v == zero
             if forward_only and not base:
                 continue
-            for g in maps:
-                if (row[g.table[r]] == zero) != base:
-                    return m, r, g, base
+            for label, g in maps:
+                if (row[g[r]] == zero) != base:
+                    return m, r, label, base
     return None
 
 
@@ -193,24 +190,22 @@ def is_reduced(M: RightModule) -> PropertyVerdict:
 
 
 def is_sigma_compatible(M: RightModule, P: SkewPbwPresentation) -> PropertyVerdict:
-    monoid = _twist_monoid(P, "s")
-    found = _twist_failure(M.action_table, M.zero, monoid, False)
+    found = _twist_failure(M.action_table, M.zero, P, "s", False)
     if found is None:
         return PropertyVerdict("sigma_compatible", HOLDS)
     m, r, g, base = found
     return PropertyVerdict("sigma_compatible", FAILS, {
-        "m": M.name(m), "r": P.ring.name(r), "map": monoid.describe(g),
+        "m": M.name(m), "r": P.ring.name(r), "map": g,
         "direction": "forward" if base else "backward"})
 
 
 def is_delta_compatible(M: RightModule, P: SkewPbwPresentation) -> PropertyVerdict:
-    monoid = _twist_monoid(P, "d")
-    found = _twist_failure(M.action_table, M.zero, monoid, True)
+    found = _twist_failure(M.action_table, M.zero, P, "d", True)
     if found is None:
         return PropertyVerdict("delta_compatible", HOLDS)
     m, r, g, _ = found
     return PropertyVerdict("delta_compatible", FAILS, {
-        "m": M.name(m), "r": P.ring.name(r), "map": monoid.describe(g)})
+        "m": M.name(m), "r": P.ring.name(r), "map": g})
 
 
 def is_abelian(M: RightModule) -> PropertyVerdict:
@@ -567,13 +562,12 @@ def _map_annihilation(M: RightModule, P: SkewPbwPresentation):
     (iv) (ma) r = 0 iff (m sigma_i(a)) sigma_i(r) = 0 (C and (i)) iff
         (m sigma_i(a)) r = 0 ((i) at m sigma_i(a)).
     (v) (ma) r = 0 gives (m delta_i(a)) r = 0: (iii) with b = r."""
-    mixed = _twist_monoid(P, "sd")
-    found = _twist_failure(M.action_table, M.zero, mixed, True)
+    found = _twist_failure(M.action_table, M.zero, P, "sd", True)
     if found is None:
         return True, None
     m, a, g, _ = found
     return False, {"part": "closure", "m": M.name(m), "a": P.ring.name(a),
-                   "map": mixed.describe(g)}
+                   "map": g}
 
 
 def _coefficientwise_scalar(ctx: BoundedContext, max_space: int):
@@ -633,15 +627,14 @@ def _bounded_sigma_reduced(ctx: BoundedContext, max_space: int):
     R = ctx.presentation.ring
     ctx.guard(ctx.m_space * ctx.m_space * R.order, max_space,
               "bounded module-poly square")
-    monoid = _twist_monoid(ctx.presentation, "s")
     vecs = ctx.vectors
     action = list(zip(*[half_sums(phi, vecs) for phi in ctx.scalar_tables()]))
-    found = _twist_failure(action, 0, monoid, False)
+    found = _twist_failure(action, 0, ctx.presentation, "s", False)
     if found is not None:
         m, r, g, _ = found
         return False, {"side": "sigma_compatible",
                        "m": ctx.m_poly(m).to_json(M.name),
-                       "r": R.name(r), "map": monoid.describe(g)}
+                       "r": R.name(r), "map": g}
     found = _reduced_failure(action, 0)
     if found is not None:
         m, a, x = found

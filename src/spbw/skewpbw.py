@@ -72,7 +72,7 @@ class SkewPbwPresentation:
     """
 
     def __init__(self, ring, sigmas, deltas, c, d_const, d_linear, order,
-                 quasi_commutative, bijective, label=""):
+                 label=""):
         self.ring = ring
         self.n = len(sigmas)
         self.sigma_tables = tuple(s.table for s in sigmas)
@@ -81,8 +81,11 @@ class SkewPbwPresentation:
         self.d_const = dict(d_const)
         self.d_linear = dict(d_linear)
         self.order = order
-        self.quasi_commutative = quasi_commutative
-        self.bijective = bijective
+        # every delta_i and every relation's d_ij is zero
+        self.quasi_commutative = all(
+            v == ring.zero for row in (*self.delta_tables, self.d_const.values(),
+                                       *self.d_linear.values()) for v in row)
+        self.bijective = all(is_two_sided_invertible(ring, v) for v in self.c.values())
         self.label = label
         self.consistency_certificate = 0
         self._push_cache = {}
@@ -641,14 +644,8 @@ def validate_presentation(ring: FiniteRing, sigmas, deltas, relations=None,
     if len(order.precedence) != n:
         raise ValidationError("bad_order", witness=order.precedence)
 
-    quasi_commutative = (all(d.is_zero() for d in deltas)
-                         and all(v == ring.zero for v in d_const.values())
-                         and all(all(x == ring.zero for x in lin)
-                                 for lin in d_linear.values()))
-    bijective = all(is_two_sided_invertible(ring, v) for v in c.values())
-
     P = SkewPbwPresentation(ring, sigmas, deltas, c, d_const, d_linear, order,
-                            quasi_commutative, bijective, label=label)
+                            label=label)
     report = check_consistency(P, seed=seed)
     if not report.certified:
         raise ValidationError("inconsistent_presentation", witness=report.witness)

@@ -2,13 +2,17 @@
 
 import importlib.util
 import json
+import os
 import re
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
-from spbw import corpus
+import spbw
+from spbw import corpus, properties
 from spbw.bounded import BoundedContext
 from spbw.errors import ParseError, ValidationError
 from spbw.monomial import MAX_BASIS
@@ -20,7 +24,7 @@ from spbw.cli import (
     run_command,
     serialize_instance,
 )
-from spbw.properties import TheoremReport, VIOLATION
+from spbw.properties import TheoremReport, VIOLATION, theorem_suite
 
 from conftest import LIE_Z3, WEYL_A1_Z5
 
@@ -410,6 +414,45 @@ def test_main_violation_exit_three(monkeypatch, capsys):
     assert main(["z4-regular", "theorems", "--json-only"]) == 3
     payload = json.loads(capsys.readouterr().out)
     assert payload["result"]["summary"] == {"violation": 1}
+
+
+def test_forced_torsion_counterexample_is_a_violation(z3, monkeypatch,
+                                                      capsys):
+    """z3-trivial at d=1 meets all five hypotheses of
+    compatible_torsion_constant, so a refuted conclusion is a violation,
+    carrying the conclusion's witness, and the run exits 3."""
+    forced = {"m": "forced"}
+    monkeypatch.setattr(properties, "_torsion_constant",
+                        lambda ctx, max_space: (False, forced))
+    [report] = [r for r in theorem_suite(z3.module, z3.presentation, degree=1)
+                if r.theorem == "compatible_torsion_constant"]
+    assert report.status == VIOLATION
+    assert report.witness == forced
+    assert report.conclusion.endswith("refuted")
+    assert run_command(z3, "theorems", [], {"degree": 1})[1] == 3
+    assert main(["z3-trivial", "theorems", "--degree", "1", "--json-only"]) == 3
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["z3-trivial", "theorems", "--degree", "1"], 0),
+    (["z4-regular", "check", "pp"], 1),
+])
+def test_main_closed_stdout_keeps_exit_code(argv, code):
+    """A reader that closed stdout before the run starts gets nothing: no
+    traceback on stderr, and the exit code is the one the run earned."""
+    env = dict(os.environ, PYTHONPATH=str(Path(spbw.__file__).parents[1]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "spbw.cli", *argv, "--json-only"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == code
+    err = proc.stderr.decode()
+    assert "Traceback" not in err and "Exception ignored" not in err
 
 
 def test_main_search_space_error(capsys):

@@ -3,9 +3,10 @@
 import gc
 import hashlib
 import json
+import random
 import weakref
 from collections import Counter
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -340,6 +341,27 @@ def test_meet_closure_joins_witnesses_by_union():
     assert got == {**seeds, frozenset({2}): frozenset({"a", "b"})}
     with pytest.raises(SearchSpaceTooLarge):
         _meet_closure(seeds, 2)
+    # {3} is the meet of all three seeds and of no two, so it appears only
+    # in the second round
+    seeds = {frozenset({1, 2, 3}): frozenset({"a"}),
+             frozenset({2, 3, 4}): frozenset({"b"}),
+             frozenset({1, 3, 4}): frozenset({"c"})}
+    assert _meet_closure(seeds, 4096)[frozenset({3})] == {"a", "b", "c"}
+    # against brute force: the keys are the meets of the nonempty subsets
+    # of the seeds, and each witness names seeds that meet in its key
+    rng = random.Random(3)
+    for _ in range(10):
+        seeds = {}
+        for i in range(rng.randint(3, 6)):
+            seeds.setdefault(frozenset(x for x in range(8) if rng.random() < 0.7),
+                             frozenset({i}))
+        named = {i: key for key, w in seeds.items() for i in w}
+        got = _meet_closure(seeds, 4096)
+        assert set(got) == {frozenset.intersection(*c)
+                            for n in range(1, len(seeds) + 1)
+                            for c in combinations(seeds, n)}
+        for key, w in got.items():
+            assert frozenset.intersection(*(named[i] for i in w)) == key
 
 
 @pytest.mark.parametrize("name", ["weyl-dual-quotient", "z2xz2-swap"])
