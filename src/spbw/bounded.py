@@ -58,21 +58,23 @@ G-invariant (`properties._row_failure`), visit the minima only: the first
 failing m in index order is one, so witnesses stay.
 
 The scalar action m * r is additive in m, so H_r = {m in M^k : m * r = 0}
-and S_r = ann_M(r)^k are subgroups of M^k.  S_r is spanned by the single-slot
-vectors v x^basis[s] with v in ann_M(r), so S_r <= H_r exactly when each of
-them has m * r = 0, a lookup in the tables of `scalar_tables`.
-`count_zero_sums` over those tables counts |H_r| with the kernel's split,
-about |M|^(k/2) vector sums per r instead of |M|^k actions, and then
-H_r = S_r exactly when |H_r| = |ann_M(r)|^k.  The same tables list every
-packed m * r, the slice's own action table, which the reduced and
-twist-compatibility scans of `properties` read as M's.
+and S_r = ann_M(r)^k are subgroups of M^k, and m * r is the sum over the
+slots of the packed images that `scalar_tables` lists.  S_r <= H_r is a
+lookup of the single-slot vectors v x^basis[s], v in ann_M(r), that span
+S_r; H_r = S_r then holds exactly when, for each prime p dividing the
+exponent of (M, +), m -> m * r is one-to-one on the F_p-space B_p^k / S_r,
+B_p = {v : p * v in ann_M(r)}: k * dim(B_p / ann_M(r)) images tested for
+independence over F_p (`PackedVectors.independent`, called by
+`properties._scalar_kernel_is_slotwise`), never a walk over M^k.
+The same tables list every packed m * r, the slice's own action table,
+which the reduced and twist-compatibility scans of `properties` read as
+M's.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import cache, reduce
-from itertools import compress, product, repeat
+from itertools import compress, product
 from math import gcd, lcm
 from struct import Struct
 
@@ -113,11 +115,12 @@ def cyclic_factors(carrier):
 class PackedVectors:
     """Vectors of `length` entries of (M, +), each packed into one int.
 
-    (M, +) is coded once as Z/n_1 x .. x Z/n_r by `cyclic_factors` (the zero
-    module as one lane of order 1), checked against the whole add table and
-    kept on the module.  Entry i is bytes i*r .. i*r+r-1, big-endian, one
-    8-bit lane per factor.  Each n_j divides char(R) <= 64 (n * m = m * (n *
-    1_R)), so a lane sum s < 128, and s + 128 - n_j sets bit 7 iff s >= n_j."""
+    (M, +) is coded once as Z/n_1 x .. x Z/n_r, the n_j in `orders`, by
+    `cyclic_factors` (the zero module as one lane of order 1), checked
+    against the whole add table and kept on the module.  Entry i is bytes
+    i*r .. i*r+r-1, big-endian, one 8-bit lane per factor.  Each n_j divides
+    char(R) <= 64 (n * m = m * (n * 1_R)), so a lane sum s < 128, and s +
+    128 - n_j sets bit 7 iff s >= n_j."""
 
     def __init__(self, module: RightModule, length: int):
         packing = module._packing
@@ -125,11 +128,11 @@ class PackedVectors:
             gens, coords = cyclic_factors(module)
             code = [bytes(coords[m]) or b"\0" for m in module.elements()]
             packing = (code, [n for _, n in gens] or [1])
-        self.code, orders = packing
-        self.width, self.nbytes = len(orders), len(orders) * length
+        self.code, self.orders = packing
+        self.width, self.nbytes = len(self.orders), len(self.orders) * length
         self.C, self.H, self.N = (
             int.from_bytes(bytes(lane) * length, "big") for lane in
-            ([128 - n for n in orders], [128] * self.width, orders))
+            ([128 - n for n in self.orders], [128] * self.width, self.orders))
         if module._packing is None:
             ints = [int.from_bytes(c, "big") for c in self.code]
             if len(set(self.code)) != module.order or any(
@@ -144,6 +147,30 @@ class PackedVectors:
 
     def neg(self, x: int) -> int:
         return self.add(self.N - x, 0)
+
+    def independent(self, xs, p: int) -> bool:
+        """Whether the packed vectors xs, each killed by the prime p, are
+        linearly independent over F_p.  Lane j of order n_j then holds q *
+        n_j / p for an F_p coordinate q, or 0 where p does not divide n_j (a
+        lane that does not is an engine fault), so lanewise addition is
+        addition over F_p.  Each x is reduced by its top nonzero lane with
+        packed multiples of the vectors kept so far; one reduced to 0
+        depends on them."""
+        units = [n // p if n % p == 0 else n for n in self.orders]
+        units *= self.nbytes // self.width
+        pivots = {}   # top lane of a kept y: {value of t * y there: -t * y}
+        for x in xs:
+            if any(map(int.__mod__, x.to_bytes(self.nbytes, "big"), units)):
+                raise EngineInvariantError("packed vector outside the p-torsion")
+            while x and (top := (x.bit_length() - 1) >> 3) in pivots:
+                x = self.add(x, pivots[top][x >> 8 * top])
+            if not x:
+                return False
+            kill, y = pivots.setdefault(top, {}), x
+            for _ in range(p - 1):
+                kill[y >> 8 * top] = self.neg(y)
+                y = self.add(y, x)
+        return True
 
     def pack(self, pairs) -> int:
         """Value v at entry i for the (i, v) in `pairs`, i distinct; else 0."""
@@ -177,17 +204,6 @@ def half_sums(tables, vecs: PackedVectors):
     for table in tables:
         sums = [vecs.add(x, c) for x in sums for c in table]
     return sums
-
-
-def count_zero_sums(tables, vecs: PackedVectors) -> int:
-    """How many choices of one packed vector per table sum to 0, by the
-    kernel's meet-in-the-middle split: a Counter of the sums over the low
-    tables h.. (h = len(tables) // 2), looked up by the sums over the negated
-    high tables, so the work is about the two halves' products."""
-    h = len(tables) // 2
-    low = Counter(half_sums(tables[h:], vecs))
-    return sum(map(low.get, half_sums([list(map(vecs.neg, t)) for t in
-                                       tables[:h]], vecs), repeat(0)))
 
 
 class BoundedContext:
@@ -283,14 +299,17 @@ class BoundedContext:
     def scalar_tables(self):
         """phi[r][s][v]: the packed coefficient k-vector of (v x^basis[s]) * r.
 
-        m * r = sum over s of phi[r][s][m_s], so `count_zero_sums` over
-        phi[r] is |{m : m * r = 0}| and its `half_sums` list every packed
-        m * r in m's index order: the one table of the slice's action, a
-        finite right R-module as x^alpha r = sigma^alpha(r) x^alpha + lower
-        terms.  One `triple` call per (r, s); built once per context, |R| *
-        k * |M| vectors.  The scalar check's guard still measures m_space *
-        |R|, the space it decides, not this smaller work, so the same
-        reports are decided and skipped as when every (m, r) was acted on.
+        m * r = sum over s of phi[r][s][m_s], so the images of the
+        single-slot vectors decide the scalar check by a rank over F_p per
+        prime (module docstring), and `half_sums` over phi[r] lists every
+        packed m * r in m's index order: the one table of the slice's
+        action, a finite right R-module as x^alpha r = sigma^alpha(r)
+        x^alpha + lower terms.  One `triple` call per (r, s); built once per
+        context, |R| * k * |M| vectors, each a sum of module elements
+        already shifted into their slot's lanes.  The scalar check's guard
+        still measures m_space * |R|, the space its witness scan walks, not
+        this smaller work, so the same reports are decided and skipped as
+        when every (m, r) was acted on.
         """
         if self._scalar is None:
             M, slot = self.module, self.slot
@@ -300,9 +319,17 @@ class BoundedContext:
             if any(g not in slot for per_r in terms for ts in per_r
                    for g, _ in ts):
                 raise EngineInvariantError("scalar action left the bounded basis")
-            self._scalar = [[[self.vectors.pack(
-                (slot[g], M.action_table[v][w]) for g, w in ts)
-                for v in M.elements()] for ts in per_r] for per_r in terms]
+            # at[i][x]: module element x as the packed vector x x^basis[i]
+            lanes = [int.from_bytes(c, "big") for c in self.vectors.code]
+            at = [[x << 8 * self.vectors.width * (self.k - 1 - i)
+                   for x in lanes] for i in range(self.k)]
+
+            def images(ts):   # (v x^basis[s]) * r for every v; ts: x^basis[s] r
+                cols = [[at[slot[g]][row[w]] for row in M.action_table]
+                        for g, w in ts]
+                return [sum(c) for c in zip(*cols)] if cols else [0] * M.order
+
+            self._scalar = [list(map(images, per_r)) for per_r in terms]
         return self._scalar
 
     # ------------------------------------------------------------------
@@ -368,7 +395,7 @@ class BoundedContext:
         of a torus element lam (None for 1) with m = n * phi_lam(rep)."""
         if self._rep is None:
             M, P, ring = self.module, self.presentation, self.presentation.ring
-            mul, e, one = ring.mul_table, lcm(*M._packing[1]), ring.one
+            mul, e, one = ring.mul_table, lcm(*self.vectors.orders), ring.one
             gens = [([reduce(ring.add, [one] * n)] * self.k, None) for n in
                     _generators([n for n in range(2, e) if gcd(n, e) == 1],
                                 lambda a, b: a * b % e)]

@@ -41,10 +41,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from itertools import product
+from math import lcm
 
 from .annihilator import ann_in_r, idempotent_generator, principal_right_ideal
-from .bounded import (DEFAULT_MAX_SPACE, BoundedContext, context,
-                      count_zero_sums, half_sums)
+from .bounded import DEFAULT_MAX_SPACE, BoundedContext, context, half_sums
 from .errors import SearchSpaceTooLarge, TooLarge, ValidationError
 from .finring import closure_monoid, idempotents, is_central
 from .monomial import enumerate_upto
@@ -574,23 +574,55 @@ def _coefficientwise_scalar(ctx: BoundedContext, max_space: int):
     """act_scalar(m, r) = 0 iff every coefficient of m annihilates r.
 
     For each r this says H_r = S_r, with H_r = {m : m * r = 0} and
-    S_r = ann_M(r)^k.  S_r is spanned by the single-slot vectors v x^alpha_s
-    with v in ann_M(r), so S_r <= H_r exactly when each maps to the packed 0
-    in `ctx.scalar_tables()`; then one `count_zero_sums` count of |H_r| over
-    the same tables decides H_r = S_r, as |S_r| = |ann_M(r)|^k.  Only when
-    some r fails does `_coefficientwise_scalar_scan` test every (m, r), to
-    return the first witness in index order.  The guard measures the
+    S_r = ann_M(r)^k, decided by `_scalar_kernel_is_slotwise` from the
+    tables of `ctx.scalar_tables()` in time polynomial in k and |M|.  Only
+    when some r fails does `_coefficientwise_scalar_scan` test every (m, r),
+    to return the first witness in index order.  The guard measures the
     m_space * |R| pairs decided, as that scan does.
     """
-    M = ctx.module
     ctx.guard(ctx.m_space * ctx.ring_size, max_space,
               "module-poly/scalar space")
     for r, phi in enumerate(ctx.scalar_tables()):
-        ann = [v for v in M.elements() if M.action_table[v][r] == M.zero]
-        if (any(row[v] for row in phi for v in ann)
-                or count_zero_sums(phi, ctx.vectors) != len(ann) ** ctx.k):
+        if not _scalar_kernel_is_slotwise(ctx, r, phi):
             return _coefficientwise_scalar_scan(ctx)
     return True, None
+
+
+def _scalar_kernel_is_slotwise(ctx: BoundedContext, r: int, phi) -> bool:
+    """H_r = S_r, for H_r = {m in M^k : m * r = 0}, S_r = ann_M(r)^k and
+    phi = `ctx.scalar_tables()`[r], by a rank over F_p for each prime p
+    dividing the exponent of (M, +).
+
+    m -> m * r is additive, so H_r and S_r are subgroups of M^k.  S_r is
+    spanned by the single-slot vectors v x^basis[s], v in ann_M(r), so S_r
+    <= H_r exactly when each maps to the packed 0.  Then take h in H_r
+    outside S_r: an integer multiple of h has prime order p modulo S_r, so
+    it lies in B_p^k outside S_r, B_p = {v : p * v in ann_M(r)}.  B_p^k /
+    S_r is an F_p-space with basis the b x^basis[s], b over an F_p-basis of
+    B_p / ann_M(r) chosen greedily, and m -> m * r maps it F_p-linearly
+    into the p-torsion of M^k.  So H_r = S_r exactly when, for every p,
+    those k * e images are independent over F_p, as `vecs.independent`
+    decides (Annin, Comm. Algebra 30, 2002, for the statement; Storjohann
+    & Mulders, ESA 1998, for linear algebra over the cyclic factors)."""
+    M, vecs = ctx.module, ctx.vectors
+    add, act, zero = M.add_table, M.action_table, M.zero
+    ann = {v for v in M.elements() if act[v][r] == zero}
+    if any(row[v] for row in phi for v in ann):
+        return False
+    exponent = lcm(*vecs.orders)
+    for p in (p for p in range(2, exponent + 1)
+              if exponent % p == 0 and all(p % q for q in range(2, p))):
+        basis, span = [], ann
+        for v in M.elements():
+            mults = [zero]   # c * v for c < p
+            for _ in range(p - 1):
+                mults.append(add[mults[-1]][v])
+            if v not in span and add[mults[-1]][v] in ann:
+                basis.append(v)
+                span = {add[x][y] for x in span for y in mults}
+        if not vecs.independent((row[b] for row in phi for b in basis), p):
+            return False
+    return True
 
 
 def _coefficientwise_scalar_scan(ctx: BoundedContext):

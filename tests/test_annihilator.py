@@ -194,33 +194,6 @@ def test_kernel_rows_match_reference_on_the_test_instances(path):
     assert d > 0
 
 
-def test_count_zero_sums_matches_brute_force():
-    # the split count of zero sums over each r's scalar tables against
-    # summing every choice of one packed vector per table, on every context
-    # with |M|^k <= 10^4; k = 1 leaves the high half empty, and an odd k
-    # splits the tables unevenly
-    ks = set()
-    for case, ctx in _orbit_contexts():
-        vecs = ctx.vectors
-        for r, phi in enumerate(ctx.scalar_tables()):
-            want = sum(reduce(vecs.add, choice, 0) == 0
-                       for choice in product(*phi))
-            assert bounded.count_zero_sums(phi, vecs) == want, (case, r)
-        ks.add(ctx.k)
-    assert 1 in ks and any(k % 2 for k in ks if k > 1)
-    # the sums of those tables form subgroups, which negation fixes; seeded
-    # tables of arbitrary vectors over Z5 and Z4 + Z2 tell x from -x
-    rng = random.Random(5)
-    for M in (regular_module(zmod(5)), _z4_plus_z2()):
-        vecs = PackedVectors(M, 2)
-        for k in range(1, 6):
-            tables = [[vecs.pack(enumerate(rng.choices(M.elements(), k=2)))
-                       for _ in range(rng.randrange(1, 6))] for _ in range(k)]
-            want = sum(reduce(vecs.add, choice, 0) == 0
-                       for choice in product(*tables))
-            assert bounded.count_zero_sums(tables, vecs) == want, (M, k)
-
-
 def _assert_ann_am_matches_reference(ctx):
     # every row of ann(mA) against acting on m with every (r x^gamma) * f
     assert ctx.ann_am_rows() == oracles.ann_am_reference(ctx)
@@ -579,6 +552,33 @@ def test_packed_code_is_checked_against_the_add_table(monkeypatch):
     with pytest.raises(EngineInvariantError):
         PackedVectors(M, 1)
     assert M._packing is None
+
+
+def test_packed_independence_matches_brute_force():
+    # seeded lists of packed vectors killed by p, over modules with one
+    # lane, two lanes of unequal order and three lanes, are independent
+    # over F_p exactly when their p^len(xs) combinations are distinct; two
+    # entries, so the top nonzero lane moves between entries and factors
+    rng = random.Random(31)
+    seen = Counter()
+    for M in (regular_module(zmod(6)), regular_module(zmod(9)),
+              _z4_plus_z2(), regular_module(upper_triangular(2, 2))):
+        vecs = PackedVectors(M, 2)
+        for p in (2, 3):
+            torsion = [v for v in M.elements()
+                       if reduce(M.add, [v] * p) == M.zero]
+            for _ in range(60 * (len(torsion) > 1)):
+                xs = [vecs.pack(enumerate(rng.choices(torsion, k=2)))
+                      for _ in range(rng.randrange(1, 5))]
+                multiples = [[0] for _ in xs]
+                for ms, x in zip(multiples, xs):
+                    while len(ms) < p:
+                        ms.append(vecs.add(ms[-1], x))
+                want = (len(set(bounded.half_sums(multiples, vecs)))
+                        == p ** len(xs))
+                assert vecs.independent(xs, p) == want, (M.label, p, xs)
+                seen[want] += 1
+    assert seen[True] and seen[False]
 
 
 def test_kernel_rows_with_mixed_moduli():

@@ -6,15 +6,18 @@ import json
 import random
 import weakref
 from collections import Counter
+from functools import reduce
 from itertools import combinations, product
 
 import pytest
 
 from spbw import corpus, properties
 from spbw.annihilator import ann_in_r, principal_right_ideal
-from spbw.bounded import DEFAULT_MAX_SPACE, BoundedContext, context
+from spbw.bounded import (DEFAULT_MAX_SPACE, BoundedContext, context,
+                          cyclic_factors, half_sums)
 from spbw.cli import parse_instance
-from spbw.errors import SearchSpaceTooLarge, TooLarge, ValidationError
+from spbw.errors import (EngineInvariantError, SearchSpaceTooLarge, TooLarge,
+                         ValidationError)
 from spbw.finring import (dual_z2, identity_map, idempotents,
                           upper_triangular, validate_endomorphism,
                           validate_sigma_derivation, zero_map, zmod,
@@ -784,7 +787,7 @@ def _act_scalar_scan(ctx):
 
 
 def test_scalar_certificate_matches_the_scan():
-    # the counting certificate gives the (ok, witness) of the per-(m, r)
+    # the rank certificate gives the (ok, witness) of the per-(m, r)
     # scan, and the scan, which sums the scalar tables, that of acting on
     # each (m, r), on every corpus context with m_space * |R| <= 10^6
     # (z2xz2-swap and weyl-dual-quotient fail), on UT(2,Z2) and on a zero
@@ -807,7 +810,7 @@ def test_scalar_certificate_matches_the_scan():
     assert seen[True] and seen[False]
 
 
-def test_scalar_certificate_counts_instead_of_acting(monkeypatch):
+def test_scalar_certificate_ranks_instead_of_acting(monkeypatch):
     inst = parse_instance(corpus.load("quantum-plane-z5"))
     P = inst.presentation
     ctx = context(inst.module, P, 2)
@@ -827,6 +830,103 @@ def test_scalar_certificate_counts_instead_of_acting(monkeypatch):
     assert _coefficientwise_scalar(ctx, DEFAULT_MAX_SPACE) == (True, None)
     assert calls["act_is_zero"] == 0
     assert calls["triple"] <= ctx.k * ctx.ring_size
+
+
+def _endomorphisms(R):
+    """Every endomorphism of R: each generator of (R, +) that
+    `cyclic_factors` picks goes to any element, the table is extended
+    additively, and those tables that validate_endomorphism accepts."""
+    gens, coords = cyclic_factors(R)
+    out = []
+    for images in product(R.elements(), repeat=len(gens)):
+        mults = [[R.zero] for _ in gens]   # multiples of each image
+        for ms, y, (_, n) in zip(mults, images, gens):
+            while len(ms) < n:
+                ms.append(R.add(ms[-1], y))
+        table = [reduce(R.add, map(list.__getitem__, mults, coords[x]), R.zero)
+                 for x in R.elements()]
+        try:
+            out.append(validate_endomorphism(R, table))
+        except ValidationError:
+            pass
+    return out
+
+
+def _inner_presentations(R):
+    """One variable over R for each endomorphism sigma and each distinct
+    inner sigma-derivation r -> a r - sigma(r) a."""
+    out = []
+    for sigma in _endomorphisms(R):
+        for table in dict.fromkeys(
+                tuple(R.sub(R.mul(a, r), R.mul(sigma(r), a))
+                      for r in R.elements()) for a in R.elements()):
+            delta = validate_sigma_derivation(R, sigma, table)
+            out.append(validate_presentation(R, [sigma], [delta], {}))
+    return out
+
+
+def test_scalar_rank_matches_brute_force():
+    # the per-r rank verdict against H_r = S_r found by listing every packed
+    # m * r, and the scalar tables against packing each entry's terms, on a
+    # seeded sweep: one variable over Z2..Z9, Z2xZ2, Z2xZ3, Z3xZ3,
+    # Z2[y]/(y^2) and UT(2,Z2), up to three (sigma, inner derivation)
+    # pairs each, the regular module, every proper nonzero quotient R/aR and Z4 +
+    # Z2 (lanes of orders 4 and 2), d <= 3 while m_space <= 10^4.  Pairs
+    # with S_r <= H_r != S_r arise over Z2xZ2 (p = 2) and Z3xZ3 (p = 3);
+    # none changes a report, as each of their contexts also has an r with
+    # S_r outside H_r, so the verdict is compared per r
+    rng = random.Random(31)
+    z4_plus_z2 = _z4_plus_z2()
+    rings = [z4_plus_z2.ring if n == 4 else zmod(n) for n in range(2, 10)] + [
+        zmod_product(2, 2), zmod_product(2, 3), zmod_product(3, 3), dual_z2(),
+        upper_triangular(2, 2)]
+    strict = Counter()
+    for R in rings:
+        ideals = {}   # each principal right ideal aR: its first a
+        for a in R.elements():
+            ideals.setdefault(right_ideal_closure(R, [a]), a)
+        modules = [regular_module(R)] + [
+            quotient_module(R, [a]) for I, a in ideals.items()
+            if 1 < len(I) < R.order] + [z4_plus_z2] * (R is z4_plus_z2.ring)
+        presentations = _inner_presentations(R)
+        for P in rng.sample(presentations, min(3, len(presentations))):
+            for M, d in product(modules, range(4)):
+                ctx = context(M, P, d)
+                if ctx.m_space > 10 ** 4:
+                    continue
+                vecs, act = ctx.vectors, M.action_table
+                for r, phi in enumerate(ctx.scalar_tables()):
+                    assert phi == [[vecs.pack(
+                        (ctx.slot[g], row[w])
+                        for g, w in P.triple(alpha, r, ctx.basis[0]))
+                        for row in act] for alpha in ctx.basis]
+                    ann = [v for v in M.elements() if act[v][r] == M.zero]
+                    inside = not any(half_sums(
+                        [[row[v] for v in ann] for row in phi], vecs))
+                    equal = inside and (half_sums(phi, vecs).count(0)
+                                        == len(ann) ** ctx.k)
+                    got = properties._scalar_kernel_is_slotwise(ctx, r, phi)
+                    assert got == equal, (R.label, M.label, d, r)
+                    if inside and not equal:
+                        strict[R.label] += 1
+    assert strict.keys() == {"Z2xZ2", "Z3xZ3"}
+    # Z2xZ2/(0,1) under the swap at d = 1: (m0 + m1 x) * (1,0) = m0, so
+    # H_r = {0, x} holds two vectors and S_r = {0} one
+    inst = parse_instance('{"ring": "Z2xZ2", "variables": 1, "sigma": '
+                          '["swap"], "module": {"quotient": ["(0,1)"]}}')
+    ctx = context(inst.module, inst.presentation, 1)
+    r = inst.presentation.ring.element_index("(1,0)")
+    phi = ctx.scalar_tables()[r]
+    assert half_sums(phi, ctx.vectors).count(0) == 2
+    assert [v for v in inst.module.elements()
+            if inst.module.action_table[v][r] == inst.module.zero] == [0]
+    assert not properties._scalar_kernel_is_slotwise(ctx, r, phi)
+    # over Z4, v * 2 is 0 or 2; a table giving 1 * 2 = 1 leaves the
+    # 2-torsion, an engine fault and never a verdict
+    ctx = context(regular_module(zmod(4)), None, 0)
+    assert ctx.scalar_tables()[2] == [[0, 2, 0, 2]]
+    with pytest.raises(EngineInvariantError):
+        properties._scalar_kernel_is_slotwise(ctx, 2, [[0, 1, 0, 3]])
 
 
 def _twisted(R):
