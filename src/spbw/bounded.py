@@ -43,7 +43,8 @@ slice is dropped, as then act(m, mu f) = act(act(m, f), mu) = 0 for f in
 the kernel row; over a commutative slice the ann(mA) rows are the kernel
 rows.
 Rows are frozensets of f_idx, so the scans ask set questions of them and
-take the least index as the witness f.
+take the least index as the witness f; `coeff_set(R)`, the row of m = 0,
+is the context's one whole slice.
 
 Rows are built once per orbit of a group G, generated by the integer units
 n mod the exponent of (M, +), as act(n * m, f) = n * act(m, f), and, when A
@@ -451,12 +452,12 @@ class BoundedContext:
     def kernel(self, max_space: int = DEFAULT_MAX_SPACE) -> dict:
         """act-annihilator rows: {m_idx: frozenset of f_idx with act(m,f)=0}.
 
-        K_{g * m} = phi_lam(K_m) for g = (n, lam) in G, so a row is found
-        only at an orbit minimum of `orbit_rep`, and `_spread` gives every
-        other m phi_lam of its minimum's row.  Each minimum is first sorted
-        by its leading term: m = 0 has the whole slice, an m whose last
-        nonzero slot s holds v has {0} when `leading_units` certifies
-        trivial[s][v], and only the rest are split out by `_split_rows`.
+        K_{g * m} = phi_lam(K_m) for g = (n, lam) in G, so rows are found at
+        the orbit minima of `orbit_rep` only and `_spread` gives the rest.
+        Each minimum is first sorted by its leading term: m = 0 has
+        `coeff_set(R)`, the whole slice; an m whose last nonzero slot s holds
+        v has `coeff_set({0})` when `leading_units` certifies trivial[s][v];
+        the rest go to `_split_rows`.
 
         act(m, f) is the sum over slot pairs (s, t) of m_s applied to the
         coefficients of x^basis[s] * f_t * x^basis[t], so with L_m[t][b] the
@@ -485,16 +486,15 @@ class BoundedContext:
             return self._kernel
         tensor, monos = self.structure_tensor()
         trivial = self.leading_units(tensor, monos)
-        whole = frozenset(range(self.f_space))
-        zero_row = frozenset([self.f_term_index(self.basis[0],
-                                                self.presentation.ring.zero)])
+        whole = self.coeff_set(self.presentation.ring.elements(), max_space)
+        certified = self.coeff_set([self.presentation.ring.zero], max_space)
         out, todo = {}, []
         for m_idx in self.minima():
             mt = self.mterms(m_idx)
             if not mt:
                 out[m_idx] = whole
             elif trivial[self.slot[mt[-1][0]]][mt[-1][1]]:
-                out[m_idx] = zero_row
+                out[m_idx] = certified
             else:
                 todo.append(m_idx)
         if todo:
@@ -636,15 +636,14 @@ class BoundedContext:
     def coeff_set(self, allowed, max_space: int = DEFAULT_MAX_SPACE) -> frozenset:
         """All f_idx whose coefficients lie in `allowed` (a set of ring
         elements containing 0); this is (allowed)*A cut to degree <= d when
-        allowed is a right ideal.  Built slot by slot, |result| * k indices,
-        and kept per `allowed`; the guard measures the polynomial space."""
+        allowed is a right ideal.  Listed by `_digit_image` and kept per
+        `allowed`, so `kernel`'s whole-slice and {0} rows are these sets;
+        the guard measures the polynomial space."""
         self.guard(self.f_space, max_space, "polynomial space")
         key = frozenset(allowed)
         if key not in self._coeff_sets:
-            out = [0]   # the indices of the vectors over `allowed`, by slot
-            for _ in range(self.k):
-                out = [f_idx * self.ring_size + b for f_idx in out for b in key]
-            self._coeff_sets[key] = frozenset(out)
+            self._coeff_sets[key] = frozenset(
+                _digit_image([list(key)] * self.k, self.ring_size))
         return self._coeff_sets[key]
 
 

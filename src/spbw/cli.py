@@ -553,10 +553,10 @@ def main(argv=None) -> int:
         options = {"degree": ns.degree, "max_space": ns.max_space,
                    "seed": ns.seed}
         report, code = run_command(inst, ns.command, ns.args, options)
-    except SpbwError as exc:
+    except (SpbwError, MemoryError) as exc:   # out of memory is refused too
         report = {"schema": 1, "error": {"type": type(exc).__name__,
-                                         "message": str(exc)}}
-        code, note = 2, f"error: {exc}"
+                                         "message": str(exc) or "out of memory"}}
+        code, note = 2, f"error: {report['error']['message']}"
         for attr in ("kind", "space", "limit", "what", "size", "line", "col"):
             v = getattr(exc, attr, None)
             if v is not None:

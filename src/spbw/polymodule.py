@@ -30,6 +30,8 @@ from .finring import (AdditiveCarrier, FiniteRing, abelian_group_zero,
 from .skewpbw import (SkewPbwPresentation, SkewPoly, TermPoly, collect_terms,
                       term_products)
 
+MODULE_ORDER_CAP = 256   # validation scans |M|^3 sums: under 1 s at 256
+
 
 class RightModule(AdditiveCarrier):
     """A finite right R-module given by add and action tables.
@@ -57,9 +59,9 @@ def validate_module(ring: FiniteRing, add_table, action_table,
     not_biadditive.
     """
     order = len(add_table) if isinstance(add_table, (list, tuple)) else 0
-    if order == 0:
-        raise ValidationError("bad_table", witness="add",
-                              message="module add table must be a non-empty list")
+    if not 0 < order <= MODULE_ORDER_CAP:
+        raise ValidationError("bad_table", witness="add", message=(
+            f"module add table must be a list of 1 to {MODULE_ORDER_CAP} rows"))
     add_table = check_table(add_table, order, "add", order, order)
     action_table = check_table(action_table, order, "action", order, ring.order)
     zero = abelian_group_zero(add_table)

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import product
+from itertools import combinations, product
 from math import lcm
 
 from .annihilator import ann_in_r, idempotent_generator, principal_right_ideal
@@ -252,22 +252,20 @@ def _first_outside(ctx: BoundedContext, max_space: int, family):
 def _meet_closure(seeds: dict, limit: int) -> dict:
     """Close `seeds` (annihilator -> witness frozenset) under pairwise meets.
 
-    Each round meets every pair of known annihilators in insertion order and
-    records a new meet with the union of the two witnesses; rounds repeat
-    until nothing new appears.  A round that would grow the lattice past
-    `limit` raises SearchSpaceTooLarge first.  Baer's 4096 never fires at
-    degree 0: annihilators in R are additive subgroups, at most 2,825 for
-    |R| <= 64 (those of (Z/2)^6).
+    Each round meets each pair i < j of known annihilators in insertion
+    order (i with i is known, and (j, i) repeats (i, j)) and records a new
+    meet with the union of the two witnesses; rounds repeat until nothing
+    new appears.  A round that would pass `limit` raises SearchSpaceTooLarge
+    first.  Baer's 4096 never fires at degree 0: annihilators in R are
+    additive subgroups, at most 2,825 for |R| <= 64 (those of (Z/2)^6).
     """
     cands = dict(seeds)
     while True:
         fresh = {}
-        items = list(cands.items())
-        for key1, w1 in items:
-            for key2, w2 in items:
-                key = key1 & key2
-                if key not in cands and key not in fresh:
-                    fresh[key] = w1 | w2
+        for (key1, w1), (key2, w2) in combinations(cands.items(), 2):
+            key = key1 & key2
+            if key not in cands and key not in fresh:
+                fresh[key] = w1 | w2
         if not fresh:
             return cands
         if len(cands) + len(fresh) > limit:
@@ -295,16 +293,17 @@ def _pq_baer_family(ctx: BoundedContext, max_space: int):
 
 def _quasi_baer_family(ctx: BoundedContext, max_space: int):
     """The meet of the kernel rows over N^k, keyed by the submodule N, for
-    the submodules of M up to DEFAULT_MAX_SUBMODULE_ORDER elements.  For
-    each f, {m : act(m, f) = 0} is a subgroup of M^k, so the meet is taken
-    over the k * |N| single-slot vectors v x^alpha, which span N^k."""
-    kern = ctx.kernel(max_space)
+    the submodules of M up to DEFAULT_MAX_SUBMODULE_ORDER elements.  Each
+    {m : act(m, f) = 0} is a subgroup of M^k, so the meet runs over the v
+    x^alpha, v != 0, that span N^k, from the row of 0: the whole slice."""
+    M, kern = ctx.module, ctx.kernel(max_space)
+    whole = kern[ctx.m_term_index(ctx.basis[0], M.zero)]
 
     def family():
-        for sub in all_submodules(ctx.module, DEFAULT_MAX_SUBMODULE_ORDER):
-            yield sub, frozenset.intersection(*(
-                kern[ctx.m_term_index(alpha, v)]
-                for alpha in ctx.basis for v in sorted(sub.elements)))
+        for sub in all_submodules(M, DEFAULT_MAX_SUBMODULE_ORDER):
+            yield sub, reduce(frozenset.__and__, (
+                kern[ctx.m_term_index(alpha, v)] for alpha in ctx.basis
+                for v in sorted(sub.elements) if v != M.zero), whole)
 
     return _first_outside(ctx, max_space, family())
 

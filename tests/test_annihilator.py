@@ -760,6 +760,25 @@ def test_leading_units_certify_only_rows_the_split_finds():
     assert lie_lex and not any(map(any, lie_lex[0]))
 
 
+def test_kernel_rows_are_the_contexts_coeff_sets():
+    # the whole slice and {0} are listed once per context: the m = 0 row is
+    # coeff_set(R) and every certified row, at a minimum or spread from one,
+    # is coeff_set({0}), the objects the Baer-family scans read
+    inst = parse_instance(corpus.load("z3-trivial"))
+    M, R = inst.module, inst.ring
+    ctx = context(M, inst.presentation, 2)
+    kern, rep = ctx.kernel(), ctx.orbit_rep()
+    trivial = ctx.leading_units(*ctx.structure_tensor())
+    certified = {m_idx for m_idx in ctx.minima() if (mt := ctx.mterms(m_idx))
+                 and trivial[ctx.slot[mt[-1][0]]][mt[-1][1]]}
+    assert len(certified) > len(ctx.minima()) / 2
+    assert kern[ctx.m_term_index(ctx.basis[0], M.zero)] is ctx.coeff_set(
+        R.elements())
+    zero_row = ctx.coeff_set([R.zero])
+    assert all(kern[m_idx] is zero_row for m_idx in range(ctx.m_space)
+               if rep[m_idx] in certified)
+
+
 def test_degree_zero_action_is_the_modules_own():
     # at degree 0 the slice is M, so the products read off the scalar
     # tables are M's own action table, packed

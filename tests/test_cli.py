@@ -455,6 +455,25 @@ def test_main_closed_stdout_keeps_exit_code(argv, code):
     assert "Traceback" not in err and "Exception ignored" not in err
 
 
+def test_main_out_of_memory_exits_two():
+    """A run that runs out of memory is refused as a search past the budget
+    is, with exit 2 and the structured error: 1 would mean a property
+    fails.  The child caps only its own address space, at 400 MB, which
+    quantum-plane-z5 d=3's |M|^k = 9.8e6 structures outgrow in a second."""
+    resource = pytest.importorskip("resource")
+    cap = 400 * 2 ** 20
+    env = dict(os.environ, PYTHONPATH=str(Path(spbw.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "spbw.cli", "quantum-plane-z5", "theorems",
+         "--degree", "3", "--max-space", str(10 ** 20), "--json-only"],
+        capture_output=True, env=env, timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
+    assert proc.returncode == 2
+    assert json.loads(proc.stdout) == {"schema": 1, "error": {
+        "type": "MemoryError", "message": "out of memory"}}
+    assert "Traceback" not in proc.stderr.decode()
+
+
 def test_main_search_space_error(capsys):
     code = main(["z3-trivial", "check", "skew_armendariz",
                  "--degree", "3", "--max-space", "10", "--json-only"])

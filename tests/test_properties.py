@@ -367,6 +367,52 @@ def test_meet_closure_joins_witnesses_by_union():
             assert frozenset.intersection(*(named[i] for i in w)) == key
 
 
+class _CountedMeets(frozenset):
+    """A frozenset that records each pair it meets with `&`."""
+
+    meets: list = []
+
+    def __and__(self, other):
+        _CountedMeets.meets.append((self, other))
+        return _CountedMeets(frozenset(self) & other)
+
+
+def test_meet_closure_meets_each_unordered_pair_once(monkeypatch):
+    # a chain is closed under meets, so the first round is the only one:
+    # n distinct seeds take n(n-1)/2 meets, none of a key with itself
+    monkeypatch.setattr(_CountedMeets, "meets", [])
+    n = 6
+    seeds = {_CountedMeets(range(i + 1)): frozenset({i}) for i in range(n)}
+    assert _meet_closure(seeds, 4096) == seeds
+    assert len(_CountedMeets.meets) == n * (n - 1) // 2
+    assert not any(a is b for a, b in _CountedMeets.meets)
+    assert {frozenset([a, b]) for a, b in _CountedMeets.meets} == {
+        frozenset(pair) for pair in combinations(seeds, 2)}
+
+
+def test_quasi_baer_meet_starts_from_the_whole_slice(monkeypatch):
+    # the zero vector's row is the whole slice, the meet's identity: each
+    # submodule's meet is that of all its single-slot rows, and {0} gets
+    # the m = 0 row object itself, also where M's zero is not element 0
+    family = []
+    monkeypatch.setattr(properties, "_first_outside",
+                        lambda ctx, max_space, rows: family.extend(rows))
+    for inst, d in ((parse_instance(corpus.load("z3-trivial")), 2),
+                    (_z3_zero_last(), 1)):
+        M, ctx = inst.module, context(inst.module, inst.presentation, d)
+        kern = ctx.kernel()
+        family.clear()
+        properties._quasi_baer_family(ctx, DEFAULT_MAX_SPACE)
+        assert len(family) > 1
+        for sub, row in family:
+            assert row == frozenset.intersection(*(
+                kern[ctx.m_term_index(alpha, v)]
+                for alpha in ctx.basis for v in sub.elements))
+        [row] = [row for sub, row in family if set(sub.elements) == {M.zero}]
+        assert row is kern[ctx.m_term_index(ctx.basis[0], M.zero)]
+        assert row is ctx.coeff_set(inst.ring.elements())
+
+
 @pytest.mark.parametrize("name", ["weyl-dual-quotient", "z2xz2-swap"])
 def test_bounded_baer_witness_lists_every_generator(name):
     inst = parse_instance(corpus.load(name))

@@ -13,7 +13,8 @@ from spbw import corpus
 from spbw.cli import main
 from spbw.errors import SpbwError
 from spbw.finring import identity_map, zero_map, zmod, zmod_product
-from spbw.polymodule import ModulePoly, Submodule, act, regular_module
+from spbw.polymodule import (MODULE_ORDER_CAP, ModulePoly, Submodule, act,
+                             regular_module)
 from spbw.skewpbw import mul, validate_presentation
 
 _Z2_ADD = [[0, 1], [1, 0]]
@@ -21,6 +22,8 @@ _Z2_MUL = [[0, 0], [0, 1]]
 _Z3_ADD = [[(a + b) % 3 for b in range(3)] for a in range(3)]
 _ZERO3 = [[0] * 3] * 3
 _XOR4 = [[a ^ b for b in range(4)] for a in range(4)]
+_N = MODULE_ORDER_CAP + 1   # Z/_N, a module table one row past the cap
+_ZN_ADD = [[(a + b) % _N for b in range(_N)] for a in range(_N)]
 
 
 def _presentation(sigmas, deltas, relations=None):
@@ -92,6 +95,11 @@ REFUSALS = {
             "add": _XOR4,
             "action": [[0, 0, 0, 0], [0, 0, 1, 1], [0, 0, 2, 2], [0, 3, 0, 3]]}},
          ["validate"]), "ValidationError", "not_biadditive", "witness=(1, 2, 1)"),
+    # refused by its order alone, before its |M|^3 group-law scan
+    "module-order-past-cap": (
+        ({"module": {"add": _ZN_ADD, "action": [[0, m] for m in range(_N)]}},
+         ["validate"]), "ValidationError", "bad_table",
+        f"list of 1 to {MODULE_ORDER_CAP} rows"),
     "embedding-not-additive": (
         ({"ring": "Z3", "embedding": [1, 0, 2]}, ["validate"]),
         "ValidationError", "not_additive", "embedding"),
